@@ -6,7 +6,7 @@ into constrained polyline minimization plus visiting-order search.
 """
 
 from .geometry import (BoundaryExpr, Circle, Line, Plane3, PointTarget, Product,
-                       ProjectionError, RigidMotion, Segment, SingularGradientError,
+                       RigidMotion, Segment, SingularGradientError,
                        UnsupportedMotionError, apply_motion, eval_boundary,
                        grad_boundary, project, scaled_residual)
 from .path import LengthReport, Polyline, grad_length, length, min_width

@@ -17,7 +17,7 @@ from pathlib import Path
 from .export import to_csv, to_mtz_text, to_svg
 from .nlp_solver import NonConvergenceError, SolveOptions, solve_fixed_order, \
     solve_self_referential
-from .order_search import (build_mtz_model, exhaustive, held_karp,
+from .order_search import (SizeGuardError, build_mtz_model, exhaustive, held_karp,
                            mtz_branch_and_bound, solve_alternating, two_opt)
 from .scenario import CATALOG, load_config, make_scenario, build
 from .verify import run_checks
@@ -72,6 +72,13 @@ def _load_spec(args):
     return spec
 
 
+def _check_self_referential(spec, strategy) -> None:
+    """Refuse what the self-referential loop ignores: it is open, finds gamma, fixes its order."""
+    if spec.params.get("self_referential") and (
+            spec.mode != "escape_open" or spec.params.get("gamma") or strategy is not None):
+        raise ValueError(f"{spec.name} takes no --closed, --strategy or gamma")
+
+
 def _solve_with_strategy(spec, strategy, opts):
     if spec.params.get("self_referential"):
         return solve_self_referential(None, None, opts, n=spec.n_orientations), None
@@ -120,25 +127,23 @@ def _artifacts(sol, inst, spec, args, outdir: Path, stem: str):
     return written
 
 
-def _opts_from_args(args) -> SolveOptions:
-    threads = int(os.environ.get("ESCAPE_SOLVER_THREADS", "1"))
-    return SolveOptions(seed=args.seed, multistart=args.multistart,
-                        threads=max(1, threads))
-
-
 def cmd_solve(args) -> int:
     try:
         spec = _load_spec(args)
-        opts = _opts_from_args(args)
+        opts = SolveOptions(seed=args.seed, multistart=args.multistart)
         unknown = {f.strip() for f in args.formats.split(",") if f.strip()} - {"svg", "csv", "mtz"}
         if unknown:
             raise ValueError(f"unknown formats: {sorted(unknown)}")
+        _check_self_referential(spec, args.strategy)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     try:
         sol, inst = _solve_with_strategy(spec, args.strategy, opts)
+    except SizeGuardError as e:
+        print(f"invalid configuration: {e}", file=sys.stderr)
+        return 2
     except NonConvergenceError as e:
         print(f"non-convergence: {e}", file=sys.stderr)
         return 3
@@ -165,7 +170,7 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValueError("empty value list")
-        opts = _opts_from_args(args)
+        opts = SolveOptions(seed=args.seed, multistart=args.multistart)
     except ValueError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
@@ -182,11 +187,15 @@ def cmd_sweep(args) -> int:
             else:
                 spec = make_scenario(args.scenario, args.n, int(v),
                                      **({"mode": "escape_closed"} if args.closed else {}))
+            _check_self_referential(spec, args.strategy)
         except (ValueError, KeyError) as e:
             print(f"invalid configuration: {e}", file=sys.stderr)
             return 2
         try:
             sol, inst = _solve_with_strategy(spec, args.strategy, opts)
+        except SizeGuardError as e:
+            print(f"invalid configuration: {e}", file=sys.stderr)
+            return 2
         except NonConvergenceError as e:
             print(f"non-convergence at {args.param}={v}: {e}", file=sys.stderr)
             return 3

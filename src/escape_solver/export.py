@@ -120,50 +120,14 @@ def _svg_bounds(inst: Instance, pts: np.ndarray, anchor: np.ndarray):
     if pts.size:
         xs += list(pts[:, 0])
         ys += list(pts[:, 1])
-    for b in inst.boundaries:
-        for f in (b.factors if isinstance(b, geo.Product) else (b,)):
-            if isinstance(f, geo.Circle):
-                xs += [f.center[0] - f.radius, f.center[0] + f.radius]
-                ys += [f.center[1] - f.radius, f.center[1] + f.radius]
-            elif isinstance(f, geo.PointTarget):
-                xs.append(f.point[0]); ys.append(f.point[1])
-            elif isinstance(f, geo.Segment):
-                xs += [f.a[0], f.b[0]]; ys += [f.a[1], f.b[1]]
-            elif isinstance(f, geo.Line):
-                q = f.offset * f.normal()
-                xs.append(q[0]); ys.append(q[1])
+    extent = [q for b in inst.boundaries for f in b.factors for q in f.svg_extent()]
+    xs += [x for x, _ in extent]
+    ys += [y for _, y in extent]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-6)
     pad = 0.05 * span
     return x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad
-
-
-def _svg_boundary(f, bounds) -> list:
-    x0, y0, w, h = bounds
-    out = []
-    if isinstance(f, geo.Product):
-        for sub in f.factors:
-            out += _svg_boundary(sub, bounds)
-        return out
-    if isinstance(f, geo.Circle):
-        out.append(f'<circle cx="{_fmt(f.center[0])}" cy="{_fmt(f.center[1])}" '
-                   f'r="{_fmt(f.radius)}" {_STYLE["boundary"]}/>')
-    elif isinstance(f, geo.PointTarget):
-        out.append(f'<circle cx="{_fmt(f.point[0])}" cy="{_fmt(f.point[1])}" '
-                   f'r="0.02" {_STYLE["escape"]}/>')
-    elif isinstance(f, geo.Segment):
-        out.append(f'<line x1="{_fmt(f.a[0])}" y1="{_fmt(f.a[1])}" '
-                   f'x2="{_fmt(f.b[0])}" y2="{_fmt(f.b[1])}" {_STYLE["boundary"]}/>')
-    elif isinstance(f, geo.Line):
-        # clip the infinite line against the canvas diagonal extent
-        n, v = f.normal(), f.tangent()
-        mid = f.offset * n
-        ext = math.hypot(w, h)
-        a, b = mid - ext * v, mid + ext * v
-        out.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                   f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" {_STYLE["boundary"]}/>')
-    return out
 
 
 def to_svg(solution: Solution | None, inst: Instance) -> str:
@@ -181,9 +145,11 @@ def to_svg(solution: Solution | None, inst: Instance) -> str:
               f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n')
     # flip y so the geometry reads with y pointing up
     buf.write(f'<g transform="translate(0 {_fmt(2 * y0 + h)}) scale(1 -1)">\n')
-    for b in inst.boundaries:
-        for ln in _svg_boundary(b, (x0, y0, w, h)):
-            buf.write(ln + "\n")
+    reach = math.hypot(w, h)  # lines are clipped against the canvas diagonal
+    shapes = [f.svg_shape(reach) for b in inst.boundaries for f in b.factors]
+    for element, attrs, style in filter(None, shapes):
+        fields = " ".join(f'{k}="{_fmt(v)}"' for k, v in attrs)
+        buf.write(f"<{element} {fields} {_STYLE[style]}/>\n")
     if pts2.shape[0]:
         coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts2)
         chain = (f"{_fmt(anchor[0])},{_fmt(anchor[1])} " if inst.anchored else "") + coords
@@ -203,21 +169,9 @@ def to_svg(solution: Solution | None, inst: Instance) -> str:
 # --------------------------------------------------------------------------
 # order-model text (documented in docs/mtz-format.md)
 
-def _boundary_terms(b) -> str:
-    if isinstance(b, geo.Line):
-        return f"line {_fmt(b.angle)} {_fmt(b.offset)}"
-    if isinstance(b, geo.Circle):
-        return f"circle {_fmt(b.center[0])} {_fmt(b.center[1])} {_fmt(b.radius)}"
-    if isinstance(b, geo.PointTarget):
-        return f"point {_fmt(b.point[0])} {_fmt(b.point[1])}"
-    if isinstance(b, geo.Segment):
-        return (f"segment {_fmt(b.a[0])} {_fmt(b.a[1])} {_fmt(b.b[0])} {_fmt(b.b[1])}")
-    if isinstance(b, geo.Plane3):
-        return (f"plane {_fmt(b.normal[0])} {_fmt(b.normal[1])} {_fmt(b.normal[2])} "
-                f"{_fmt(b.offset)}")
-    if isinstance(b, geo.Product):
-        return "product " + " | ".join(_boundary_terms(f) for f in b.factors)
-    raise TypeError(type(b).__name__)
+def _boundary_text(b) -> str:
+    text = " | ".join(" ".join([f.tag, *map(_fmt, f.fields())]) for f in b.factors)
+    return "product " + text if isinstance(b, geo.Product) else text
 
 
 def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
@@ -242,7 +196,7 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     buf.write("QCONS\n")
     buf.write("c[i][j]^2 = (x[i]-x[j])^2 + (y[i]-y[j])^2 for all i,j\n")
     for i, b in enumerate(model.boundaries):
-        buf.write(f"on[{i}] {_boundary_terms(b)}\n")
+        buf.write(f"on[{i}] {_boundary_text(b)}\n")
     buf.write("LCONS\n")
     buf.write("sum_j b[i][j] = 1 for all i\n")
     buf.write("sum_i b[i][j] = 1 for all j\n")
@@ -260,22 +214,12 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     return buf.getvalue()
 
 
-_BND_PARSERS = {
-    "line": lambda t: geo.Line(float(t[0]), float(t[1])),
-    "circle": lambda t: geo.Circle((float(t[0]), float(t[1])), float(t[2])),
-    "point": lambda t: geo.PointTarget((float(t[0]), float(t[1]))),
-    "segment": lambda t: geo.Segment((float(t[0]), float(t[1])),
-                                     (float(t[2]), float(t[3]))),
-    "plane": lambda t: geo.Plane3((float(t[0]), float(t[1]), float(t[2])), float(t[3])),
-}
-
-
 def _parse_boundary(spec: str):
     kind, *rest = spec.split()
     if kind == "product":
         parts = spec[len("product"):].split("|")
         return geo.Product(tuple(_parse_boundary(p.strip()) for p in parts))
-    return _BND_PARSERS[kind](rest)
+    return geo.PRIMITIVES[kind].from_fields([float(v) for v in rest])
 
 
 def parse_mtz_text(text: str) -> dict:

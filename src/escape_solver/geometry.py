@@ -4,6 +4,11 @@ A boundary is the zero set of a scalar field F.  Supported variants are lines
 (unit-normal form), circles, single target points, straight segments, products
 of sub-boundaries (a point satisfies the product if it lies on any factor), and
 planes in 3D.  All values are immutable; every operation here is pure.
+
+Each primitive class is the one record of its kind (see `Primitive`): it packs
+same-kind boundaries into stacked arrays and evaluates them with one numpy
+expression per operation.  `Packed` builds products from their factors'
+records, and the scalar functions below are the stacked operations at m = 1.
 """
 
 from __future__ import annotations
@@ -20,14 +25,6 @@ class SingularGradientError(ValueError):
     """Gradient is not usable at this point (zero set touches it degenerately)."""
 
 
-class ProjectionError(RuntimeError):
-    """Projection iteration failed to reach the zero set."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
-
-
 class UnsupportedMotionError(ValueError):
     """Rigid motion applied to a variant that does not support it."""
 
@@ -39,6 +36,12 @@ def _vec(p) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("point has non-finite components")
     return a
+
+
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot products rounded as `a @ b`: seeds and merged corners come from
+    them, and some solves move by 6e-6 with their last bit (charts use einsum)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -66,14 +69,85 @@ class RigidMotion:
         return RigidMotion(self.center, -self.angle, (t[0], t[1]))
 
 
+class Primitive:
+    """Everything the solver and the exporters know about one boundary kind.
+
+    A subclass is a frozen dataclass of the kind's fields with:
+    - `dim`, and `tag` with `fields()` / `from_fields(values)`: its text form
+      in the order-model file (docs/mtz-format.md);
+    - `pack(boundaries)`: the tuple `prm` of stacked parameter arrays of m
+      boundaries, on which static kernels take an (m, dim) point array P (or
+      any number of points against one packed boundary): `residual(prm, P)`
+      -> (F (m,), grad F (m, dim)) and `nearest(prm, P)` -> closest points;
+    - the reduced chart the polish moves points along: `ndof` coordinates of
+      box `bound`, `chart_init(prm, P)` -> T (m, ndof), `chart_points(prm, T)`,
+      `chart_tangents(prm, T)` -> the Jacobian's columns, contiguous (m, dim)
+      arrays, and for a curved chart `chart_curvature(prm, T)` -> d2p/dt2;
+    - `moved(motion)` and `scaled(s)`: the boundary through the image points;
+    - `svg_extent()`, points a drawing must include, and `svg_shape(reach)`,
+      an (element, attributes, style) triple, lines `reach` long each way.
+    """
+
+    bound = (None, None)
+    chart_curvature = None
+
+    def svg_extent(self) -> list:
+        return []
+
+    def svg_shape(self, reach: float):
+        return None  # not drawn
+
+    @property
+    def factors(self) -> tuple:
+        return (self,)
+
+    def equidistant_at(self, p) -> bool:
+        """True where the whole zero set is (nearly) equally close to p."""
+        return False
+
+
+class _Hyperplane(Primitive):
+    """Kernels shared by Line and Plane3: n . p = d with a unit normal n; the
+    chart is an orthonormal in-plane frame.  Packed as (n, d, E) with E the
+    tuple of the frame's ndof (m, dim) vectors."""
+
+    @staticmethod
+    def residual(prm, P):
+        n, d, _ = prm
+        return _dot(P, n) - d, n
+
+    @staticmethod
+    def nearest(prm, P):
+        n, d, _ = prm
+        return P - (_dot(P, n) - d)[:, None] * n
+
+    @staticmethod
+    def chart_init(prm, P):
+        return np.stack([np.einsum("ij,ij->i", P, e) for e in prm[2]], axis=1)
+
+    @staticmethod
+    def chart_points(prm, T):
+        n, d, E = prm
+        P = d[:, None] * n
+        for k, e in enumerate(E):
+            P = P + T[:, k:k + 1] * e
+        return P
+
+    @staticmethod
+    def chart_tangents(prm, T):
+        return prm[2]
+
+
 @dataclass(frozen=True)
-class Line:
+class Line(_Hyperplane):
     """x*cos(angle) + y*sin(angle) - offset = 0 (unit normal form)."""
 
     angle: float
     offset: float
 
     dim = 2
+    tag = "line"
+    ndof = 1
 
     def normal(self) -> np.ndarray:
         return np.array([math.cos(self.angle), math.sin(self.angle)])
@@ -81,38 +155,280 @@ class Line:
     def tangent(self) -> np.ndarray:
         return np.array([-math.sin(self.angle), math.cos(self.angle)])
 
+    @staticmethod
+    def pack(lines) -> tuple:
+        n = np.array([[math.cos(f.angle), math.sin(f.angle)] for f in lines])
+        v = np.array([[-math.sin(f.angle), math.cos(f.angle)] for f in lines])
+        return n, np.array([f.offset for f in lines]), (v,)
+
+    def moved(self, m: RigidMotion) -> "Line":
+        phi = self.angle + m.angle
+        n_new = np.array([math.cos(phi), math.sin(phi)])
+        c = np.asarray(m.center, dtype=float)
+        t = np.asarray(m.translation, dtype=float)
+        delta = self.offset + (c + t) @ n_new - c @ self.normal()
+        return Line(phi, float(delta))
+
+    def scaled(self, s: float) -> "Line":
+        return Line(self.angle, s * self.offset)
+
+    def fields(self) -> tuple:
+        return (self.angle, self.offset)
+
+    @classmethod
+    def from_fields(cls, v) -> "Line":
+        return cls(v[0], v[1])
+
+    def svg_extent(self) -> list:
+        return [tuple(self.offset * self.normal())]
+
+    def svg_shape(self, reach: float):
+        mid, v = self.offset * self.normal(), self.tangent()
+        a, b = mid - reach * v, mid + reach * v
+        return "line", (("x1", a[0]), ("y1", a[1]), ("x2", b[0]), ("y2", b[1])), "boundary"
+
 
 @dataclass(frozen=True)
-class Circle:
+class Circle(Primitive):
     center: tuple[float, float]
     radius: float
 
     dim = 2
+    tag = "circle"
+    ndof = 1
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("circle radius must be positive")
 
+    def equidistant_at(self, p) -> bool:
+        return math.dist(p, self.center) < 1e-9
+
+    @staticmethod
+    def pack(circles) -> tuple:
+        return (np.array([f.center for f in circles], dtype=float),
+                np.array([f.radius for f in circles]))
+
+    @staticmethod
+    def residual(prm, P):
+        c, r = prm
+        dvec = P - c
+        return _dot(dvec, dvec) - r * r, 2.0 * dvec
+
+    @staticmethod
+    def nearest(prm, P):
+        c, r = prm
+        dvec = P - c
+        dist = np.sqrt(_dot(dvec, dvec))
+        centre = dist < 1e-12
+        Q = c + (r / np.where(centre, 1.0, dist))[:, None] * dvec
+        # at the centre every circle point is equally close; take angle 0
+        return np.where(centre[:, None], c + r[:, None] * np.array([1.0, 0.0]), Q)
+
+    @staticmethod
+    def chart_init(prm, P):
+        dv = P - prm[0]
+        return np.arctan2(dv[:, 1], dv[:, 0])[:, None]
+
+    @staticmethod
+    def chart_points(prm, T):
+        c, r = prm
+        a = T[:, 0]
+        return c + r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    @staticmethod
+    def chart_tangents(prm, T):
+        a = T[:, 0]
+        return (prm[1][:, None] * np.stack([-np.sin(a), np.cos(a)], axis=1),)
+
+    @staticmethod
+    def chart_curvature(prm, T):
+        a = T[:, 0]
+        return -prm[1][:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    def moved(self, m: RigidMotion) -> "Circle":
+        c = m.apply(self.center)
+        return Circle((c[0], c[1]), self.radius)
+
+    def scaled(self, s: float) -> "Circle":
+        return Circle((s * self.center[0], s * self.center[1]), s * self.radius)
+
+    def fields(self) -> tuple:
+        return (*self.center, self.radius)
+
+    @classmethod
+    def from_fields(cls, v) -> "Circle":
+        return cls((v[0], v[1]), v[2])
+
+    def svg_extent(self) -> list:
+        (x, y), r = self.center, self.radius
+        return [(x - r, y - r), (x + r, y + r)]
+
+    def svg_shape(self, reach: float):
+        return ("circle", (("cx", self.center[0]), ("cy", self.center[1]),
+                           ("r", self.radius)), "boundary")
+
 
 @dataclass(frozen=True)
-class PointTarget:
+class PointTarget(Primitive):
     point: tuple[float, float]
 
     dim = 2
+    tag = "point"
+    ndof = 0
+
+    @staticmethod
+    def pack(points) -> tuple:
+        return (np.array([f.point for f in points], dtype=float),)
+
+    @staticmethod
+    def residual(prm, P):
+        dvec = P - prm[0]
+        return _dot(dvec, dvec), 2.0 * dvec
+
+    @staticmethod
+    def nearest(prm, P):
+        return np.broadcast_to(prm[0], P.shape).copy()
+
+    @staticmethod
+    def chart_init(prm, P):
+        return np.zeros((len(P), 0))
+
+    @staticmethod
+    def chart_points(prm, T):
+        return prm[0]
+
+    @staticmethod
+    def chart_tangents(prm, T):
+        return ()
+
+    def moved(self, m: RigidMotion) -> "PointTarget":
+        q = m.apply(self.point)
+        return PointTarget((q[0], q[1]))
+
+    def scaled(self, s: float) -> "PointTarget":
+        return PointTarget((s * self.point[0], s * self.point[1]))
+
+    def fields(self) -> tuple:
+        return tuple(self.point)
+
+    @classmethod
+    def from_fields(cls, v) -> "PointTarget":
+        return cls((v[0], v[1]))
+
+    def svg_extent(self) -> list:
+        return [tuple(self.point)]
+
+    def svg_shape(self, reach: float):
+        return "circle", (("cx", self.point[0]), ("cy", self.point[1]), ("r", 0.02)), "escape"
 
 
 @dataclass(frozen=True)
-class Segment:
+class Segment(Primitive):
     """Straight segment between `a` and `b`; residual is squared distance to it."""
 
     a: tuple[float, float]
     b: tuple[float, float]
 
     dim = 2
+    tag = "segment"
+    ndof = 1
+    bound = (0.0, 1.0)
 
     def __post_init__(self):
         if math.dist(self.a, self.b) <= 0:
             raise ValueError("segment endpoints coincide")
+
+    @staticmethod
+    def pack(segments) -> tuple:
+        a = np.array([f.a for f in segments], dtype=float)
+        return a, np.array([f.b for f in segments], dtype=float) - a
+
+    @staticmethod
+    def chart_init(prm, P):
+        a, d = prm
+        return np.clip(np.einsum("ij,ij->i", P - a, d) / np.einsum("ij,ij->i", d, d),
+                       0.0, 1.0)[:, None]
+
+    @staticmethod
+    def chart_points(prm, T):
+        a, d = prm
+        return a + np.clip(T[:, :1], 0.0, 1.0) * d
+
+    @staticmethod
+    def chart_tangents(prm, T):
+        return (prm[1],)
+
+    @staticmethod
+    def nearest(prm, P):
+        return Segment.chart_points(prm, Segment.chart_init(prm, P))
+
+    @staticmethod
+    def residual(prm, P):
+        dvec = P - Segment.nearest(prm, P)
+        return _dot(dvec, dvec), 2.0 * dvec
+
+    def moved(self, m: RigidMotion) -> "Segment":
+        a, bb = m.apply(self.a), m.apply(self.b)
+        return Segment((a[0], a[1]), (bb[0], bb[1]))
+
+    def scaled(self, s: float) -> "Segment":
+        return Segment((s * self.a[0], s * self.a[1]), (s * self.b[0], s * self.b[1]))
+
+    def fields(self) -> tuple:
+        return (*self.a, *self.b)
+
+    @classmethod
+    def from_fields(cls, v) -> "Segment":
+        return cls((v[0], v[1]), (v[2], v[3]))
+
+    def svg_extent(self) -> list:
+        return [tuple(self.a), tuple(self.b)]
+
+    def svg_shape(self, reach: float):
+        return ("line", (("x1", self.a[0]), ("y1", self.a[1]),
+                         ("x2", self.b[0]), ("y2", self.b[1])), "boundary")
+
+
+@dataclass(frozen=True)
+class Plane3(_Hyperplane):
+    """normal . p - offset = 0 with a unit normal."""
+
+    normal: tuple[float, float, float]
+    offset: float
+
+    dim = 3
+    tag = "plane"
+    ndof = 2
+
+    def __post_init__(self):
+        n = np.asarray(self.normal, dtype=float)
+        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+            raise ValueError("plane normal must have unit norm")
+
+    @staticmethod
+    def pack(planes) -> tuple:
+        n = np.array([f.normal for f in planes], dtype=float)
+        e1 = np.cross(n, [0.0, 0.0, 1.0])
+        bad = np.linalg.norm(e1, axis=1) < 1e-9
+        e1[bad] = np.cross(n[bad], [1.0, 0.0, 0.0])
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        return n, np.array([f.offset for f in planes]), (e1, np.cross(n, e1))
+
+    def scaled(self, s: float) -> "Plane3":
+        return Plane3(self.normal, s * self.offset)
+
+    def fields(self) -> tuple:
+        return (*self.normal, self.offset)
+
+    @classmethod
+    def from_fields(cls, v) -> "Plane3":
+        return cls((v[0], v[1], v[2]), v[3])
+
+
+# The primitive kinds by text tag.  The order is the order of the reduced
+# coordinates in the polish, so it is part of the solver's bitwise output.
+PRIMITIVES = {k.tag: k for k in (Line, Circle, PointTarget, Segment, Plane3)}
 
 
 @dataclass(frozen=True)
@@ -132,58 +448,68 @@ class Product:
     def dim(self) -> int:
         return self.factors[0].dim
 
+    def moved(self, m: RigidMotion) -> "Product":
+        return Product(tuple(f.moved(m) for f in self.factors))
 
-@dataclass(frozen=True)
-class Plane3:
-    """normal . p - offset = 0 with a unit normal."""
-
-    normal: tuple[float, float, float]
-    offset: float
-
-    dim = 3
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError("plane normal must have unit norm")
+    def scaled(self, s: float) -> "Product":
+        return Product(tuple(f.scaled(s) for f in self.factors))
 
 
 BoundaryExpr = Line | Circle | PointTarget | Segment | Product | Plane3
 
 
-def _check_dim(b, p: np.ndarray) -> None:
-    if p.shape[0] != b.dim:
-        raise ValueError(f"{type(b).__name__} is {b.dim}D but point is {p.shape[0]}D")
+class Packed:
+    """Boundaries of one shape (one kind, or products of the same factor kinds)
+    with each factor's parameters stacked by its kind's record."""
+
+    def __init__(self, boundaries):
+        self.kinds = tuple(type(f) for f in boundaries[0].factors)
+        self.prms = tuple(kind.pack([b.factors[j] for b in boundaries])
+                          for j, kind in enumerate(self.kinds))
+
+    def residual(self, P: np.ndarray):
+        """F (m,) and grad F (m, dim); a product's through the product rule."""
+        parts = [kind.residual(prm, P) for kind, prm in zip(self.kinds, self.prms)]
+        if len(parts) == 1:
+            return parts[0]
+        fs = np.stack([f for f, _ in parts])        # factors x m
+        G = sum(np.prod(np.delete(fs, j, axis=0), axis=0)[:, None] * g
+                for j, (_, g) in enumerate(parts))
+        return np.prod(fs, axis=0), G
+
+    def nearest(self, P: np.ndarray) -> np.ndarray:
+        """Closest zero-set point to each row of P; a product's over its factors."""
+        Q = np.stack([kind.nearest(prm, P) for kind, prm in zip(self.kinds, self.prms)])
+        first = np.argmin(np.linalg.norm(Q - P, axis=2), axis=0)
+        return Q[first, np.arange(len(P))]
 
 
-def eval_boundary(b: BoundaryExpr, p) -> float:
-    """Residual F(p); zero exactly when p lies on the boundary."""
-    p = _vec(p)
-    _check_dim(b, p)
-    return _eval(b, p)
+def pack_by_shape(boundaries) -> list:
+    """(row indices, Packed) for each shape in the list, in PRIMITIVES order."""
+    rows: dict = {}
+    for h, b in enumerate(boundaries):
+        rows.setdefault(tuple(type(f) for f in b.factors), []).append(h)
+    rank = {kind: i for i, kind in enumerate(PRIMITIVES.values())}
+    return [(np.array(idx), Packed([boundaries[h] for h in idx]))
+            for key, idx in sorted(rows.items(), key=lambda kv: [rank[k] for k in kv[0]])]
 
 
-def _eval(b, p: np.ndarray) -> float:
-    if isinstance(b, Line):
-        return float(p @ b.normal() - b.offset)
-    if isinstance(b, Circle):
-        d = p - np.asarray(b.center)
-        return float(d @ d - b.radius**2)
-    if isinstance(b, PointTarget):
-        d = p - np.asarray(b.point)
-        return float(d @ d)
-    if isinstance(b, Segment):
-        q = _project_segment(b, p)
-        d = p - q
-        return float(d @ d)
-    if isinstance(b, Product):
-        out = 1.0
-        for f in b.factors:
-            out *= _eval(f, p)
-        return out
-    if isinstance(b, Plane3):
-        return float(p @ np.asarray(b.normal) - b.offset)
-    raise TypeError(f"unknown boundary variant {type(b).__name__}")
+def _rows(b, p) -> np.ndarray:
+    """A point (dim,) or a stack of points (m, dim) as an (m, dim) array for b."""
+    a = np.asarray(p, dtype=float)
+    P = a if a.ndim == 2 else _vec(a)[None]
+    if P.shape[1] != b.dim or not np.all(np.isfinite(P)):
+        raise ValueError(f"{type(b).__name__} takes finite {b.dim}D points, got {a.shape}")
+    return P
+
+
+def eval_boundary(b: BoundaryExpr, p):
+    """Residual F(p); zero exactly when p lies on the boundary.
+
+    For an (m, dim) array of points it returns the m residuals as an array.
+    """
+    F = Packed([b]).residual(_rows(b, p))[0]
+    return F if np.ndim(p) == 2 else float(F[0])
 
 
 def grad_boundary(b: BoundaryExpr, p) -> np.ndarray:
@@ -192,114 +518,28 @@ def grad_boundary(b: BoundaryExpr, p) -> np.ndarray:
     Raises SingularGradientError where the gradient degenerates to zero on the
     zero set itself (a point target at its own point, a segment on the segment).
     """
-    p = _vec(p)
-    _check_dim(b, p)
-    g = _grad(b, p)
-    if isinstance(b, (PointTarget, Segment)) and np.linalg.norm(g) == 0.0:
+    F, G = Packed([b]).residual(_rows(b, _vec(p)))
+    if F[0] == 0.0 and not G[0].any():
         raise SingularGradientError(f"{type(b).__name__} gradient vanishes at {tuple(p)}")
-    return g
-
-
-def _grad(b, p: np.ndarray) -> np.ndarray:
-    if isinstance(b, Line):
-        return b.normal()
-    if isinstance(b, Circle):
-        return 2.0 * (p - np.asarray(b.center))
-    if isinstance(b, PointTarget):
-        return 2.0 * (p - np.asarray(b.point))
-    if isinstance(b, Segment):
-        return 2.0 * (p - _project_segment(b, p))
-    if isinstance(b, Product):
-        vals = [_eval(f, p) for f in b.factors]
-        grads = [_grad(f, p) for f in b.factors]
-        total = np.zeros_like(p)
-        for j in range(len(b.factors)):
-            rest = 1.0
-            for l, v in enumerate(vals):
-                if l != j:
-                    rest *= v
-            total += rest * grads[j]
-        return total
-    if isinstance(b, Plane3):
-        return np.asarray(b.normal, dtype=float)
-    raise TypeError(f"unknown boundary variant {type(b).__name__}")
+    return G[0]
 
 
 def scaled_residual(b: BoundaryExpr, p) -> float:
     """|F| / max(||grad F||, floor): a first-order distance estimate to the zero set."""
-    p = _vec(p)
-    _check_dim(b, p)
-    g = _grad(b, p)
-    return abs(_eval(b, p)) / max(float(np.linalg.norm(g)), GRAD_FLOOR)
-
-
-def _project_segment(b: Segment, p: np.ndarray) -> np.ndarray:
-    a = np.asarray(b.a, dtype=float)
-    d = np.asarray(b.b, dtype=float) - a
-    t = float(np.clip((p - a) @ d / (d @ d), 0.0, 1.0))
-    return a + t * d
+    F, G = Packed([b]).residual(_rows(b, _vec(p)))
+    return abs(float(F[0])) / max(float(np.linalg.norm(G[0])), GRAD_FLOOR)
 
 
 def project(b: BoundaryExpr, p) -> np.ndarray:
     """Closest point of the zero set (closed form for every supported variant)."""
-    p = _vec(p)
-    _check_dim(b, p)
-    return _project(b, p)
-
-
-def _project(b, p: np.ndarray) -> np.ndarray:
-    if isinstance(b, Line):
-        n = b.normal()
-        return p - (p @ n - b.offset) * n
-    if isinstance(b, Circle):
-        c = np.asarray(b.center, dtype=float)
-        d = p - c
-        r = float(np.linalg.norm(d))
-        if r < 1e-12:
-            # center itself: every circle point is equidistant; pick angle 0
-            return c + np.array([b.radius, 0.0])
-        return c + (b.radius / r) * d
-    if isinstance(b, PointTarget):
-        return np.asarray(b.point, dtype=float)
-    if isinstance(b, Segment):
-        return _project_segment(b, p)
-    if isinstance(b, Product):
-        best, best_d = None, np.inf
-        for f in b.factors:
-            q = _project(f, p)
-            d = float(np.linalg.norm(q - p))
-            if d < best_d:
-                best, best_d = q, d
-        return best
-    if isinstance(b, Plane3):
-        n = np.asarray(b.normal, dtype=float)
-        return p - (p @ n - b.offset) * n
-    raise TypeError(f"unknown boundary variant {type(b).__name__}")
+    return Packed([b]).nearest(_rows(b, _vec(p)))[0]
 
 
 def apply_motion(b: BoundaryExpr, m: RigidMotion) -> BoundaryExpr:
     """Boundary whose zero set is the rigid-motion image of b's zero set."""
     if b.dim != 2:
         raise UnsupportedMotionError("rigid motions are 2D only")
-    if isinstance(b, Line):
-        phi = b.angle + m.angle
-        n_new = np.array([math.cos(phi), math.sin(phi)])
-        c = np.asarray(m.center, dtype=float)
-        t = np.asarray(m.translation, dtype=float)
-        delta = b.offset + (c + t) @ n_new - c @ b.normal()
-        return Line(phi, float(delta))
-    if isinstance(b, Circle):
-        c = m.apply(b.center)
-        return Circle((c[0], c[1]), b.radius)
-    if isinstance(b, PointTarget):
-        q = m.apply(b.point)
-        return PointTarget((q[0], q[1]))
-    if isinstance(b, Segment):
-        a, bb = m.apply(b.a), m.apply(b.b)
-        return Segment((a[0], a[1]), (bb[0], bb[1]))
-    if isinstance(b, Product):
-        return Product(tuple(apply_motion(f, m) for f in b.factors))
-    raise UnsupportedMotionError(f"cannot move {type(b).__name__}")
+    return b.moved(m)
 
 
 def translate(b: BoundaryExpr, offset) -> BoundaryExpr:
@@ -318,16 +558,4 @@ def scale_boundary(b: BoundaryExpr, s: float) -> BoundaryExpr:
     """Dilation about the origin by a positive factor."""
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    if isinstance(b, Line):
-        return Line(b.angle, s * b.offset)
-    if isinstance(b, Circle):
-        return Circle((s * b.center[0], s * b.center[1]), s * b.radius)
-    if isinstance(b, PointTarget):
-        return PointTarget((s * b.point[0], s * b.point[1]))
-    if isinstance(b, Segment):
-        return Segment((s * b.a[0], s * b.a[1]), (s * b.b[0], s * b.b[1]))
-    if isinstance(b, Product):
-        return Product(tuple(scale_boundary(f, s) for f in b.factors))
-    if isinstance(b, Plane3):
-        return Plane3(b.normal, s * b.offset)
-    raise TypeError(f"cannot scale {type(b).__name__}")
+    return b.scaled(s)

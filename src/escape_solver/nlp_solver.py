@@ -44,7 +44,6 @@ class SolveOptions:
     penalty_growth: float = 5.0
     branch_budget: int = 64
     polish_maxiter: int = 30000
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.feas_tol, self.step_tol, self.penalty_init) <= 0:
@@ -75,108 +74,20 @@ class Solution:
 # --------------------------------------------------------------------------
 # vectorized residual program over an ordered boundary sequence
 
-def _factor_eval(kind, prm, P):
-    """Residual and gradient for a stacked batch of one primitive kind."""
-    if kind == "line":
-        n, d = prm
-        return np.einsum("ij,ij->i", P, n) - d, n.copy()
-    if kind == "circle":
-        c, r = prm
-        dvec = P - c
-        return np.einsum("ij,ij->i", dvec, dvec) - r * r, 2.0 * dvec
-    if kind == "point":
-        (q,) = prm
-        dvec = P - q
-        return np.einsum("ij,ij->i", dvec, dvec), 2.0 * dvec
-    if kind == "segment":
-        a, b = prm
-        ab = b - a
-        t = np.clip(np.einsum("ij,ij->i", P - a, ab) / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        dvec = P - proj
-        return np.einsum("ij,ij->i", dvec, dvec), 2.0 * dvec
-    if kind == "plane":
-        n, d = prm
-        return np.einsum("ij,ij->i", P, n) - d, n.copy()
-    raise ValueError(kind)
-
-
-def _pack_factor(kind, factors, dim):
-    if kind == "line":
-        n = np.array([[math.cos(f.angle), math.sin(f.angle)] for f in factors])
-        return n, np.array([f.offset for f in factors])
-    if kind == "circle":
-        return (np.array([f.center for f in factors], dtype=float),
-                np.array([f.radius for f in factors]))
-    if kind == "point":
-        return (np.array([f.point for f in factors], dtype=float),)
-    if kind == "segment":
-        return (np.array([f.a for f in factors], dtype=float),
-                np.array([f.b for f in factors], dtype=float))
-    if kind == "plane":
-        return (np.array([f.normal for f in factors], dtype=float),
-                np.array([f.offset for f in factors]))
-    raise ValueError(kind)
-
-
-def _kind_of(b) -> str:
-    return {geo.Line: "line", geo.Circle: "circle", geo.PointTarget: "point",
-            geo.Segment: "segment", geo.Plane3: "plane"}[type(b)]
-
-
 class _ResidualProgram:
     """Batched F / grad-F for the ordered boundary list (products included)."""
 
     def __init__(self, boundaries, dim):
         self.n = len(boundaries)
         self.dim = dim
-        self.simple: dict = {}
-        self.groups: dict = {}
-        for h, b in enumerate(boundaries):
-            if isinstance(b, geo.Product):
-                key = tuple(_kind_of(f) for f in b.factors)
-                self.groups.setdefault(key, []).append((h, b))
-            else:
-                self.simple.setdefault(_kind_of(b), []).append((h, b))
-        self._simple_c = {
-            k: (np.array([h for h, _ in rows]), _pack_factor(k, [b for _, b in rows], dim))
-            for k, rows in self.simple.items()
-        }
-        self._group_c = {}
-        for key, rows in self.groups.items():
-            idx = np.array([h for h, _ in rows])
-            per_factor = [
-                _pack_factor(kind, [b.factors[j] for _, b in rows], dim)
-                for j, kind in enumerate(key)
-            ]
-            self._group_c[key] = (idx, per_factor)
+        self.groups = geo.pack_by_shape(boundaries)
 
     def residuals(self, P: np.ndarray):
         """Returns (F, G) with F shape (n,) and G shape (n, dim)."""
         F = np.zeros(self.n)
         G = np.zeros((self.n, self.dim))
-        for kind, (idx, prm) in self._simple_c.items():
-            f, g = _factor_eval(kind, prm, P[idx])
-            F[idx] = f
-            G[idx] = g
-        for key, (idx, per_factor) in self._group_c.items():
-            Psub = P[idx]
-            fs, gs = [], []
-            for j, kind in enumerate(key):
-                f, g = _factor_eval(kind, per_factor[j], Psub)
-                fs.append(f)
-                gs.append(g)
-            fs = np.stack(fs)                      # J x m
-            prod = np.prod(fs, axis=0)
-            F[idx] = prod
-            total = np.zeros_like(Psub)
-            for j in range(len(key)):
-                rest = np.ones(len(idx))
-                for l in range(len(key)):
-                    if l != j:
-                        rest = rest * fs[l]
-                total += rest[:, None] * gs[j]
-            G[idx] = total
+        for idx, packed in self.groups:
+            F[idx], G[idx] = packed.residual(P[idx])
         return F, G
 
     def scaled(self, P: np.ndarray) -> np.ndarray:
@@ -191,109 +102,66 @@ class _Reduced:
     """One low-dimensional parameter block per point, exactly on its boundary.
 
     Blocks of the same primitive kind are batched so the coordinate map and its
-    chain rule are single numpy expressions per kind.
+    chain rule are single numpy expressions per kind: each block is (kind's
+    record, packed parameters, point rows, variable columns of shape (m, ndof)).
     """
 
     def __init__(self, boundaries, dim):
         self.dim = dim
         self.n = len(boundaries)
-        rows = {"line": [], "circle": [], "point": [], "segment": [], "plane": []}
-        objs = {k: [] for k in rows}
-        for h, b in enumerate(boundaries):
-            if isinstance(b, geo.Product):
-                raise TypeError("cannot reduce a product; resolve branches first")
-            k = _kind_of(b)
-            rows[k].append(h)
-            objs[k].append(b)
-        self.rows = {k: np.array(v, dtype=int) for k, v in rows.items()}
         self.nvar = 0
         self.bounds = []
-        self.cols = {}
-        for k, ndof in (("line", 1), ("circle", 1), ("segment", 1), ("plane", 2)):
-            m = len(rows[k])
-            self.cols[k] = np.arange(self.nvar, self.nvar + m * ndof).reshape(m, ndof)
-            self.nvar += m * ndof
-            bound = (0.0, 1.0) if k == "segment" else (None, None)
-            self.bounds.extend([bound] * (m * ndof))
-        if objs["line"]:
-            self.line_n = np.array([[math.cos(b.angle), math.sin(b.angle)] for b in objs["line"]])
-            self.line_v = np.array([[-math.sin(b.angle), math.cos(b.angle)] for b in objs["line"]])
-            self.line_d = np.array([b.offset for b in objs["line"]])
-        if objs["circle"]:
-            self.circ_c = np.array([b.center for b in objs["circle"]], dtype=float)
-            self.circ_r = np.array([b.radius for b in objs["circle"]])
-        if objs["point"]:
-            self.point_q = np.array([b.point for b in objs["point"]], dtype=float)
-        if objs["segment"]:
-            self.seg_a = np.array([b.a for b in objs["segment"]], dtype=float)
-            self.seg_d = (np.array([b.b for b in objs["segment"]], dtype=float) - self.seg_a)
-        if objs["plane"]:
-            n = np.array([b.normal for b in objs["plane"]], dtype=float)
-            e1 = np.cross(n, [0.0, 0.0, 1.0])
-            bad = np.linalg.norm(e1, axis=1) < 1e-9
-            e1[bad] = np.cross(n[bad], [1.0, 0.0, 0.0])
-            e1 /= np.linalg.norm(e1, axis=1)[:, None]
-            self.plane_n, self.plane_e1 = n, e1
-            self.plane_e2 = np.cross(n, e1)
-            self.plane_d = np.array([b.offset for b in objs["plane"]])
+        self.blocks = []
+        for rows, packed in geo.pack_by_shape(boundaries):
+            if len(packed.kinds) > 1:
+                raise TypeError("cannot reduce a product; resolve branches first")
+            kind = packed.kinds[0]
+            cols = self.nvar + np.arange(len(rows) * kind.ndof).reshape(len(rows), kind.ndof)
+            self.nvar += cols.size
+            self.bounds.extend([kind.bound] * cols.size)
+            self.blocks.append((kind, packed.prms[0], rows, cols))
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
         t = np.zeros(self.nvar)
-        if len(self.rows["line"]):
-            p = P[self.rows["line"]]
-            t[self.cols["line"][:, 0]] = np.einsum("ij,ij->i", p, self.line_v)
-        if len(self.rows["circle"]):
-            dv = P[self.rows["circle"]] - self.circ_c
-            t[self.cols["circle"][:, 0]] = np.arctan2(dv[:, 1], dv[:, 0])
-        if len(self.rows["segment"]):
-            p = P[self.rows["segment"]] - self.seg_a
-            t[self.cols["segment"][:, 0]] = np.clip(
-                np.einsum("ij,ij->i", p, self.seg_d)
-                / np.einsum("ij,ij->i", self.seg_d, self.seg_d), 0.0, 1.0)
-        if len(self.rows["plane"]):
-            p = P[self.rows["plane"]]
-            t[self.cols["plane"][:, 0]] = np.einsum("ij,ij->i", p, self.plane_e1)
-            t[self.cols["plane"][:, 1]] = np.einsum("ij,ij->i", p, self.plane_e2)
+        for kind, prm, rows, cols in self.blocks:
+            t[cols] = kind.chart_init(prm, P[rows])
         return t
 
     def points(self, t: np.ndarray) -> np.ndarray:
         P = np.zeros((self.n, self.dim))
-        if len(self.rows["line"]):
-            tv = t[self.cols["line"][:, 0]]
-            P[self.rows["line"]] = self.line_d[:, None] * self.line_n + tv[:, None] * self.line_v
-        if len(self.rows["circle"]):
-            a = t[self.cols["circle"][:, 0]]
-            P[self.rows["circle"]] = self.circ_c + self.circ_r[:, None] * np.stack(
-                [np.cos(a), np.sin(a)], axis=1)
-        if len(self.rows["point"]):
-            P[self.rows["point"]] = self.point_q
-        if len(self.rows["segment"]):
-            tv = np.clip(t[self.cols["segment"][:, 0]], 0.0, 1.0)
-            P[self.rows["segment"]] = self.seg_a + tv[:, None] * self.seg_d
-        if len(self.rows["plane"]):
-            s, u = t[self.cols["plane"][:, 0]], t[self.cols["plane"][:, 1]]
-            P[self.rows["plane"]] = (self.plane_d[:, None] * self.plane_n
-                                     + s[:, None] * self.plane_e1 + u[:, None] * self.plane_e2)
+        for kind, prm, rows, cols in self.blocks:
+            P[rows] = kind.chart_points(prm, t[cols])
         return P
 
     def chain(self, t: np.ndarray, Gp: np.ndarray) -> np.ndarray:
         """Pull a per-point gradient back to the reduced variables."""
         g = np.zeros(self.nvar)
-        if len(self.rows["line"]):
-            g[self.cols["line"][:, 0]] = np.einsum(
-                "ij,ij->i", Gp[self.rows["line"]], self.line_v)
-        if len(self.rows["circle"]):
-            a = t[self.cols["circle"][:, 0]]
-            dp = self.circ_r[:, None] * np.stack([-np.sin(a), np.cos(a)], axis=1)
-            g[self.cols["circle"][:, 0]] = np.einsum("ij,ij->i", Gp[self.rows["circle"]], dp)
-        if len(self.rows["segment"]):
-            g[self.cols["segment"][:, 0]] = np.einsum(
-                "ij,ij->i", Gp[self.rows["segment"]], self.seg_d)
-        if len(self.rows["plane"]):
-            gp = Gp[self.rows["plane"]]
-            g[self.cols["plane"][:, 0]] = np.einsum("ij,ij->i", gp, self.plane_e1)
-            g[self.cols["plane"][:, 1]] = np.einsum("ij,ij->i", gp, self.plane_e2)
+        for kind, prm, rows, cols in self.blocks:
+            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+                g[cols[:, k]] = np.einsum("ij,ij->i", Gp[rows], e)
         return g
+
+    def jacobians(self, t: np.ndarray):
+        """Per-point jacobian blocks dP_i/dt (dim x ndof_i), dof counts, first columns."""
+        D = np.zeros((self.n, self.dim, 2))
+        ndof = np.zeros(self.n, dtype=int)
+        offsets = np.zeros(self.n, dtype=int)
+        for kind, prm, rows, cols in self.blocks:
+            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+                D[rows, :, k] = e
+            if kind.ndof:
+                ndof[rows] = kind.ndof
+                offsets[rows] = cols[:, 0]
+        return D, ndof, offsets
+
+    def curvature(self, t: np.ndarray, Gp: np.ndarray):
+        """(variable indices, values) of the diagonal Hessian terms Gp . d2p/dt2."""
+        idx, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for kind, prm, rows, cols in self.blocks:
+            if kind.chart_curvature is not None:
+                idx.append(cols[:, 0])
+                vals.append(np.einsum("ij,ij->i", Gp[rows], kind.chart_curvature(prm, t[cols])))
+        return np.concatenate(idx), np.concatenate(vals)
 
 
 def _length_grad(P: np.ndarray, anchored: bool, closed: bool):
@@ -319,17 +187,9 @@ def _length_grad(P: np.ndarray, anchored: bool, closed: bool):
 # seeding, branch resolution, polish
 
 def _seed_projection(b, q, fallback):
-    if isinstance(b, geo.Circle) and np.linalg.norm(np.asarray(q) - np.asarray(b.center)) < 1e-9:
-        q = fallback
-    if isinstance(b, geo.Product):
-        best, bd = None, np.inf
-        for f in b.factors:
-            p = _seed_projection(f, q, fallback)
-            dd = float(np.linalg.norm(p - np.asarray(q, float)))
-            if dd < bd:
-                best, bd = p, dd
-        return best
-    return geo.project(b, q)
+    """Nearest factor point to q; a factor equidistant from q projects `fallback`."""
+    cands = [geo.project(f, fallback if f.equidistant_at(q) else q) for f in b.factors]
+    return min(cands, key=lambda p: float(np.linalg.norm(p - np.asarray(q, float))))
 
 
 def _build_seeds(inst: Instance, ordered, opts: SolveOptions, initial_points):
@@ -428,43 +288,14 @@ def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool =
     return P, L
 
 
-def _point_jacobians(red: _Reduced, t: np.ndarray):
-    """Per-point jacobian blocks dP_i/dt (dim x ndof_i) and circle curvature data."""
-    D = np.zeros((red.n, red.dim, 2))
-    ndof = np.zeros(red.n, dtype=int)
-    curv = np.zeros((red.n, red.dim))  # d2p/dt2 for single-dof blocks (circles)
-    if len(red.rows["line"]):
-        D[red.rows["line"], :, 0] = red.line_v
-        ndof[red.rows["line"]] = 1
-    if len(red.rows["circle"]):
-        a = t[red.cols["circle"][:, 0]]
-        D[red.rows["circle"], :, 0] = red.circ_r[:, None] * np.stack(
-            [-np.sin(a), np.cos(a)], axis=1)
-        curv[red.rows["circle"]] = -red.circ_r[:, None] * np.stack(
-            [np.cos(a), np.sin(a)], axis=1)
-        ndof[red.rows["circle"]] = 1
-    if len(red.rows["segment"]):
-        D[red.rows["segment"], :, 0] = red.seg_d
-        ndof[red.rows["segment"]] = 1
-    if len(red.rows["plane"]):
-        D[red.rows["plane"], :, 0] = red.plane_e1
-        D[red.rows["plane"], :, 1] = red.plane_e2
-        ndof[red.rows["plane"]] = 2
-    offsets = np.zeros(red.n, dtype=int)
-    for k in ("line", "circle", "segment", "plane"):
-        if len(red.rows[k]):
-            offsets[red.rows[k]] = red.cols[k][:, 0]
-    return D, ndof, offsets, curv
-
-
-def _assemble_hessian(red: _Reduced, t, P, Gp, D, ndof, offs, curv,
-                      anchored: bool, closed: bool):
+def _assemble_hessian(red: _Reduced, t, P, Gp, anchored: bool, closed: bool):
     """Exact sparse Hessian of the reduced objective (vectorized over legs)."""
     from scipy.sparse import coo_matrix
 
+    D, ndof, offs = red.jacobians(t)
+    ci, cv = red.curvature(t, Gp)
     if ndof.max(initial=0) > 1:
-        return _assemble_hessian_blocks(red, P, Gp, D, ndof, offs, curv,
-                                        anchored, closed)
+        return _assemble_hessian_blocks(red, P, D, ndof, offs, ci, cv, anchored, closed)
     # single-dof fast path: every Hessian block is a scalar
     K, dim = P.shape
     ia = np.arange(-1 if anchored else 0, K - 1)
@@ -491,19 +322,14 @@ def _assemble_hessian(red: _Reduced, t, P, Gp, D, ndof, offs, curv,
     mb = ok & (next_[ib] > 0)
     mab = ma & mb
     rows = np.concatenate([offs_ext[ia][ma], offs_ext[ib][mb],
-                           offs_ext[ia][mab], offs_ext[ib][mab]])
+                           offs_ext[ia][mab], offs_ext[ib][mab], ci])
     cols = np.concatenate([offs_ext[ia][ma], offs_ext[ib][mb],
-                           offs_ext[ib][mab], offs_ext[ia][mab]])
-    vals = np.concatenate([haa[ma], hbb[mb], hab[mab], hab[mab]])
-    if len(red.rows["circle"]):
-        cg = np.einsum("ij,ij->i", Gp[red.rows["circle"]], curv[red.rows["circle"]])
-        rows = np.concatenate([rows, offs[red.rows["circle"]]])
-        cols = np.concatenate([cols, offs[red.rows["circle"]]])
-        vals = np.concatenate([vals, cg])
+                           offs_ext[ib][mab], offs_ext[ia][mab], ci])
+    vals = np.concatenate([haa[ma], hbb[mb], hab[mab], hab[mab], cv])
     return coo_matrix((vals, (rows, cols)), shape=(red.nvar, red.nvar)).tocsc()
 
 
-def _assemble_hessian_blocks(red: _Reduced, P, Gp, D, ndof, offs, curv,
+def _assemble_hessian_blocks(red: _Reduced, P, D, ndof, offs, ci, cv,
                              anchored: bool, closed: bool):
     """General (small-block) assembly used when two-dof blocks are present."""
     from scipy.sparse import coo_matrix
@@ -543,10 +369,9 @@ def _assemble_hessian_blocks(red: _Reduced, P, Gp, D, ndof, offs, curv,
             cross = -(Da.T @ M @ Db)
             add_block(ia, ib, cross)
             add_block(ib, ia, cross.T)
-    if len(red.rows["circle"]):
-        cg = np.einsum("ij,ij->i", Gp[red.rows["circle"]], curv[red.rows["circle"]])
-        for r, val in zip(red.rows["circle"], cg):
-            rows.append(offs[r]); cols.append(offs[r]); vals.append(val)
+    rows.extend(ci)
+    cols.extend(ci)
+    vals.extend(cv)
     return coo_matrix((vals, (rows, cols)), shape=(red.nvar, red.nvar)).tocsc()
 
 
@@ -564,8 +389,7 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
         g = red.chain(t, Gp)
         if np.max(np.abs(g)) < 1e-13:
             break
-        D, ndof, offs, curv = _point_jacobians(red, t)
-        H = _assemble_hessian(red, t, P, Gp, D, ndof, offs, curv, anchored, closed)
+        H = _assemble_hessian(red, t, P, Gp, anchored, closed)
         step = None
         for _ in range(8):
             try:
@@ -600,9 +424,9 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
 def _common_point(boundaries, p0, tol=1e-13, iters=60):
     """Gauss-Newton for a point on every listed boundary, started at p0."""
     p = np.asarray(p0, dtype=float).copy()
+    program = _ResidualProgram(boundaries, len(p))
     for _ in range(iters):
-        R = np.array([geo._eval(b, p) for b in boundaries])
-        J = np.array([geo._grad(b, p) for b in boundaries])
+        R, J = program.residuals(np.tile(p, (len(boundaries), 1)))
         JtJ = J.T @ J
         if np.linalg.det(JtJ) < 1e-18:
             JtJ = JtJ + 1e-12 * np.eye(len(p))
@@ -764,17 +588,10 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
         return P, L, resid, feasible, assign
 
-    if opts.threads > 1 and opts.multistart > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run_start, range(opts.multistart)))
-    else:
-        results = [run_start(k) for k in range(opts.multistart)]
-
     best = None
     best_key = None
-    for P, L, resid, feasible, assign in results:  # ordered reduction by start index
+    for k in range(opts.multistart):  # ordered reduction by start index
+        P, L, resid, feasible, assign = run_start(k)
         key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
         if best_key is None or key < best_key:
             best_key = key

@@ -378,7 +378,7 @@ def hint_from_reference_path(boundaries, path, samples: int = 6000):
     s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(fine, axis=0), axis=1))])
     order_keys, seeds = [], []
     for h, b in enumerate(boundaries):
-        vals = np.array([eval_boundary(b, q) for q in fine])
+        vals = eval_boundary(b, fine)
         hit = np.flatnonzero(np.abs(vals) < 1e-9)
         sign = np.sign(vals)
         flips = np.flatnonzero(sign[:-1] * sign[1:] <= 0)

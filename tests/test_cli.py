@@ -145,3 +145,35 @@ def test_solve_self_referential_scenario(tmp_path, capsys):
     fields = capsys.readouterr().out.split(",")
     assert fields[0] == "zalgaller_class2"
     assert float(fields[4]) > 2.0
+
+
+@pytest.mark.parametrize("strategy,n", [("exhaustive", 12), ("heldkarp", 21), ("mtz", 13)])
+def test_solve_size_guard_exits_2(tmp_path, capsys, strategy, n):
+    rc = main(["solve", "halfplane_unit", "--n", str(n), "--strategy", strategy,
+               "--out", str(tmp_path), "--multistart", "1"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_sweep_size_guard_exits_2(tmp_path, capsys):
+    rc = main(["sweep", "point_unit", "--param", "N", "--values", "4,12",
+               "--strategy", "exhaustive", "--out", str(tmp_path), "--multistart", "1",
+               "--format", "csv"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--closed"], ["--strategy", "hint"]])
+def test_self_referential_refuses_ignored_flags(tmp_path, capsys, flag):
+    rc = main(["solve", "zalgaller_class2", "--n", "20", *flag,
+               "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_self_referential_refuses_config_gamma(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "zalgaller_class2", "N": 20, "params": {"gamma": 0.5}}))
+    assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err

@@ -184,12 +184,3 @@ def test_order_plan_object_accepted():
     a = solve_fixed_order(inst, OrderPlan(tuple(range(6))), OPTS)
     b = solve_fixed_order(inst, tuple(range(6)), OPTS)
     assert a.length == b.length
-
-
-def test_threaded_multistart_matches_sequential():
-    inst = build(make_scenario("circle_interior_02", 12))
-    seq = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=4, seed=2))
-    par = solve_fixed_order(inst, inst.order_hint,
-                            SolveOptions(multistart=4, seed=2, threads=3))
-    assert par.length == seq.length
-    assert par.points().tobytes() == seq.points().tobytes()

@@ -1,0 +1,32 @@
+"""The benchmark's traced run wraps library functions by name; installing and
+removing its wrappers here makes a rename fail in the test suite instead."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+from escape_solver import geometry, nlp_solver, order_search, scenario
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def test_benchmark_hooks_install_and_unpatch(monkeypatch):
+    # run.py pins thread variables and extends sys.path when it loads
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", [str(RUN_PY.parent)] + sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    hooked = [(geometry, "project"), (geometry, "scaled_residual"),
+              (scenario, "eval_boundary"), (nlp_solver, "minimize"),
+              (order_search, "solve_fixed_order"), (order_search, "_held_karp_order")]
+    before = [getattr(m, name) for m, name in hooked]
+    tracer = run.Tracer()
+    try:
+        run.install(tracer)
+        assert all(getattr(m, name) is not f for (m, name), f in zip(hooked, before))
+    finally:
+        tracer.unpatch()
+    assert all(getattr(m, name) is f for (m, name), f in zip(hooked, before))

@@ -1,0 +1,119 @@
+"""One test per primitive kind in the registry: its record's batched kernels
+agree with the scalar API and with finite differences, its chart stays on the
+boundary, and its text form, motion and scaling keep the zero set."""
+
+import math
+
+import numpy as np
+import pytest
+
+from escape_solver import geometry as geo
+from escape_solver.export import parse_mtz_text, to_mtz_text
+from escape_solver.order_search import MtzModel
+
+
+def _segment(rng):
+    a = rng.uniform(-1, 1, 2)
+    return geo.Segment(tuple(a), tuple(a + rng.uniform(0.2, 1, 2)))
+
+
+def _plane(rng):
+    n = rng.normal(size=3)
+    return geo.Plane3(tuple(n / np.linalg.norm(n)), float(rng.uniform(-2, 2)))
+
+
+# a random member of each kind; a kind added to the registry needs one here
+SAMPLES = {
+    "line": lambda rng: geo.Line(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-2, 2))),
+    "circle": lambda rng: geo.Circle(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(0.2, 2))),
+    "point": lambda rng: geo.PointTarget(tuple(rng.uniform(-1, 1, 2))),
+    "segment": _segment,
+    "plane": _plane,
+}
+
+
+def _central(f, x, h):
+    """Central differences of a vector function f along each coordinate of x."""
+    cols = []
+    for k in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., k] = h
+        cols.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("tag", list(geo.PRIMITIVES))
+def test_primitive_record(tag):
+    kind = geo.PRIMITIVES[tag]
+    rng = np.random.default_rng(11)
+    bs = [SAMPLES[tag](rng) for _ in range(12)]
+    assert all(type(b) is kind and b.factors == (b,) for b in bs)
+    dim = bs[0].dim
+    prm = kind.pack(bs)
+    P = rng.uniform(-3, 3, (len(bs), dim))
+
+    # batched residual and gradient: the scalar API's values, and the slope of F
+    F, G = kind.residual(prm, P)
+    G = np.broadcast_to(G, P.shape)
+    for b, p, f, g in zip(bs, P, F, G):
+        assert geo.eval_boundary(b, p) == f
+        assert np.array_equal(geo.grad_boundary(b, p), g)
+    num = np.stack([_central(lambda x, b=b: geo.eval_boundary(b, x), p, 1e-6)
+                    for b, p in zip(bs, P)])
+    assert np.allclose(G, num, rtol=1e-6, atol=1e-7)
+
+    # projection lands on the zero set, is idempotent, and is the scalar one
+    Q = kind.nearest(prm, P)
+    assert np.array_equal(Q, np.array([geo.project(b, p) for b, p in zip(bs, P)]))
+    assert max(geo.scaled_residual(b, q) for b, q in zip(bs, Q)) <= 1e-10
+    assert np.allclose(kind.nearest(prm, Q), Q, rtol=0, atol=1e-10)
+
+    # chart: points on the boundary, coordinates recovered, tangents and
+    # curvature equal to differences of the chart
+    lo, hi = (0.1, 0.9) if kind.bound != (None, None) else (-2.5, 2.5)
+    T = rng.uniform(lo, hi, (len(bs), kind.ndof))
+    X = kind.chart_points(prm, T)
+    assert max(geo.scaled_residual(b, x) for b, x in zip(bs, X)) <= 1e-10
+    assert np.allclose(kind.chart_init(prm, X), T, rtol=0, atol=1e-10)
+    tangents = kind.chart_tangents(prm, T)
+    assert len(tangents) == kind.ndof
+    assert all(e.flags.c_contiguous and e.shape == X.shape for e in tangents)
+    if kind.ndof:
+        assert np.allclose(np.stack(tangents, axis=-1),
+                           _central(lambda t: kind.chart_points(prm, t), T, 1e-6),
+                           rtol=0, atol=1e-8)
+    h = 1e-4
+    for k in range(kind.ndof):
+        e = np.zeros_like(T)
+        e[:, k] = h
+        second = (kind.chart_points(prm, T + e) - 2 * X + kind.chart_points(prm, T - e)) / h**2
+        if kind.chart_curvature is None:
+            assert np.allclose(second, 0.0, atol=1e-6)
+        else:
+            assert np.allclose(kind.chart_curvature(prm, T), second, rtol=0, atol=1e-6)
+
+    # the order-model text form reads back as the same boundaries
+    k = len(bs)
+    model = MtzModel(b=tuple(map(tuple, np.roll(np.eye(k, dtype=int), 1, axis=1))),
+                     u=tuple(map(float, range(k))), c=((0.0,) * k,) * k,
+                     points=tuple(map(tuple, X)), boundaries=tuple(bs), objective=0.0)
+    assert parse_mtz_text(to_mtz_text(model))["boundaries"] == tuple(bs)
+
+    # moved and scaled boundaries pass through the images of on-boundary points
+    motion = geo.RigidMotion(center=(0.3, -0.2), angle=0.7, translation=(1.1, 0.4))
+    for b, x in zip(bs, X):
+        assert geo.scaled_residual(geo.scale_boundary(b, 2.5), 2.5 * x) <= 1e-10
+        if dim == 2:
+            assert geo.scaled_residual(geo.apply_motion(b, motion), motion.apply(x)) <= 1e-10
+        else:
+            with pytest.raises(geo.UnsupportedMotionError):
+                geo.apply_motion(b, motion)
+
+
+def test_eval_boundary_takes_a_stack_of_points():
+    b = geo.Product((geo.Line(0.4, 1.0), geo.Circle((0.5, -0.2), 0.8)))
+    P = np.random.default_rng(5).uniform(-2, 2, (50, 2))
+    assert np.array_equal(geo.eval_boundary(b, P),
+                          np.array([geo.eval_boundary(b, p) for p in P]))
+    with pytest.raises(ValueError):
+        geo.eval_boundary(b, np.zeros((4, 3)))
