@@ -57,7 +57,19 @@ def _make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_spec(args):
+def _parse_formats(text: str) -> frozenset:
+    """The set of artifact formats named in a comma list; unknown names raise."""
+    formats = frozenset(f.strip() for f in text.split(",") if f.strip())
+    unknown = formats - {"svg", "csv", "mtz"}
+    if unknown:
+        raise ValueError(f"unknown formats: {sorted(unknown)}")
+    return formats
+
+
+def _load_spec(args, **override):
+    """The scenario spec the command line names; `override` replaces some of its
+    settings (n, m, theta) by name."""
+    args = argparse.Namespace(**{**vars(args), **override})
     params = {}
     if args.theta is not None:
         params["theta"] = args.theta
@@ -101,11 +113,7 @@ def _solve_with_strategy(spec, strategy, opts):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _artifacts(sol, inst, spec, args, outdir: Path, stem: str):
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
-    unknown = formats - {"svg", "csv", "mtz"}
-    if unknown:
-        raise ValueError(f"unknown formats: {sorted(unknown)}")
+def _artifacts(sol, inst, spec, formats, seed: int, outdir: Path, stem: str):
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in formats:
@@ -113,7 +121,7 @@ def _artifacts(sol, inst, spec, args, outdir: Path, stem: str):
         written.append(f"{stem}.csv")
     if "svg" in formats and inst is not None:
         svg = to_svg(sol, inst)
-        svg = svg.replace("<svg ", f"<!-- scenario={spec.name} seed={args.seed} -->\n<svg ", 1)
+        svg = svg.replace("<svg ", f"<!-- scenario={spec.name} seed={seed} -->\n<svg ", 1)
         (outdir / f"{stem}.svg").write_text(svg, encoding="utf-8")
         written.append(f"{stem}.svg")
     if "mtz" in formats and inst is not None:
@@ -121,7 +129,7 @@ def _artifacts(sol, inst, spec, args, outdir: Path, stem: str):
         (outdir / f"{stem}.mtz").write_text(to_mtz_text(model, inst), encoding="utf-8")
         written.append(f"{stem}.mtz")
     meta = {"scenario": spec.name, "n": spec.n_orientations, "m": spec.n_starts,
-            "seed": args.seed, "length": sol.length, "max_residual": sol.max_residual,
+            "seed": seed, "length": sol.length, "max_residual": sol.max_residual,
             "converged": sol.converged, "order": list(sol.order)}
     (outdir / f"{stem}.meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
     return written
@@ -131,9 +139,7 @@ def cmd_solve(args) -> int:
     try:
         spec = _load_spec(args)
         opts = SolveOptions(seed=args.seed, multistart=args.multistart)
-        unknown = {f.strip() for f in args.formats.split(",") if f.strip()} - {"svg", "csv", "mtz"}
-        if unknown:
-            raise ValueError(f"unknown formats: {sorted(unknown)}")
+        formats = _parse_formats(args.formats)
         _check_self_referential(spec, args.strategy)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
@@ -149,7 +155,7 @@ def cmd_solve(args) -> int:
         return 3
     secs = time.perf_counter() - t0
     stem = f"{spec.name}_n{spec.n_orientations}_m{spec.n_starts}"
-    _artifacts(sol, inst, spec, args, Path(args.out), stem)
+    _artifacts(sol, inst, spec, formats, args.seed, Path(args.out), stem)
     strategy = args.strategy or ("hint" if spec.order_hint is not None else "alternating")
     print(f"{spec.name}, {spec.n_orientations}, {spec.n_starts}, {strategy}, "
           f"{sol.length:.9f}, {sol.max_residual:.3e}, {secs:.2f}")
@@ -165,32 +171,35 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _sweep_specs(args, values) -> list:
+    """One spec per swept value: the solve settings with that one field replaced."""
+    if args.scenario not in CATALOG:
+        raise ValueError(f"sweep takes a catalog scenario, not {args.scenario!r}")
+    field = {"theta": "theta", "N": "n", "M": "m"}[args.param]
+    specs = []
+    for v in values:
+        if field != "theta" and not v.is_integer():
+            raise ValueError(f"{args.param} must be an integer, not {v:g}")
+        spec = _load_spec(args, **{field: v if field == "theta" else int(v)})
+        _check_self_referential(spec, args.strategy)
+        specs.append(spec)
+    return specs
+
+
 def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValueError("empty value list")
         opts = SolveOptions(seed=args.seed, multistart=args.multistart)
-    except ValueError as e:
+        formats = _parse_formats(args.formats)
+        specs = _sweep_specs(args, values)
+    except (ValueError, KeyError) as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 2
     rows = []
     outdir = Path(args.out)
-    for v in values:
-        try:
-            if args.param == "theta":
-                spec = make_scenario(args.scenario, args.n, args.m, theta=v,
-                                     **({"mode": "escape_closed"} if args.closed else {}))
-            elif args.param == "N":
-                spec = make_scenario(args.scenario, int(v), args.m,
-                                     **({"mode": "escape_closed"} if args.closed else {}))
-            else:
-                spec = make_scenario(args.scenario, args.n, int(v),
-                                     **({"mode": "escape_closed"} if args.closed else {}))
-            _check_self_referential(spec, args.strategy)
-        except (ValueError, KeyError) as e:
-            print(f"invalid configuration: {e}", file=sys.stderr)
-            return 2
+    for v, spec in zip(values, specs):
         try:
             sol, inst = _solve_with_strategy(spec, args.strategy, opts)
         except SizeGuardError as e:
@@ -200,9 +209,9 @@ def cmd_sweep(args) -> int:
             print(f"non-convergence at {args.param}={v}: {e}", file=sys.stderr)
             return 3
         rows.append((v, sol.length))
-        if "svg" in args.formats and inst is not None:
+        if formats:
             stem = f"{spec.name}_{args.param}{v:g}_n{spec.n_orientations}"
-            _artifacts(sol, inst, spec, args, outdir, stem)
+            _artifacts(sol, inst, spec, formats, args.seed, outdir, stem)
         print(f"{spec.name}, {args.param}={v:g}, length={sol.length:.9f}")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / f"sweep_{args.scenario}_{args.param}.csv").write_text(

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import geometry as geo
-from .path import Polyline, length, points_length
+from .path import Polyline, leg_chain, length
 from .scenario import Instance, build_zalgaller
 
 
@@ -164,25 +164,6 @@ class _Reduced:
         return np.concatenate(idx), np.concatenate(vals)
 
 
-def _length_grad(P: np.ndarray, anchored: bool, closed: bool):
-    chain = [P]
-    if anchored:
-        chain.insert(0, np.zeros((1, P.shape[1])))
-    if closed:
-        chain.append(np.zeros((1, P.shape[1])))
-    arr = np.vstack(chain)
-    legs = np.diff(arr, axis=0)
-    d = np.linalg.norm(legs, axis=1)
-    safe = np.where(d > 0.0, d, 1.0)
-    u = legs / safe[:, None]
-    u[d == 0.0] = 0.0
-    g = np.zeros_like(arr)
-    g[1:] += u
-    g[:-1] -= u
-    start = 1 if anchored else 0
-    return float(d.sum()), g[start:start + P.shape[0]]
-
-
 # --------------------------------------------------------------------------
 # seeding, branch resolution, polish
 
@@ -261,13 +242,11 @@ def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool =
     t0 = red.init_vars(P0)
     if red.nvar == 0:
         P = red.points(t0)
-        L, _ = _length_grad(P, anchored, closed)
-        return P, L
+        return P, leg_chain(P, anchored, closed).total
 
     def obj(t):
-        P = red.points(t)
-        L, Gp = _length_grad(P, anchored, closed)
-        return L, red.chain(t, Gp)
+        legs = leg_chain(red.points(t), anchored, closed)
+        return legs.total, red.chain(t, legs.grad)
 
     bounds = red.bounds if any(b != (None, None) for b in red.bounds) else None
     if t0.size and (not newton or bounds is not None or P0.shape[0] < 2):
@@ -284,94 +263,46 @@ def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool =
                                     ftol=1e-18, gtol=1e-11, maxcor=40))
         t = _newton_refine(red, res.x, anchored, closed)
     P = red.points(t)
-    L, _ = _length_grad(P, anchored, closed)
-    return P, L
+    return P, leg_chain(P, anchored, closed).total
 
 
-def _assemble_hessian(red: _Reduced, t, P, Gp, anchored: bool, closed: bool):
-    """Exact sparse Hessian of the reduced objective (vectorized over legs)."""
+def _assemble_hessian(red: _Reduced, t, legs):
+    """Exact sparse Hessian of the reduced objective, vectorized over legs.
+
+    A leg of length d and unit vector u from point a to point b adds
+    (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
+    tangent of a's k-th coordinate; the aa and bb blocks take the same form,
+    the ab and ba blocks the opposite sign.  Legs shorter than 1e-14 add
+    nothing.  The chart curvature adds the diagonal terms Gp . d2p/dt2.
+    """
     from scipy.sparse import coo_matrix
 
     D, ndof, offs = red.jacobians(t)
-    ci, cv = red.curvature(t, Gp)
-    if ndof.max(initial=0) > 1:
-        return _assemble_hessian_blocks(red, P, D, ndof, offs, ci, cv, anchored, closed)
-    # single-dof fast path: every Hessian block is a scalar
-    K, dim = P.shape
-    ia = np.arange(-1 if anchored else 0, K - 1)
-    ib = ia + 1
-    if closed:
-        ia = np.append(ia, K - 1)
-        ib = np.append(ib, -1)
-    Pext = np.vstack([P, np.zeros((1, dim))])      # index -1 = fixed origin
-    Dext = np.vstack([D[:, :, 0], np.zeros((1, dim))])
-    next_ = np.append(ndof, 0)
-    offs_ext = np.append(offs, 0)
-    diff = Pext[ib] - Pext[ia]
-    d = np.linalg.norm(diff, axis=1)
-    ok = d > 1e-14
-    dsafe = np.where(ok, d, 1.0)
-    u = diff / dsafe[:, None]
-    Da, Db = Dext[ia], Dext[ib]
-    dau = np.einsum("ij,ij->i", Da, u)
-    dbu = np.einsum("ij,ij->i", Db, u)
-    haa = (np.einsum("ij,ij->i", Da, Da) - dau**2) / dsafe
-    hbb = (np.einsum("ij,ij->i", Db, Db) - dbu**2) / dsafe
-    hab = -(np.einsum("ij,ij->i", Da, Db) - dau * dbu) / dsafe
-    ma = ok & (next_[ia] > 0)
-    mb = ok & (next_[ib] > 0)
-    mab = ma & mb
-    rows = np.concatenate([offs_ext[ia][ma], offs_ext[ib][mb],
-                           offs_ext[ia][mab], offs_ext[ib][mab], ci])
-    cols = np.concatenate([offs_ext[ia][ma], offs_ext[ib][mb],
-                           offs_ext[ib][mab], offs_ext[ia][mab], ci])
-    vals = np.concatenate([haa[ma], hbb[mb], hab[mab], hab[mab], cv])
-    return coo_matrix((vals, (rows, cols)), shape=(red.nvar, red.nvar)).tocsc()
+    D = np.concatenate([D, np.zeros((1,) + D.shape[1:])])   # row -1: the fixed origin
+    ndof, offs = np.append(ndof, 0), np.append(offs, 0)
+    ok = legs.d > 1e-14
+    u, d = legs.u[ok], legs.d[ok, None, None]
+    k = np.arange(D.shape[2])
 
+    def ends(i):
+        """Tangents of the leg ends i, their components along u, live dofs, columns."""
+        Di = D[i[ok]]
+        return Di, np.einsum("lxk,lx->lk", Di, u), ndof[i[ok], None] > k, offs[i[ok], None] + k
 
-def _assemble_hessian_blocks(red: _Reduced, P, D, ndof, offs, ci, cv,
-                             anchored: bool, closed: bool):
-    """General (small-block) assembly used when two-dof blocks are present."""
-    from scipy.sparse import coo_matrix
+    def block(e, f, sign):
+        """(rows, cols, values) of the entries (e_k, f_l) leg by leg."""
+        (De, ue, live_e, col_e), (Df, uf, live_f, col_f) = e, f
+        h = sign * (np.einsum("lxk,lxm->lkm", De, Df) - ue[:, :, None] * uf[:, None, :]) / d
+        keep = live_e[:, :, None] & live_f[:, None, :]
+        rows, cols = np.broadcast_arrays(col_e[:, :, None], col_f[:, None, :])
+        return rows[keep], cols[keep], h[keep]
 
-    rows, cols, vals = [], [], []
-
-    def add_block(i, j, block):
-        for a in range(ndof[i]):
-            for b in range(ndof[j]):
-                rows.append(offs[i] + a)
-                cols.append(offs[j] + b)
-                vals.append(block[a, b])
-
-    legs = []
-    if anchored:
-        legs.append((-1, 0))
-    legs.extend((i, i + 1) for i in range(red.n - 1))
-    if closed:
-        legs.append((red.n - 1, -1))
-    for ia, ib in legs:
-        pa = np.zeros(red.dim) if ia < 0 else P[ia]
-        pb = np.zeros(red.dim) if ib < 0 else P[ib]
-        diff = pb - pa
-        d = float(np.linalg.norm(diff))
-        if d <= 1e-14:
-            continue
-        u = diff / d
-        M = (np.eye(red.dim) - np.outer(u, u)) / d
-        if ia >= 0 and ndof[ia]:
-            Da = D[ia][:, :ndof[ia]]
-            add_block(ia, ia, Da.T @ M @ Da)
-        if ib >= 0 and ndof[ib]:
-            Db = D[ib][:, :ndof[ib]]
-            add_block(ib, ib, Db.T @ M @ Db)
-        if ia >= 0 and ib >= 0 and ndof[ia] and ndof[ib]:
-            Da, Db = D[ia][:, :ndof[ia]], D[ib][:, :ndof[ib]]
-            cross = -(Da.T @ M @ Db)
-            add_block(ia, ib, cross)
-            add_block(ib, ia, cross.T)
-    rows.extend(ci)
-    cols.extend(ci)
-    vals.extend(cv)
+    A, B = ends(legs.a), ends(legs.b)
+    ci, cv = red.curvature(t, legs.grad)
+    ab_rows, ab_cols, ab = block(A, B, -1.0)
+    parts = (block(A, A, 1.0), block(B, B, 1.0), (ab_rows, ab_cols, ab), (ab_cols, ab_rows, ab),
+             (ci, ci, cv))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return coo_matrix((vals, (rows, cols)), shape=(red.nvar, red.nvar)).tocsc()
 
 
@@ -384,12 +315,12 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     lam = 0.0
     L_cur = None
     for _ in range(maxiter):
-        P = red.points(t)
-        L_cur, Gp = _length_grad(P, anchored, closed)
-        g = red.chain(t, Gp)
+        legs = leg_chain(red.points(t), anchored, closed)
+        L_cur = legs.total
+        g = red.chain(t, legs.grad)
         if np.max(np.abs(g)) < 1e-13:
             break
-        H = _assemble_hessian(red, t, P, Gp, anchored, closed)
+        H = _assemble_hessian(red, t, legs)
         step = None
         for _ in range(8):
             try:
@@ -408,8 +339,7 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
         improved = False
         for _ in range(25):
             t_new = t + alpha * step
-            L_new, _ = _length_grad(red.points(t_new), anchored, closed)
-            if L_new <= L_cur + 1e-15:
+            if leg_chain(red.points(t_new), anchored, closed).total <= L_cur + 1e-15:
                 t, improved = t_new, True
                 lam = lam / 4.0 if lam > 1e-12 else 0.0
                 break
@@ -501,11 +431,11 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
 
         def obj(x):
             Q = x.reshape(P.shape)
-            L, Gl = _length_grad(Q, anchored, closed)
+            legs = leg_chain(Q, anchored, closed)
             F, Gf = program.residuals(Q)
             pen = float(np.sum(w * F * F))
-            Gp = Gl + (2.0 * w * F)[:, None] * Gf
-            return L + pen, Gp.ravel()
+            Gp = legs.grad + (2.0 * w * F)[:, None] * Gf
+            return legs.total + pen, Gp.ravel()
 
         res = minimize(obj, P.ravel(), jac=True, method="L-BFGS-B",
                        options=dict(maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20))
@@ -737,6 +667,6 @@ def _edge_strip_slope(n: int, gamma: float, points):
             q = _common_point([bnds[r] for r in run], P[run].mean(axis=0)) if len(run) > 1 else None
             for r in run:
                 Q[r] = q if q is not None else geo.project(bnds[r], P[r])
-        lengths.append(points_length(Q))
+        lengths.append(leg_chain(Q).total)
     lm, l0, lp = lengths
     return (lp - lm) / (2.0 * h), (lp - 2.0 * l0 + lm) / (h * h)

@@ -174,18 +174,7 @@ def two_opt(inst: Instance, start_order, opts: SolveOptions | None = None) -> So
     sol = solve_fixed_order(inst, order, opts)
     for _ in range(opts.max_outer):
         _, dmat, anchor = _frozen_geometry(inst, sol)
-        order = sol.order
-        cost = _order_cost(order, dmat, anchor, inst.closed)
-        improved = None
-        k = len(order)
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                if _order_cost(cand, dmat, anchor, inst.closed) < cost - 1e-12:
-                    improved = cand
-                    break
-            if improved:
-                break
+        improved = _two_opt_move(sol.order, dmat, anchor, inst.closed)
         if improved is None:
             break
         new_sol = solve_fixed_order(inst, improved, opts)
@@ -306,23 +295,24 @@ def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solut
     return replace(sol, iterations=rounds)
 
 
-def _two_opt_order(order, dmat, anchor, closed):
+def _two_opt_move(order, dmat, anchor, closed):
+    """The first segment reversal of `order` that shortens it by more than
+    1e-12 at the frozen positions, or None."""
     order = tuple(order)
     cost = _order_cost(order, dmat, anchor, closed)
-    improved = True
-    while improved:
-        improved = False
-        k = len(order)
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                c = _order_cost(cand, dmat, anchor, closed)
-                if c < cost - 1e-12:
-                    order, cost = cand, c
-                    improved = True
-                    break
-            if improved:
-                break
+    for i in range(len(order) - 1):
+        for j in range(i + 1, len(order)):
+            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+            if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
+                return cand
+    return None
+
+
+def _two_opt_order(order, dmat, anchor, closed):
+    """First-improvement 2-opt at frozen positions until no reversal helps."""
+    order = tuple(order)
+    while (move := _two_opt_move(order, dmat, anchor, closed)) is not None:
+        order = move
     return order
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,22 +40,49 @@ class LengthReport:
     per_leg: tuple = field(default_factory=tuple)
 
 
-def _legs(poly: Polyline) -> np.ndarray:
-    pts = poly.as_array()
-    if pts.shape[0] == 0:
-        return np.zeros((0, 2))
-    chain = [pts]
-    if poly.anchored:
-        chain.insert(0, np.zeros((1, pts.shape[1])))
-    if poly.closed:
-        chain.append(np.zeros((1, pts.shape[1])))
-    return np.diff(np.vstack(chain), axis=0)
+class LegChain(NamedTuple):
+    """The legs of a polyline and its length objective (see `leg_chain`)."""
+
+    total: float        # d.sum()
+    grad: np.ndarray    # (n, dim): d(total)/d(point)
+    a: np.ndarray       # start point of each leg; -1 is the origin
+    b: np.ndarray       # end point of each leg; -1 is the origin
+    d: np.ndarray       # leg lengths
+    u: np.ndarray       # unit leg vectors, 0 on a zero-length leg
+
+
+def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False) -> LegChain:
+    """Length of the polyline through an (n, dim) point array and its gradient.
+
+    The origin starts the first leg when `anchored` and ends the last when
+    `closed`.  A zero-length leg contributes nothing to the gradient
+    (subgradient choice: keeps the solver stable when consecutive escape
+    points merge).
+    """
+    P = np.asarray(points, dtype=float)
+    n = P.shape[0]
+    # rows first..last of [origin, p_0, ..., p_{n-1}, origin] are the chain;
+    # slices of it keep this evaluation as cheap as the L-BFGS loop needs
+    first, last = (0 if anchored else 1), (n + 1 if closed else n)
+    ext = np.zeros((n + 2, P.shape[1]))
+    ext[1:n + 1] = P
+    legs = np.diff(ext[first:last + 1], axis=0)
+    d = np.linalg.norm(legs, axis=1)
+    u = legs / np.where(d > 0.0, d, 1.0)[:, None]
+    u[d == 0.0] = 0.0
+    g = np.zeros_like(ext)
+    g[first + 1:last + 1] += u
+    g[first:last] -= u
+    a = np.arange(first - 1, last - 1)
+    b = a + 1
+    if closed:
+        b[-1] = -1
+    return LegChain(float(d.sum()), g[1:n + 1], a, b, d, u)
 
 
 def length(poly: Polyline) -> LengthReport:
     """Total polyline length with per-leg breakdown (compensated summation)."""
-    legs = _legs(poly)
-    per = np.linalg.norm(legs, axis=1)
+    per = leg_chain(poly.as_array(), poly.anchored, poly.closed).d
     total = 0.0
     comp = 0.0  # Kahan compensation so total == sum(per_leg) tightly
     for d in per:
@@ -66,21 +94,8 @@ def length(poly: Polyline) -> LengthReport:
 
 
 def grad_length(poly: Polyline) -> np.ndarray:
-    """d(length)/d(point): one row per visit point.
-
-    A zero-length leg contributes nothing (subgradient choice: keeps the solver
-    stable when consecutive escape points merge).
-    """
-    legs = _legs(poly)
-    d = np.linalg.norm(legs, axis=1)
-    unit = np.where(d[:, None] > 0.0, legs / np.where(d[:, None] > 0.0, d[:, None], 1.0), 0.0)
-    npts = len(poly.points)
-    dim = poly.dim
-    g = np.zeros((npts + (1 if poly.anchored else 0) + (1 if poly.closed else 0), dim))
-    g[1:] += unit
-    g[:-1] -= unit
-    start = 1 if poly.anchored else 0
-    return g[start:start + npts]
+    """d(length)/d(point): one row per visit point (see `leg_chain`)."""
+    return leg_chain(poly.as_array(), poly.anchored, poly.closed).grad
 
 
 def min_width(poly: Polyline) -> tuple[float, float]:
@@ -96,15 +111,3 @@ def min_width(poly: Polyline) -> tuple[float, float]:
     width = proj.max(axis=0) - proj.min(axis=0)
     k = int(np.argmin(width))
     return float(width[k]), float(theta[k])
-
-
-def points_length(points: np.ndarray, anchored: bool = True, closed: bool = False) -> float:
-    """Fast length of a raw coordinate array (no report)."""
-    pts = np.asarray(points, dtype=float)
-    chain = [pts]
-    if anchored:
-        chain.insert(0, np.zeros((1, pts.shape[1])))
-    if closed:
-        chain.append(np.zeros((1, pts.shape[1])))
-    legs = np.diff(np.vstack(chain), axis=0)
-    return float(np.linalg.norm(legs, axis=1).sum())

@@ -113,6 +113,22 @@ def sweep_angles(n: int, angle_range: float) -> np.ndarray:
     return angle_range * np.arange(n) / (n - 1)
 
 
+def _instance(spec: ScenarioSpec, rows, dimension: int = 2,
+              start_anchor: tuple | None = (0.0, 0.0)) -> Instance:
+    """The Instance of a built family: `rows` holds (boundary, angle, start index,
+    orientation index) per boundary; name, mode and the order, seed and
+    reference data pass through from the spec."""
+    bnds, angs, kidx, iidx = zip(*rows) if rows else ((),) * 4
+    return Instance(
+        name=spec.name, boundaries=tuple(bnds), mode=spec.mode, dimension=dimension,
+        start_anchor=start_anchor, angles=tuple(map(float, angs)),
+        start_index=tuple(kidx), orient_index=tuple(iidx),
+        order_hint=spec.order_hint, seed_points=spec.seed_points,
+        region_area=spec.region_area, exact_length=spec.exact_length,
+        reference_length=spec.reference_length,
+    )
+
+
 def build_weak_form_I(spec: ScenarioSpec) -> Instance:
     """Single known start: the base boundary rotated through the sweep about it."""
     if spec.n_starts != 1:
@@ -123,15 +139,8 @@ def build_weak_form_I(spec: ScenarioSpec) -> Instance:
         raise ValueError("scenario has no base boundary")
     start = spec.starts[0]
     angles = sweep_angles(spec.n_orientations, spec.angle_range)
-    bnds = tuple(rotate_about(spec.base_boundary, float(a), start) for a in angles)
-    return Instance(
-        name=spec.name, boundaries=bnds, mode=spec.mode, dimension=2,
-        start_anchor=tuple(start), angles=tuple(map(float, angles)),
-        start_index=(0,) * len(bnds), orient_index=tuple(range(len(bnds))),
-        order_hint=spec.order_hint, seed_points=spec.seed_points,
-        region_area=spec.region_area, exact_length=spec.exact_length,
-        reference_length=spec.reference_length,
-    )
+    return _instance(spec, [(rotate_about(spec.base_boundary, float(a), start), a, 0, i)
+                            for i, a in enumerate(angles)], start_anchor=tuple(start))
 
 
 def build_weak_form_II(spec: ScenarioSpec) -> Instance:
@@ -143,24 +152,10 @@ def build_weak_form_II(spec: ScenarioSpec) -> Instance:
         raise ValueError("scenario has no starts")
     if spec.base_boundary is None:
         raise ValueError("scenario has no base boundary")
-    n = spec.n_orientations
-    angles = sweep_angles(n, spec.angle_range)
-    bnds, angs, kidx, iidx = [], [], [], []
-    for k, s in enumerate(spec.starts):
-        for i, a in enumerate(angles):
-            b = rotate_about(spec.base_boundary, float(a), s)
-            bnds.append(translate(b, (-s[0], -s[1])))
-            angs.append(float(a))
-            kidx.append(k)
-            iidx.append(i)
-    return Instance(
-        name=spec.name, boundaries=tuple(bnds), mode=spec.mode, dimension=2,
-        start_anchor=(0.0, 0.0), angles=tuple(angs),
-        start_index=tuple(kidx), orient_index=tuple(iidx),
-        order_hint=spec.order_hint, seed_points=spec.seed_points,
-        region_area=spec.region_area, exact_length=spec.exact_length,
-        reference_length=spec.reference_length,
-    )
+    angles = sweep_angles(spec.n_orientations, spec.angle_range)
+    return _instance(spec, [
+        (translate(rotate_about(spec.base_boundary, float(a), s), (-s[0], -s[1])), a, k, i)
+        for k, s in enumerate(spec.starts) for i, a in enumerate(angles)])
 
 
 def build_opaque(spec: ScenarioSpec) -> Instance:
@@ -169,64 +164,37 @@ def build_opaque(spec: ScenarioSpec) -> Instance:
     if spec.mode != "opaque":
         raise ValueError("not an opaque scenario")
     angles = sweep_angles(spec.n_orientations, spec.angle_range)
-    bnds, angs, kidx, iidx = [], [], [], []
     tangent = spec.params.get("tangent_lines")
     if tangent is not None:
         # pre-built tangent family: one line per orientation
-        for i, ln in enumerate(tangent):
-            bnds.append(ln)
-            angs.append(float(angles[i]))
-            kidx.append(0)
-            iidx.append(i)
+        rows = [(ln, angles[i], 0, i) for i, ln in enumerate(tangent)]
     else:
-        pts = spec.params["through_points"]
-        for k, q in enumerate(pts):
-            for i, a in enumerate(angles):
-                n = np.array([math.cos(a), math.sin(a)])
-                bnds.append(Line(float(a), float(np.asarray(q) @ n)))
-                angs.append(float(a))
-                kidx.append(k)
-                iidx.append(i)
-    return Instance(
-        name=spec.name, boundaries=tuple(bnds), mode="opaque", dimension=2,
-        start_anchor=None, angles=tuple(angs),
-        start_index=tuple(kidx), orient_index=tuple(iidx),
-        order_hint=spec.order_hint, seed_points=spec.seed_points,
-        region_area=spec.region_area, exact_length=spec.exact_length,
-        reference_length=spec.reference_length,
-    )
+        rows = [(Line(float(a), float(np.asarray(q) @ np.array([math.cos(a), math.sin(a)]))),
+                 a, k, i)
+                for k, q in enumerate(spec.params["through_points"])
+                for i, a in enumerate(angles)]
+    return _instance(spec, rows, start_anchor=None)
 
 
 def build_plane3d(spec: ScenarioSpec) -> Instance:
     """Tangent planes of the unit ball on a polar x azimuthal orientation grid."""
     if spec.mode != "plane3d":
         raise ValueError("not a 3D scenario")
-    n = spec.n_orientations
     m = int(spec.params.get("m_azimuth", spec.n_starts))
-    bnds, angs, kidx, iidx = [], [], [], []
-    for i in range(n):
-        pol = math.pi * i / n
+    rows = []
+    for i in range(spec.n_orientations):
+        pol = math.pi * i / spec.n_orientations
         for k in range(1, m + 1):
             az = TAU * k / m
-            nx = math.sin(pol) * math.cos(az)
-            ny = math.sin(pol) * math.sin(az)
-            nz = math.cos(pol)
-            bnds.append(Plane3((nx, ny, nz), 1.0))
-            angs.append(pol)
-            kidx.append(k - 1)
-            iidx.append(i)
-    return Instance(
-        name=spec.name, boundaries=tuple(bnds), mode="plane3d", dimension=3,
-        start_anchor=(0.0, 0.0, 0.0), angles=tuple(angs),
-        start_index=tuple(kidx), orient_index=tuple(iidx),
-        order_hint=spec.order_hint, seed_points=spec.seed_points,
-    )
+            normal = (math.sin(pol) * math.cos(az), math.sin(pol) * math.sin(az), math.cos(pol))
+            rows.append((Plane3(normal, 1.0), pol, k - 1, i))
+    return _instance(spec, rows, dimension=3, start_anchor=(0.0, 0.0, 0.0))
 
 
 def _build_relative_line_products(spec: ScenarioSpec, line_params, circle_radius=None) -> Instance:
     """Product families written relative to each grid point (triangle, sector)."""
     angles = sweep_angles(spec.n_orientations, spec.angle_range)
-    bnds, angs, kidx, iidx = [], [], [], []
+    rows = []
     for k, s in enumerate(spec.starts):
         s = np.asarray(s, dtype=float)
         for i, a in enumerate(angles):
@@ -239,18 +207,8 @@ def _build_relative_line_products(spec: ScenarioSpec, line_params, circle_radius
                 rho = float(np.linalg.norm(s))
                 c = (rho * math.cos(a), rho * math.sin(a))
                 factors.append(Circle(c, circle_radius))
-            bnds.append(Product(tuple(factors)))
-            angs.append(float(a))
-            kidx.append(k)
-            iidx.append(i)
-    return Instance(
-        name=spec.name, boundaries=tuple(bnds), mode=spec.mode, dimension=2,
-        start_anchor=(0.0, 0.0), angles=tuple(angs),
-        start_index=tuple(kidx), orient_index=tuple(iidx),
-        order_hint=spec.order_hint, seed_points=spec.seed_points,
-        region_area=spec.region_area, exact_length=spec.exact_length,
-        reference_length=spec.reference_length,
-    )
+            rows.append((Product(tuple(factors)), a, k, i))
+    return _instance(spec, rows)
 
 
 def build(spec: ScenarioSpec) -> Instance:

@@ -177,3 +177,39 @@ def test_self_referential_refuses_config_gamma(tmp_path, capsys):
     cfg.write_text(json.dumps({"name": "zalgaller_class2", "N": 20, "params": {"gamma": 0.5}}))
     assert main(["solve", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_sweep_bad_format_exits_2_before_solving(tmp_path, capsys):
+    rc = main(["sweep", "point_unit", "--param", "N", "--values", "4",
+               "--format", "svg,foo", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_writes_each_requested_format(tmp_path):
+    rc = main(["sweep", "point_unit", "--param", "N", "--values", "4,5",
+               "--format", "mtz,csv", "--out", str(tmp_path), "--multistart", "1"])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.glob("*.mtz")) == [
+        "point_unit_N4_n4.mtz", "point_unit_N5_n5.mtz"]
+    assert len(list(tmp_path.glob("point_unit_N*.csv"))) == 2
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_sweep_n_keeps_theta(tmp_path, capsys):
+    common = ["--theta", "1.0", "--out", str(tmp_path), "--multistart", "1",
+              "--format", "csv"]
+    assert main(["solve", "bisector_angle", "--n", "8", *common]) == 0
+    solved = capsys.readouterr().out.split(",")[4].strip()
+    assert main(["sweep", "bisector_angle", "--param", "N", "--values", "8", *common]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"length={solved}")
+
+
+@pytest.mark.parametrize("param", ["N", "M"])
+def test_sweep_non_integer_count_exits_2(tmp_path, capsys, param):
+    rc = main(["sweep", "point_unit", "--param", param, "--values", "4,4.7",
+               "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

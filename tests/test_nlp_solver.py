@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from escape_solver import geometry as geo
-from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions,
-                                      resolve_branches, solve_branch_strategies,
+from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
+                                      _Reduced, resolve_branches, solve_branch_strategies,
                                       solve_fixed_order, solve_self_referential)
-from escape_solver.path import min_width
+from escape_solver.path import leg_chain, min_width
 from escape_solver.scenario import Instance, build, build_zalgaller, make_scenario
 
 OPTS = SolveOptions(multistart=2)
@@ -184,3 +184,33 @@ def test_order_plan_object_accepted():
     a = solve_fixed_order(inst, OrderPlan(tuple(range(6))), OPTS)
     b = solve_fixed_order(inst, tuple(range(6)), OPTS)
     assert a.length == b.length
+
+
+def _hessian_case(case):
+    """(boundaries, anchored, closed, dim) of a branch-free chain."""
+    if case == "plane3d":
+        return build(make_scenario("plane3d", 3, 3)).boundaries, True, False, 3
+    if case == "opaque":
+        return tuple(geo.Line(a, 1.0) for a in (0.0, 1.3, 2.6, 3.9, 5.2)), False, False, 2
+    chain = (geo.Line(0.0, 1.0), geo.Circle((0.5, 2.0), 0.5), geo.PointTarget((-1.0, 1.5)),
+             geo.Line(2.0, 1.5), geo.Circle((1.0, -2.0), 0.7))
+    return chain, True, case == "closed", 2
+
+
+@pytest.mark.parametrize("case", ["open", "closed", "opaque", "plane3d"])
+def test_hessian_matches_differences_of_the_gradient(case):
+    bnds, anchored, closed, dim = _hessian_case(case)
+    red = _Reduced(bnds, dim)
+    rng = np.random.default_rng(11)
+    t = red.init_vars(np.array([geo.project(b, p)
+                                for b, p in zip(bnds, rng.uniform(-2, 2, (len(bnds), dim)))]))
+
+    def gradient(t):
+        return red.chain(t, leg_chain(red.points(t), anchored, closed).grad)
+
+    H = _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed)).toarray()
+    assert np.array_equal(H, H.T)
+    h = 1e-6
+    fd = np.column_stack([(gradient(t + h * e) - gradient(t - h * e)) / (2 * h)
+                          for e in np.eye(red.nvar)])
+    assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
