@@ -35,6 +35,10 @@ class SizeGuardError(ValueError):
     """Problem too large for the requested exact search."""
 
 
+# largest K for the subset DP, whose tables take K * 2^K * 9 bytes (189 MB at 20)
+HELD_KARP_MAX_K = 20
+
+
 @dataclass(frozen=True)
 class MtzModel:
     """Cycle-based order model: binary successor matrix, position auxiliaries,
@@ -125,40 +129,54 @@ def exhaustive(inst: Instance, opts: SolveOptions | None = None) -> Solution:
 
 
 def _held_karp_order(dmat, anchor, free_start: bool):
-    """Exact open-path order for fixed positions via subset DP."""
+    """Exact open-path order for fixed positions via subset DP.
+
+    C[S, v] is the shortest path through the node set S (a bitmask) that ends
+    at v, and P[S, v] its predecessor (-1 at the start).  The table is filled
+    one popcount layer at a time; predecessors j are swept upward and a later
+    one wins only if it is shorter by more than 1e-15, so near-ties keep the
+    lowest index.  The tables take K * 2^K * 9 bytes (see HELD_KARP_MAX_K).
+    """
     k = dmat.shape[0]
     full = (1 << k) - 1
-    C = {}
-    for j in range(k):
-        C[(1 << j, j)] = (0.0 if free_start else float(anchor[j]), None)
-    for mask in range(1, full + 1):
-        for j in range(k):
-            if not mask & (1 << j) or (mask, j) not in C:
-                continue
-            base, _ = C[(mask, j)]
-            for v in range(k):
-                if mask & (1 << v):
-                    continue
-                nm = mask | (1 << v)
-                cand = base + dmat[j, v]
-                if (nm, v) not in C or cand < C[(nm, v)][0] - 1e-15:
-                    C[(nm, v)] = (cand, j)
-    end = min(range(k), key=lambda j: C[(full, j)][0])
+    C = np.full((1 << k, k), np.inf)
+    P = np.full((1 << k, k), -1, dtype=np.int8)
+    nodes = np.arange(k)
+    C[1 << nodes, nodes] = 0.0 if free_start else anchor
+    popcount = np.zeros(1 << k, dtype=np.int8)
+    for b in range(k):
+        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    for r in range(2, k + 1):
+        masks = np.flatnonzero(popcount == r)
+        for v in range(k):
+            S = masks[masks & (1 << v) != 0]
+            cand = C[S ^ (1 << v)]        # (S, j); inf unless j is in S - {v}
+            cand += dmat[:, v]
+            best = np.full(len(S), np.inf)
+            pred = np.full(len(S), -1, dtype=np.int8)
+            for j in range(k):
+                take = cand[:, j] < best - 1e-15
+                best[take] = cand[take, j]
+                pred[take] = j
+            C[S, v] = best
+            P[S, v] = pred
+    end = int(np.argmin(C[full]))
     order = [end]
     mask = full
-    while C[(mask, order[-1])][1] is not None:
-        prev = C[(mask, order[-1])][1]
+    while (prev := int(P[mask, order[-1]])) >= 0:
         mask ^= 1 << order[-1]
         order.append(prev)
-    return tuple(reversed(order)), C[(full, end)][0]
+    return tuple(reversed(order)), float(C[full, end])
 
 
 def held_karp(inst: Instance, opts: SolveOptions | None = None,
               base_order=None) -> Solution:
     """Optimal order for positions frozen from a preliminary solve, then re-solved."""
     opts = opts or SolveOptions()
-    if inst.size > 20:
-        raise SizeGuardError("subset DP needs K <= 20")
+    if inst.size > HELD_KARP_MAX_K:
+        raise SizeGuardError(
+            f"subset DP needs K <= {HELD_KARP_MAX_K} (its tables take K * 2^K * 9 bytes, "
+            f"{HELD_KARP_MAX_K * 9 * 2 ** HELD_KARP_MAX_K / 1e6:.0f} MB at the limit)")
     base = solve_fixed_order(inst, base_order if base_order is not None
                              else (inst.order_hint or range(inst.size)), opts)
     _, dmat, anchor = _frozen_geometry(inst, base)
@@ -186,22 +204,20 @@ def two_opt(inst: Instance, start_order, opts: SolveOptions | None = None) -> So
 
 def _mst_weight(dmat, nodes) -> float:
     """Prim's spanning-tree weight over a node subset (order lower bound)."""
-    nodes = list(nodes)
-    if len(nodes) <= 1:
+    idx = np.array(nodes)
+    if len(idx) <= 1:
         return 0.0
-    in_tree = {nodes[0]}
-    rest = set(nodes[1:])
-    key = {v: dmat[nodes[0], v] for v in rest}
+    sub = dmat.take(idx, 0).take(idx, 1)
+    sub[:, 0] = np.inf          # a column is closed once its node joins the tree
+    key = sub[0].copy()
     total = 0.0
-    while rest:
-        v = min(rest, key=lambda x: key[x])
+    for _ in range(len(idx) - 1):
+        v = key.argmin()
         total += key[v]
-        rest.remove(v)
-        in_tree.add(v)
-        for w in rest:
-            if dmat[v, w] < key[w]:
-                key[w] = dmat[v, w]
-    return total
+        sub[:, v] = np.inf
+        key[v] = np.inf
+        np.minimum(key, sub[v], out=key)
+    return float(total)
 
 
 def mtz_branch_and_bound(inst: Instance, opts: SolveOptions | None = None) -> tuple:
@@ -278,7 +294,7 @@ def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solut
     rounds = 1
     for _ in range(opts.max_outer):
         _, dmat, anchor = _frozen_geometry(inst, sol)
-        if inst.size <= 20:
+        if inst.size <= HELD_KARP_MAX_K:
             new_order, _ = _held_karp_order(dmat, anchor, free_start=not inst.anchored)
         else:
             new_order = _two_opt_order(sol.order, dmat, anchor, inst.closed)
@@ -297,14 +313,32 @@ def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solut
 
 def _two_opt_move(order, dmat, anchor, closed):
     """The first segment reversal of `order` that shortens it by more than
-    1e-12 at the frozen positions, or None."""
+    1e-12 at the frozen positions, or None.
+
+    Reversing order[i..j] changes two legs of a symmetric `dmat`: the one into
+    position i (the anchor leg when i = 0) and the one out of position j (the
+    closing leg when j = K-1, none on an open path).  Those changes are
+    computed for every (i, j) at once and screened with a slack far above the
+    rounding of two K-term sums; the survivors are confirmed in lexicographic
+    order with the exact full cost, so the move is the one a full scan finds.
+    """
     order = tuple(order)
     cost = _order_cost(order, dmat, anchor, closed)
-    for i in range(len(order) - 1):
-        for j in range(i + 1, len(order)):
-            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-            if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
-                return cand
+    o = np.asarray(order)
+    D = dmat.take(o, 0).take(o, 1)
+    A = np.asarray(anchor)[o]
+    step = np.diagonal(D, 1)                    # D[i, i+1]: the current legs
+    delta = np.empty_like(D)
+    delta[0] = A - A[0]
+    delta[1:] = D[:-1] - step[:, None]
+    delta[:, :-1] += D[:, 1:] - step
+    if closed:
+        delta[:, -1] += A - A[-1]
+    screen = np.triu(delta < -1e-12 + 1e-9 * max(cost, 1.0), 1)
+    for i, j in zip(*np.nonzero(screen)):
+        cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+        if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
+            return cand
     return None
 
 

@@ -18,9 +18,11 @@ class Polyline:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.size and (pts.ndim != 2 or pts.shape[1] not in (2, 3)):
+        if pts.size == 0:
+            raise ValueError("a polyline needs at least one point")
+        if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise ValueError("points must be an (n, 2) or (n, 3) array")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(pts)):
             raise ValueError("polyline has non-finite coordinates")
         if self.closed and not self.anchored:
             raise ValueError("a closed path is anchored by definition")
@@ -28,10 +30,10 @@ class Polyline:
 
     @property
     def dim(self) -> int:
-        return len(self.points[0]) if self.points else 2
+        return len(self.points[0])
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float).reshape(len(self.points), -1)
+        return np.asarray(self.points, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
-from escape_solver.order_search import (MtzModel, OrderPlan, PartitionPlan,
-                                        SizeGuardError, build_mtz_model, exhaustive,
-                                        held_karp, mtz_branch_and_bound,
-                                        partition_search, solve_alternating, two_opt)
+from escape_solver.order_search import (HELD_KARP_MAX_K, MtzModel, OrderPlan,
+                                        PartitionPlan, SizeGuardError, _held_karp_order,
+                                        _mst_weight, _order_cost, _two_opt_move,
+                                        build_mtz_model, exhaustive, held_karp,
+                                        mtz_branch_and_bound, partition_search,
+                                        solve_alternating, two_opt)
 from escape_solver.scenario import Instance, build, load_config, make_scenario
 
 OPTS = SolveOptions(multistart=1)
@@ -198,3 +202,117 @@ def test_partition_validation():
         partition_search(escape, 1, OPTS)
     with pytest.raises(ValueError):
         PartitionPlan(subsets=((0,), ()), orders=((0,), ()))
+
+
+# --------------------------------------------------------------------------
+# the discrete kernels against plain-loop references
+
+_UNIFORM = st.floats(-1.0, 1.0)
+_GRID = st.integers(-3, 3).map(lambda i: i / 3)   # coarse grid: exact and near ties
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def _point_sets(min_k, max_k, coords=(_UNIFORM, _GRID)):
+    """Lists of 2D points, K drawn uniformly from [min_k, max_k]."""
+    return st.tuples(st.sampled_from(coords), st.integers(min_k, max_k)).flatmap(
+        lambda ck: st.lists(st.tuples(ck[0], ck[0]), min_size=ck[1], max_size=ck[1]))
+
+
+def _frozen(pts, anchored=True):
+    pts = np.asarray(pts, dtype=float)
+    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    anchor = np.linalg.norm(pts, axis=1) if anchored else np.zeros(len(pts))
+    return dmat, anchor
+
+
+def _held_karp_reference(dmat, anchor, free_start):
+    """Subset DP over a dict keyed by (mask, end), masks in increasing order."""
+    k = dmat.shape[0]
+    full = (1 << k) - 1
+    C = {(1 << j, j): (0.0 if free_start else float(anchor[j]), None) for j in range(k)}
+    for mask in range(1, full + 1):
+        for j in range(k):
+            if (mask, j) not in C:
+                continue
+            base = C[(mask, j)][0]
+            for v in range(k):
+                if mask & (1 << v):
+                    continue
+                nm, cand = mask | (1 << v), base + dmat[j, v]
+                if (nm, v) not in C or cand < C[(nm, v)][0] - 1e-15:
+                    C[(nm, v)] = (cand, j)
+    end = min(range(k), key=lambda j: C[(full, j)][0])
+    order, mask = [end], full
+    while (prev := C[(mask, order[-1])][1]) is not None:
+        mask ^= 1 << order[-1]
+        order.append(prev)
+    return tuple(reversed(order)), float(C[(full, end)][0])
+
+
+def _two_opt_reference(order, dmat, anchor, closed):
+    """The first reversal, in (i, j) order, that the full cost accepts."""
+    order = tuple(order)
+    cost = _order_cost(order, dmat, anchor, closed)
+    for i in range(len(order) - 1):
+        for j in range(i + 1, len(order)):
+            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+            if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
+                return cand
+    return None
+
+
+@PROPERTY
+@given(pts=_point_sets(1, 7), free_start=st.booleans())
+def test_held_karp_order_is_the_brute_force_minimum(pts, free_start):
+    dmat, anchor = _frozen(pts)
+    order, cost = _held_karp_order(dmat, anchor, free_start)
+    assert (order, cost) == _held_karp_reference(dmat, anchor, free_start)
+    start = np.zeros(len(pts)) if free_start else anchor
+    assert cost == _order_cost(order, dmat, start)
+    brute = min(_order_cost(p, dmat, start) for p in itertools.permutations(range(len(pts))))
+    # the 1e-15 tie rule may keep a path up to 1e-15 longer per step
+    assert brute <= cost <= brute + len(pts) * 1e-15
+
+
+def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
+    # into (all, 2): j=0 (path 1,0,2) costs 1.0 and the later j=1 (path 0,1,2)
+    # is 2^-53 shorter, within the 1e-15 tie, so j=0 stays; argmin would take j=1
+    d12 = 0.5 - 2.0 ** -53
+    dmat = np.array([[0.0, 0.25, 0.5], [0.25, 0.0, d12], [0.5, d12, 0.0]])
+    anchor = np.array([0.25, 0.25, 5.0])
+    assert _order_cost((0, 1, 2), dmat, anchor) == 1.0 - 2.0 ** -53
+    assert _held_karp_order(dmat, anchor, free_start=False) == ((1, 0, 2), 1.0)
+
+
+@PROPERTY
+@given(pts=_point_sets(2, 40), data=st.data(), anchored=st.booleans(), closed=st.booleans())
+def test_two_opt_move_matches_the_full_cost_scan(pts, data, anchored, closed):
+    dmat, anchor = _frozen(pts, anchored)
+    order = tuple(data.draw(st.permutations(range(len(pts)))))
+    while order is not None:    # each step of a descent, down to its local optimum
+        move = _two_opt_move(order, dmat, anchor, closed)
+        assert move == _two_opt_reference(order, dmat, anchor, closed)
+        order = move
+
+
+@PROPERTY
+@given(pts=_point_sets(1, 12, coords=(_UNIFORM,)))
+def test_mst_weight_matches_set_based_prim(pts):
+    dmat, _ = _frozen(pts)
+    nodes = list(range(len(pts)))
+    in_tree, rest = nodes[:1], set(nodes[1:])
+    key = {v: dmat[0, v] for v in rest}
+    total = 0.0
+    while rest:
+        v = min(rest, key=key.__getitem__)
+        total += key[v]
+        rest.remove(v)
+        for w in rest:
+            key[w] = min(key[w], dmat[v, w])
+    assert _mst_weight(dmat, nodes) == total
+
+
+def test_held_karp_guard_states_its_memory():
+    inst = _points_instance([(i, 0) for i in range(HELD_KARP_MAX_K + 1)])
+    with pytest.raises(SizeGuardError, match="189 MB"):
+        held_karp(inst, OPTS)

@@ -23,6 +23,12 @@ def test_closed_requires_anchor():
         Polyline(((1.0, 0.0),), anchored=False, closed=True)
 
 
+@pytest.mark.parametrize("points", [(), np.empty((0, 2))])
+def test_empty_polyline_is_refused(points):
+    with pytest.raises(ValueError, match="at least one point"):
+        Polyline(points)
+
+
 def test_per_leg_sums_to_total():
     rng = np.random.default_rng(0)
     for _ in range(200):
