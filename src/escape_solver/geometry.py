@@ -41,7 +41,7 @@ def _vec(p) -> np.ndarray:
 def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise dot products rounded as `a @ b`: seeds and merged corners come from
     them, and some solves move by 6e-6 with their last bit (charts use einsum)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ class Primitive:
     - `pack(boundaries)`: the tuple `prm` of stacked parameter arrays of m
       boundaries, on which static kernels take an (m, dim) point array P (or
       any number of points against one packed boundary): `residual(prm, P)`
-      -> (F (m,), grad F (m, dim)) and `nearest(prm, P)` -> closest points;
+      -> (F (m,), grad F (m, dim)) and `nearest(prm, P)` -> closest points,
+      which also takes P with leading axes, (..., m, dim);
     - the reduced chart the polish moves points along: `ndof` coordinates of
       box `bound`, `chart_init(prm, P)` -> T (m, ndof), `chart_points(prm, T)`,
       `chart_tangents(prm, T)` -> the Jacobian's columns, contiguous (m, dim)
@@ -101,10 +102,6 @@ class Primitive:
     def factors(self) -> tuple:
         return (self,)
 
-    def equidistant_at(self, p) -> bool:
-        """True where the whole zero set is (nearly) equally close to p."""
-        return False
-
 
 class _Hyperplane(Primitive):
     """Kernels shared by Line and Plane3: n . p = d with a unit normal n; the
@@ -119,7 +116,7 @@ class _Hyperplane(Primitive):
     @staticmethod
     def nearest(prm, P):
         n, d, _ = prm
-        return P - (_dot(P, n) - d)[:, None] * n
+        return P - (_dot(P, n) - d)[..., None] * n
 
     @staticmethod
     def chart_init(prm, P):
@@ -201,9 +198,6 @@ class Circle(Primitive):
         if not self.radius > 0:
             raise ValueError("circle radius must be positive")
 
-    def equidistant_at(self, p) -> bool:
-        return math.dist(p, self.center) < 1e-9
-
     @staticmethod
     def pack(circles) -> tuple:
         return (np.array([f.center for f in circles], dtype=float),
@@ -221,9 +215,9 @@ class Circle(Primitive):
         dvec = P - c
         dist = np.sqrt(_dot(dvec, dvec))
         centre = dist < 1e-12
-        Q = c + (r / np.where(centre, 1.0, dist))[:, None] * dvec
+        Q = c + (r / np.where(centre, 1.0, dist))[..., None] * dvec
         # at the centre every circle point is equally close; take angle 0
-        return np.where(centre[:, None], c + r[:, None] * np.array([1.0, 0.0]), Q)
+        return np.where(centre[..., None], c + r[:, None] * np.array([1.0, 0.0]), Q)
 
     @staticmethod
     def chart_init(prm, P):
@@ -347,13 +341,13 @@ class Segment(Primitive):
     @staticmethod
     def chart_init(prm, P):
         a, d = prm
-        return np.clip(np.einsum("ij,ij->i", P - a, d) / np.einsum("ij,ij->i", d, d),
-                       0.0, 1.0)[:, None]
+        return np.clip(np.einsum("...j,...j->...", P - a, d) / np.einsum("ij,ij->i", d, d),
+                       0.0, 1.0)[..., None]
 
     @staticmethod
     def chart_points(prm, T):
         a, d = prm
-        return a + np.clip(T[:, :1], 0.0, 1.0) * d
+        return a + np.clip(T[..., :1], 0.0, 1.0) * d
 
     @staticmethod
     def chart_tangents(prm, T):
@@ -478,10 +472,24 @@ class Packed:
         return np.prod(fs, axis=0), G
 
     def nearest(self, P: np.ndarray) -> np.ndarray:
-        """Closest zero-set point to each row of P; a product's over its factors."""
-        Q = np.stack([kind.nearest(prm, P) for kind, prm in zip(self.kinds, self.prms)])
-        first = np.argmin(np.linalg.norm(Q - P, axis=2), axis=0)
-        return Q[first, np.arange(len(P))]
+        """Closest zero-set point to each row of P, (..., m, dim); a product's is
+        its first factor's at the least distance, rounded as `a @ b`."""
+        Q = [kind.nearest(prm, P) for kind, prm in zip(self.kinds, self.prms)]
+        if len(Q) == 1:
+            return Q[0]
+        Q = np.stack(Q)
+        D = Q - P
+        first = np.argmin(np.sqrt(_dot(D, D)), axis=0)
+        return np.take_along_axis(Q, first[None, ..., None], axis=0)[0]
+
+    def nearest_factor(self, P: np.ndarray) -> np.ndarray:
+        """Index of the factor with the least scaled residual at each row of P (the
+        first on a tie), each residual rounded as `scaled_residual` rounds it."""
+        R = []
+        for kind, prm in zip(self.kinds, self.prms):
+            F, G = kind.residual(prm, P)
+            R.append(np.abs(F) / np.maximum(np.sqrt(_dot(G, G)), GRAD_FLOOR))
+        return np.argmin(R, axis=0)
 
 
 def pack_by_shape(boundaries) -> list:

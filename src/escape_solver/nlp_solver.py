@@ -33,25 +33,24 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
+POLISH_MAXITER = 30000    # L-BFGS iterations of a cold polish
+PENALTY_INIT = 10.0       # first penalty weight of the continuation
+PENALTY_GROWTH = 5.0      # factor between penalty stages
+PENALTY_MAX_STAGES = 200
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     feas_tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_outer: int = 200
     multistart: int = 16
     seed: int = 0
-    penalty_init: float = 10.0
-    penalty_growth: float = 5.0
     branch_budget: int = 64
-    polish_maxiter: int = 30000
 
     def __post_init__(self):
-        if min(self.feas_tol, self.step_tol, self.penalty_init) <= 0:
-            raise ValueError("tolerances and penalties must be positive")
-        if self.max_outer < 1 or self.multistart < 1 or self.branch_budget < 1:
+        if self.feas_tol <= 0:
+            raise ValueError("the feasibility tolerance must be positive")
+        if self.multistart < 1 or self.branch_budget < 1:
             raise ValueError("iteration budgets must be positive")
-        if self.penalty_growth <= 1.0:
-            raise ValueError("penalty growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,11 @@ class Solution:
 # vectorized residual program over an ordered boundary sequence
 
 class _ResidualProgram:
-    """Batched F / grad-F for the ordered boundary list (products included)."""
+    """The ordered boundary list (products included), packed once: batched
+    F / grad-F, nearest points and nearest factors."""
 
     def __init__(self, boundaries, dim):
+        self.boundaries = tuple(boundaries)
         self.n = len(boundaries)
         self.dim = dim
         self.groups = geo.pack_by_shape(boundaries)
@@ -94,6 +95,29 @@ class _ResidualProgram:
         F, G = self.residuals(P)
         return np.abs(F) / np.maximum(np.linalg.norm(G, axis=1), geo.GRAD_FLOOR)
 
+    def nearest(self, P: np.ndarray) -> np.ndarray:
+        """Closest point of each row's boundary; P is (..., n, dim)."""
+        Q = np.empty(np.shape(P))
+        for idx, packed in self.groups:
+            Q[..., idx, :] = packed.nearest(P[..., idx, :])
+        return Q
+
+    def branches(self, P: np.ndarray) -> tuple:
+        """Per row, the index of the product factor of least scaled residual (the
+        first on a tie); None for a row that is not a product."""
+        assign = [None] * self.n
+        for idx, packed in self.groups:
+            if len(packed.kinds) > 1:
+                for h, j in zip(idx.tolist(), packed.nearest_factor(P[idx]).tolist()):
+                    assign[h] = j
+        return tuple(assign)
+
+    def resolved(self, assign) -> "_ResidualProgram":
+        """The program of the list with each product replaced by its assigned factor."""
+        bnds = tuple(b.factors[a] if isinstance(b, geo.Product) and a is not None else b
+                     for b, a in zip(self.boundaries, assign))
+        return _ResidualProgram(bnds, self.dim)
+
 
 # --------------------------------------------------------------------------
 # reduced coordinates for branch-resolved boundaries
@@ -106,13 +130,13 @@ class _Reduced:
     record, packed parameters, point rows, variable columns of shape (m, ndof)).
     """
 
-    def __init__(self, boundaries, dim):
-        self.dim = dim
-        self.n = len(boundaries)
+    def __init__(self, program: _ResidualProgram):
+        self.dim = program.dim
+        self.n = program.n
         self.nvar = 0
         self.bounds = []
         self.blocks = []
-        for rows, packed in geo.pack_by_shape(boundaries):
+        for rows, packed in program.groups:
             if len(packed.kinds) > 1:
                 raise TypeError("cannot reduce a product; resolve branches first")
             kind = packed.kinds[0]
@@ -167,36 +191,23 @@ class _Reduced:
 # --------------------------------------------------------------------------
 # seeding, branch resolution, polish
 
-def _seed_projection(b, q, fallback):
-    """Nearest factor point to q; a factor equidistant from q projects `fallback`."""
-    cands = [geo.project(f, fallback if f.equidistant_at(q) else q) for f in b.factors]
-    return min(cands, key=lambda p: float(np.linalg.norm(p - np.asarray(q, float))))
-
-
-def _build_seeds(inst: Instance, ordered, opts: SolveOptions, initial_points):
+def _build_seeds(inst: Instance, ordered, program: _ResidualProgram, opts: SolveOptions,
+                 initial_points):
     """Seed matrix per start: (multistart, K, dim)."""
-    K = len(ordered.boundaries)
-    dim = inst.dimension
+    K, dim = program.n, program.dim
     rng = np.random.default_rng(opts.seed)
     noise = rng.normal(size=(opts.multistart, K, dim))
-    anchor0 = np.zeros(dim)
     if initial_points is not None:
-        base = np.asarray(initial_points, dtype=float).copy()
+        base = np.asarray(initial_points, dtype=float)
     elif inst.seed_points is not None:
         base = np.array([inst.seed_points[h] for h in ordered.indices], dtype=float)
     else:
         # nearest boundary point seen from the anchor: covariant under rigid
         # motions and scaling of the whole scenario, and it starts every point
         # on the near side the optima hug
-        base = np.array([_seed_projection(b, anchor0, anchor0)
-                         for b in ordered.boundaries])
-    seeds = np.zeros((opts.multistart, K, dim))
-    for k in range(opts.multistart):
-        mag = 0.1 * k / opts.multistart
-        raw = base + mag * noise[k]
-        for j, b in enumerate(ordered.boundaries):
-            seeds[k, j] = _seed_projection(b, raw[j], anchor0)
-    return seeds
+        base = program.nearest(np.zeros((K, dim)))
+    mag = 0.1 * np.arange(opts.multistart) / opts.multistart
+    return program.nearest(base + mag[:, None, None] * noise)
 
 
 class _Ordered:
@@ -210,35 +221,12 @@ class _Ordered:
         shift = None
         if inst.start_anchor is not None and any(abs(c) > 0 for c in inst.start_anchor):
             shift = tuple(-c for c in inst.start_anchor)
-        bnds = []
-        for h in perm:
-            b = inst.boundaries[h]
-            if shift is not None:
-                b = geo.translate(b, shift)
-            bnds.append(b)
-        self.boundaries = tuple(bnds)
+        self.boundaries = tuple(inst.boundaries[h] if shift is None else
+                                geo.translate(inst.boundaries[h], shift) for h in perm)
 
 
-def _choose_nearest_branch(b, p):
-    if not isinstance(b, geo.Product):
-        return None
-    best, bd = 0, np.inf
-    for j, f in enumerate(b.factors):
-        r = geo.scaled_residual(f, p)
-        if r < bd:
-            best, bd = j, r
-    return best
-
-
-def _apply_branches(boundaries, assignment):
-    out = []
-    for b, a in zip(boundaries, assignment):
-        out.append(b.factors[a] if isinstance(b, geo.Product) and a is not None else b)
-    return tuple(out)
-
-
-def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool = True):
-    red = _Reduced(boundaries, P0.shape[1])
+def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True):
+    red = _Reduced(program)
     t0 = red.init_vars(P0)
     if red.nvar == 0:
         P = red.points(t0)
@@ -251,7 +239,7 @@ def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool =
     bounds = red.bounds if any(b != (None, None) for b in red.bounds) else None
     if t0.size and (not newton or bounds is not None or P0.shape[0] < 2):
         res = minimize(obj, t0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options=dict(maxiter=opts.polish_maxiter, ftol=1e-18,
+                       options=dict(maxiter=POLISH_MAXITER, ftol=1e-18,
                                     gtol=1e-13, maxcor=40))
         t = res.x
     else:
@@ -259,7 +247,7 @@ def _polish(boundaries, P0, anchored, closed, opts: SolveOptions, newton: bool =
         # the exact sparse Hessian (the chain objective is too ill-conditioned
         # for a limited-memory method alone)
         res = minimize(obj, t0, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=min(2000, opts.polish_maxiter),
+                       options=dict(maxiter=2000,
                                     ftol=1e-18, gtol=1e-11, maxcor=40))
         t = _newton_refine(red, res.x, anchored, closed)
     P = red.points(t)
@@ -364,18 +352,19 @@ def _common_point(boundaries, p0, tol=1e-13, iters=60):
         p = p - step
         if np.linalg.norm(step) < tol:
             break
-    if max(geo.scaled_residual(b, p) for b in boundaries) > 1e-10:
+    if program.scaled(np.tile(p, (len(boundaries), 1))).max() > 1e-10:
         return None
     return p
 
 
-def _merge_kinks(bnds, P, anchored, closed, opts: SolveOptions):
+def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
     """Pin clusters of coincident consecutive points to the exact common point
     of their boundaries and re-polish; removes the corner nonsmoothness that
-    otherwise caps the achievable precision."""
+    otherwise caps the achievable precision.  Returns the program of the
+    pinned boundaries and the points."""
     if P.shape[1] != 2:
-        return tuple(bnds), P
-    bnds = list(bnds)
+        return program, P
+    bnds = list(program.boundaries)
     for _ in range(3):
         legs = np.linalg.norm(np.diff(P, axis=0), axis=1)
         tiny = np.flatnonzero(legs < 1e-6)
@@ -392,8 +381,9 @@ def _merge_kinks(bnds, P, anchored, closed, opts: SolveOptions):
                 merged_any = True
         if tiny.size == 0:
             if not merged_any:
-                return tuple(bnds), P
-            P, _ = _polish(tuple(bnds), P, anchored, closed, opts)
+                return program, P
+            program = _ResidualProgram(bnds, 2)
+            P, _ = _polish(program, P, anchored, closed)
             continue
         i = 0
         runs = []
@@ -415,17 +405,18 @@ def _merge_kinks(bnds, P, anchored, closed, opts: SolveOptions):
                 P[r] = q
             merged_any = True
         if not merged_any:
-            return tuple(bnds), P
-        P, _ = _polish(tuple(bnds), P, anchored, closed, opts)
-    return tuple(bnds), P
+            return program, P
+        program = _ResidualProgram(bnds, 2)
+        P, _ = _polish(program, P, anchored, closed)
+    return program, P
 
 
 def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveOptions):
     """Quadratic penalty continuation on raw coordinates until near-feasible."""
     P = P0.copy()
-    mu = opts.penalty_init
+    mu = PENALTY_INIT
     stages = 0
-    while stages < opts.max_outer:
+    while stages < PENALTY_MAX_STAGES:
         scale = np.maximum(np.linalg.norm(program.residuals(P)[1], axis=1), geo.GRAD_FLOOR)
         w = mu / scale**2
 
@@ -443,7 +434,7 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
         stages += 1
         if program.scaled(P).max() <= math.sqrt(opts.feas_tol) or mu > 1e9:
             break
-        mu *= opts.penalty_growth
+        mu *= PENALTY_GROWTH
     return P
 
 
@@ -456,25 +447,19 @@ def resolve_branches(inst: Instance, points, opts: SolveOptions | None = None, o
     """
     opts = opts or SolveOptions()
     ordered = _Ordered(inst, order if order is not None else range(inst.size))
+    program = _ResidualProgram(ordered.boundaries, inst.dimension)
     P = np.asarray(points, dtype=float)
-    combos = 1
-    for b in ordered.boundaries:
-        if isinstance(b, geo.Product):
-            combos *= len(b.factors)
-            if combos > opts.branch_budget:
-                break
-    if 1 < combos <= opts.branch_budget:
+    if 1 < math.prod(len(b.factors) for b in ordered.boundaries) <= opts.branch_budget:
         choices = [range(len(b.factors)) if isinstance(b, geo.Product) else (None,)
                    for b in ordered.boundaries]
         best, best_len = None, np.inf
         for assign in itertools.product(*choices):
-            bnds = _apply_branches(ordered.boundaries, assign)
-            Pa = np.array([geo.project(b, p) for b, p in zip(bnds, P)])
-            Pa, L = _polish(bnds, Pa, inst.anchored, inst.closed, opts)
+            resolved = program.resolved(assign)
+            _, L = _polish(resolved, resolved.nearest(P), inst.anchored, inst.closed)
             if L < best_len:
                 best, best_len = assign, L
         return tuple(best)
-    return tuple(_choose_nearest_branch(b, p) for b, p in zip(ordered.boundaries, P))
+    return program.branches(P)
 
 
 def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *,
@@ -485,42 +470,41 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
     perm = ordered.indices
     program = _ResidualProgram(ordered.boundaries, inst.dimension)
     has_products = any(isinstance(b, geo.Product) for b in ordered.boundaries)
-    seeds = _build_seeds(inst, ordered, opts, initial_points)
+    given = program.resolved(branch_assignment) if branch_assignment else program
+    seeds = _build_seeds(inst, ordered, program, opts, initial_points)
 
     def run_start(k: int):
         P = seeds[k]
-        assign = branch_assignment
+        assign, target = branch_assignment, given
         if has_products and assign is None:
             if inst.seed_points is None and initial_points is None:
                 P = _penalty_phase(program, P, inst.anchored, inst.closed, opts)
-            assign = tuple(_choose_nearest_branch(b, p)
-                           for b, p in zip(ordered.boundaries, P))
-        bnds = _apply_branches(ordered.boundaries, assign) if assign else ordered.boundaries
-        P = np.array([geo.project(b, p) for b, p in zip(bnds, P)])
-        P, L = _polish(bnds, P, inst.anchored, inst.closed, opts, newton=False)
+            assign = program.branches(P)
+            target = program.resolved(assign)
+        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, newton=False)
         if has_products and branch_assignment is None:
             # branch stabilisation: re-pick nearest factors, re-polish if changed
             for _ in range(3):
-                new_assign = tuple(_choose_nearest_branch(b, p)
-                                   for b, p in zip(ordered.boundaries, P))
+                new_assign = program.branches(P)
                 if new_assign == assign:
                     break
                 assign = new_assign
-                bnds = _apply_branches(ordered.boundaries, assign)
-                P = np.array([geo.project(b, p) for b, p in zip(bnds, P)])
-                P, L = _polish(bnds, P, inst.anchored, inst.closed, opts)
+                target = program.resolved(assign)
+                P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed)
         P_pre, L_pre = P, L
-        bnds_eff, P = _merge_kinks(bnds, P.copy(), inst.anchored, inst.closed, opts)
-        P, L = _polish(bnds_eff, P, inst.anchored, inst.closed, opts)
+        merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
+        P, L = _polish(merged, P, inst.anchored, inst.closed)
         if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
             P, L = P_pre, L_pre
         resid = float(program.scaled(P).max())
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
         return P, L, resid, feasible, assign
 
+    # every start of an all-point family has the same points; start 0 wins the tie
+    point_only = all(isinstance(b, geo.PointTarget) for b in ordered.boundaries)
     best = None
     best_key = None
-    for k in range(opts.multistart):  # ordered reduction by start index
+    for k in range(1 if point_only else opts.multistart):  # ordered reduction by start index
         P, L, resid, feasible, assign = run_start(k)
         key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
         if best_key is None or key < best_key:
@@ -556,14 +540,10 @@ def solve_branch_strategies(inst: Instance, opts: SolveOptions | None = None,
     counts = {len(b.factors) for b in ordered.boundaries if isinstance(b, geo.Product)}
     if len(counts) != 1:
         raise ValueError("instance is not a uniform product family")
-    nfac = counts.pop()
-    anchor0 = np.zeros(inst.dimension)
+    program = _ResidualProgram(ordered.boundaries, inst.dimension)
     out = []
-    for j in range(nfac):
-        seeds = np.array([
-            _seed_projection(b.factors[j] if isinstance(b, geo.Product) else b,
-                             anchor0, anchor0)
-            for b in ordered.boundaries])
+    for j in range(counts.pop()):
+        seeds = program.resolved((j,) * inst.size).nearest(np.zeros((inst.size, inst.dimension)))
         out.append(solve_fixed_order(inst, order, opts,
                                      branch_assignment=(j,) * inst.size,
                                      initial_points=seeds))
@@ -662,11 +642,11 @@ def _edge_strip_slope(n: int, gamma: float, points):
     lengths = []
     for g in (gamma - h, gamma, gamma + h):
         bnds = build_zalgaller(n, g).boundaries
-        Q = P.copy()
+        Q = _ResidualProgram(bnds, 2).nearest(P)
         for run in runs:
             q = _common_point([bnds[r] for r in run], P[run].mean(axis=0)) if len(run) > 1 else None
-            for r in run:
-                Q[r] = q if q is not None else geo.project(bnds[r], P[r])
+            if q is not None:
+                Q[run] = q
         lengths.append(leg_chain(Q).total)
     lm, l0, lp = lengths
     return (lp - lm) / (2.0 * h), (lp - 2.0 * l0 + lm) / (h * h)

@@ -37,6 +37,8 @@ class SizeGuardError(ValueError):
 
 # largest K for the subset DP, whose tables take K * 2^K * 9 bytes (189 MB at 20)
 HELD_KARP_MAX_K = 20
+MAX_ROUNDS = 200    # re-solves of a 2-opt or alternating loop
+STEP_TOL = 1e-10    # relative gain below which the alternating loop stops
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ def two_opt(inst: Instance, start_order, opts: SolveOptions | None = None) -> So
     opts = opts or SolveOptions()
     order = tuple(getattr(start_order, "perm", start_order))
     sol = solve_fixed_order(inst, order, opts)
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_ROUNDS):
         _, dmat, anchor = _frozen_geometry(inst, sol)
         improved = _two_opt_move(sol.order, dmat, anchor, inst.closed)
         if improved is None:
@@ -292,7 +294,7 @@ def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solut
     order = tuple(inst.order_hint) if inst.order_hint is not None else tuple(range(inst.size))
     sol = solve_fixed_order(inst, order, opts)
     rounds = 1
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_ROUNDS):
         _, dmat, anchor = _frozen_geometry(inst, sol)
         if inst.size <= HELD_KARP_MAX_K:
             new_order, _ = _held_karp_order(dmat, anchor, free_start=not inst.anchored)
@@ -305,7 +307,7 @@ def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solut
             break
         new_sol = solve_fixed_order(inst, new_order, opts)
         rounds += 1
-        if new_sol.length >= sol.length - max(opts.step_tol * sol.length, 1e-14):
+        if new_sol.length >= sol.length - max(STEP_TOL * sol.length, 1e-14):
             break
         sol = new_sol
     return replace(sol, iterations=rounds)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
@@ -209,7 +209,6 @@ def test_partition_validation():
 
 _UNIFORM = st.floats(-1.0, 1.0)
 _GRID = st.integers(-3, 3).map(lambda i: i / 3)   # coarse grid: exact and near ties
-PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
 
 
 def _point_sets(min_k, max_k, coords=(_UNIFORM, _GRID)):
@@ -261,7 +260,6 @@ def _two_opt_reference(order, dmat, anchor, closed):
     return None
 
 
-@PROPERTY
 @given(pts=_point_sets(1, 7), free_start=st.booleans())
 def test_held_karp_order_is_the_brute_force_minimum(pts, free_start):
     dmat, anchor = _frozen(pts)
@@ -284,7 +282,6 @@ def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
     assert _held_karp_order(dmat, anchor, free_start=False) == ((1, 0, 2), 1.0)
 
 
-@PROPERTY
 @given(pts=_point_sets(2, 40), data=st.data(), anchored=st.booleans(), closed=st.booleans())
 def test_two_opt_move_matches_the_full_cost_scan(pts, data, anchored, closed):
     dmat, anchor = _frozen(pts, anchored)
@@ -295,7 +292,6 @@ def test_two_opt_move_matches_the_full_cost_scan(pts, data, anchored, closed):
         order = move
 
 
-@PROPERTY
 @given(pts=_point_sets(1, 12, coords=(_UNIFORM,)))
 def test_mst_weight_matches_set_based_prim(pts):
     dmat, _ = _frozen(pts)

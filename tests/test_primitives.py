@@ -1,15 +1,20 @@
 """One test per primitive kind in the registry: its record's batched kernels
 agree with the scalar API and with finite differences, its chart stays on the
-boundary, and its text form, motion and scaling keep the zero set."""
+boundary, and its text form, motion and scaling keep the zero set.  A property
+test checks the solver's batched projections and factor choices on mixed lists
+against the scalar API, bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver.export import parse_mtz_text, to_mtz_text
+from escape_solver.nlp_solver import _ResidualProgram
 from escape_solver.order_search import MtzModel
+from escape_solver.scenario import build, make_scenario
 
 
 def _segment(rng):
@@ -117,3 +122,68 @@ def test_eval_boundary_takes_a_stack_of_points():
                           np.array([geo.eval_boundary(b, p) for p in P]))
     with pytest.raises(ValueError):
         geo.eval_boundary(b, np.zeros((4, 3)))
+
+
+# --------------------------------------------------------------------------
+# the solver's batched steps against the scalar API
+
+_COORD = st.one_of(st.floats(-2.0, 2.0), st.integers(-4, 4).map(lambda i: i / 2))
+_XY = st.tuples(_COORD, _COORD)
+_FACTOR = st.one_of(
+    st.builds(geo.Line, st.floats(0.0, 2 * math.pi), _COORD),
+    st.builds(geo.Circle, _XY, st.floats(0.25, 2.0)),
+    st.builds(geo.PointTarget, _XY),
+    st.builds(lambda a, d: geo.Segment(a, (a[0] + d[0], a[1] + d[1])),
+              _XY, st.tuples(st.floats(0.2, 1.0), st.floats(-1.0, 1.0))))
+_PLANE = st.builds(lambda n, d: geo.Plane3(tuple(np.asarray(n) / np.linalg.norm(n)), d),
+                   st.tuples(*[st.integers(-2, 2)] * 3).filter(any), _COORD)
+
+
+def _mirror(f):
+    """f's image through the origin."""
+    if isinstance(f, geo.Plane3):
+        return geo.Plane3(tuple(-np.asarray(f.normal)), f.offset)
+    return geo.rotate_about(f, math.pi)
+
+
+def _products(factor):
+    """A factor, a product of 2-3 factors, or a factor and its mirror image, from
+    which the origin is equidistant."""
+    return st.one_of(
+        factor,
+        st.lists(factor, min_size=2, max_size=3).map(lambda fs: geo.Product(tuple(fs))),
+        factor.map(lambda f: geo.Product((f, _mirror(f)))))
+
+
+_FAMILIES = st.one_of(
+    st.lists(st.one_of(_products(_FACTOR),
+                       st.sampled_from(build(make_scenario("strip_middle_product", 8)).boundaries)),
+             min_size=1, max_size=8),
+    st.lists(_products(_PLANE), min_size=1, max_size=4))
+
+
+@given(bnds=_FAMILIES, data=st.data())
+def test_batched_steps_equal_the_scalar_api(bnds, data):
+    dim = bnds[0].dim
+    program = _ResidualProgram(bnds, dim)
+    coords = st.tuples(*[_COORD] * dim)
+
+    def row(b):
+        # a free point, the origin, or a circle's centre, where every point
+        # of the circle is equally close
+        special = [(0.0,) * dim] + [f.center for f in b.factors if isinstance(f, geo.Circle)]
+        return data.draw(st.one_of(coords, st.sampled_from(special)))
+
+    P = np.array([[row(b) for b in bnds] for _ in range(2)])     # two starts at once
+    Q = program.nearest(P)
+    for Ps, Qs in zip(P, Q):
+        for b, p, q, a in zip(bnds, Ps, Qs, program.branches(Ps)):
+            assert q.tobytes() == geo.project(b, p).tobytes()
+            near = [geo.project(f, p) for f in b.factors]
+            dist = [float(np.linalg.norm(c - p)) for c in near]
+            assert q.tobytes() == near[dist.index(min(dist))].tobytes()
+            if isinstance(b, geo.Product):
+                r = [geo.scaled_residual(f, p) for f in b.factors]
+                assert a == r.index(min(r))
+            else:
+                assert a is None
