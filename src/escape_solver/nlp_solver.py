@@ -3,8 +3,11 @@
 Pipeline per start: seed each escape point at the nearest point of its
 boundary, run quadratic-penalty continuation while a product branch is still
 undecided, project exactly, then polish in reduced on-boundary coordinates
-(one parameter per point on a line/circle/segment, two on a plane) with L-BFGS
-followed by damped Newton on the exact sparse Hessian.  Coincident consecutive
+(one parameter per point on a line/circle/segment, two on a plane).  When every
+chart is affine (lines, planes, points) the polish objective is convex and the
+polish is damped Newton on the smoothed length, continued down to the exact
+one; curved and bounded charts keep L-BFGS followed by damped Newton on the
+exact sparse Hessian.  Coincident consecutive
 points are genuine corners of many optima; such clusters get pinned to the
 common point of their boundaries so the corner nonsmoothness cannot cap the
 final accuracy.  The best feasible start wins; ties break to the
@@ -34,6 +37,7 @@ class NonConvergenceError(RuntimeError):
 
 
 POLISH_MAXITER = 30000    # L-BFGS iterations of a cold polish
+SMOOTH_FLOOR = 1e-13      # last smoothing radius of an affine polish, times the length
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
 PENALTY_MAX_STAGES = 200
@@ -122,6 +126,13 @@ class _ResidualProgram:
 # --------------------------------------------------------------------------
 # reduced coordinates for branch-resolved boundaries
 
+def _affine(kind) -> bool:
+    """Whether a primitive's chart is an affine map of unbounded coordinates
+    (Line, Plane3, PointTarget); on such charts the polish objective, a sum of
+    norms of affine functions, is convex."""
+    return kind.chart_curvature is None and kind.bound == (None, None)
+
+
 class _Reduced:
     """One low-dimensional parameter block per point, exactly on its boundary.
 
@@ -144,6 +155,8 @@ class _Reduced:
             self.nvar += cols.size
             self.bounds.extend([kind.bound] * cols.size)
             self.blocks.append((kind, packed.prms[0], rows, cols))
+        self.affine = all(_affine(kind) for kind, *_ in self.blocks)
+        self.hessian_pattern = None
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
         t = np.zeros(self.nvar)
@@ -231,6 +244,10 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
     if red.nvar == 0:
         P = red.points(t0)
         return P, leg_chain(P, anchored, closed).total
+    if red.affine:
+        t = _newton_refine(red, _smoothed_newton(red, t0, anchored, closed), anchored, closed)
+        P = red.points(t)
+        return P, leg_chain(P, anchored, closed).total
 
     def obj(t):
         legs = leg_chain(red.points(t), anchored, closed)
@@ -254,21 +271,121 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
     return P, leg_chain(P, anchored, closed).total
 
 
-def _assemble_hessian(red: _Reduced, t, legs):
+def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool) -> np.ndarray:
+    """Minimize the length over affine charts by smoothed continuation.
+
+    Damped Newton on sum_l sqrt(d_l^2 + eps^2), which is smooth and, on affine
+    charts, convex, so every start reaches its one minimum.  eps starts at the
+    mean leg length and is cut tenfold per stage down to SMOOTH_FLOOR times
+    the length; a stage stops when the Newton decrement no longer exceeds
+    1e-3 eps or no Armijo step is found.  A chain without legs, or of zero
+    or non-finite length, is returned unchanged.
+    """
+    legs = leg_chain(red.points(t), anchored, closed)
+    if not 0.0 < legs.total < math.inf:
+        return t
+    eps, floor = legs.total / legs.d.size, SMOOTH_FLOOR * legs.total
+    while eps >= floor:
+        legs = leg_chain(red.points(t), anchored, closed, eps)
+        for _ in range(50):
+            g = red.chain(t, legs.grad)
+            step = _semidefinite_solve(_assemble_hessian(red, t, legs, floor=0.0), -g)
+            if step is None:
+                break
+            decrement = -float(g @ step)
+            if not decrement > 1e-3 * eps:
+                break
+            alpha = 1.0
+            while alpha > 1e-6:
+                trial = leg_chain(red.points(t + alpha * step), anchored, closed, eps)
+                if trial.total <= legs.total - 1e-4 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            t, legs = t + alpha * step, trial
+        eps /= 10.0
+    return t
+
+
+def _semidefinite_solve(H, rhs):
+    """x with H x = rhs for a positive semidefinite sparse H.  The diagonal is
+    shifted by 1e-12 of the largest entry when H is singular, as it is to
+    rounding where both legs at a point run along its line (halfplane_unit
+    N=5 under exhaustive order search); None when that does not give a
+    finite x either."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
+    for shift in (0.0, 1e-12):
+        A = H + shift * abs(H).max() * identity(H.shape[0], format="csc") if shift else H
+        try:
+            x = splu(A, diag_pivot_thresh=0.0).solve(rhs)
+        except RuntimeError:
+            continue
+        if np.all(np.isfinite(x)):
+            return x
+    return None
+
+
+def _indptr(cols, n):
+    """CSC column pointers of the entries in columns `cols`."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return indptr
+
+
+class _HessianPattern:
+    """The COO -> CSC conversion of one sparsity pattern, so that a Hessian of
+    that pattern is assembled by refilling its values.  Entries are ordered
+    and their duplicates added as `coo_matrix(...).tocsc()` does it (a stable
+    sort by column, scipy's sort of each column's row indices, duplicates
+    added left to right), so the matrix is bitwise the same."""
+
+    def __init__(self, rows, cols, n):
+        from scipy.sparse import csc_matrix
+
+        self.rows, self.cols, self.n = rows, cols, n
+        by_col = np.argsort(cols, kind="stable")
+        m = csc_matrix((by_col.astype(float), rows[by_col].astype(np.int32), _indptr(cols, n)),
+                       shape=(n, n))
+        m.sort_indices()
+        src = m.data.astype(np.intp)            # COO position of each sorted entry
+        col = cols[by_col]
+        first = np.ones(src.size, dtype=bool)   # the first entry of each (row, col)
+        first[1:] = (m.indices[1:] != m.indices[:-1]) | (col[1:] != col[:-1])
+        slot = np.cumsum(first) - 1
+        rank = np.arange(src.size) - np.flatnonzero(first)[slot]
+        self.indices, self.indptr = m.indices[first], _indptr(col[first], n)
+        self.fills = [(slot[rank == r], src[rank == r]) for r in range(rank.max(initial=-1) + 1)]
+
+    def matrix(self, vals):
+        from scipy.sparse import csc_matrix
+
+        out = np.zeros(self.indices.size)
+        for r, (dst, src) in enumerate(self.fills):
+            if r:
+                out[dst] += vals[src]
+            else:
+                out[dst] = vals[src]
+        return csc_matrix((out, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14):
     """Exact sparse Hessian of the reduced objective, vectorized over legs.
 
     A leg of length d and unit vector u from point a to point b adds
     (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
     tangent of a's k-th coordinate; the aa and bb blocks take the same form,
-    the ab and ba blocks the opposite sign.  Legs shorter than 1e-14 add
-    nothing.  The chart curvature adds the diagonal terms Gp . d2p/dt2.
+    the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
+    length, u = v / d) gives the Hessian of the smoothed objective.  Legs no
+    longer than `floor` add nothing.  The chart curvature adds the diagonal
+    terms Gp . d2p/dt2.  The sparsity pattern's conversion is kept on `red`.
     """
-    from scipy.sparse import coo_matrix
-
     D, ndof, offs = red.jacobians(t)
     D = np.concatenate([D, np.zeros((1,) + D.shape[1:])])   # row -1: the fixed origin
     ndof, offs = np.append(ndof, 0), np.append(offs, 0)
-    ok = legs.d > 1e-14
+    ok = legs.d > floor
     u, d = legs.u[ok], legs.d[ok, None, None]
     k = np.arange(D.shape[2])
 
@@ -291,7 +408,11 @@ def _assemble_hessian(red: _Reduced, t, legs):
     parts = (block(A, A, 1.0), block(B, B, 1.0), (ab_rows, ab_cols, ab), (ab_cols, ab_rows, ab),
              (ci, ci, cv))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return coo_matrix((vals, (rows, cols)), shape=(red.nvar, red.nvar)).tocsc()
+    pattern = red.hessian_pattern
+    if pattern is None or not (np.array_equal(rows, pattern.rows)
+                               and np.array_equal(cols, pattern.cols)):
+        pattern = red.hessian_pattern = _HessianPattern(rows, cols, red.nvar)
+    return pattern.matrix(vals)
 
 
 def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
@@ -491,20 +612,21 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
                 assign = new_assign
                 target = program.resolved(assign)
                 P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed)
-        P_pre, L_pre = P, L
-        merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
-        P, L = _polish(merged, P, inst.anchored, inst.closed)
-        if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
-            P, L = P_pre, L_pre
+        if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
+            P_pre, L_pre = P, L
+            merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
+            P, L = _polish(merged, P, inst.anchored, inst.closed)
+            if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
+                P, L = P_pre, L_pre
         resid = float(program.scaled(P).max())
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
         return P, L, resid, feasible, assign
 
-    # every start of an all-point family has the same points; start 0 wins the tie
-    point_only = all(isinstance(b, geo.PointTarget) for b in ordered.boundaries)
+    # on affine charts the polish is convex: every start reaches the same minimum
+    convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
     best = None
     best_key = None
-    for k in range(1 if point_only else opts.multistart):  # ordered reduction by start index
+    for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
         P, L, resid, feasible, assign = run_start(k)
         key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
         if best_key is None or key < best_key:

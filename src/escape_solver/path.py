@@ -49,17 +49,20 @@ class LegChain(NamedTuple):
     grad: np.ndarray    # (n, dim): d(total)/d(point)
     a: np.ndarray       # start point of each leg; -1 is the origin
     b: np.ndarray       # end point of each leg; -1 is the origin
-    d: np.ndarray       # leg lengths
-    u: np.ndarray       # unit leg vectors, 0 on a zero-length leg
+    d: np.ndarray       # leg lengths (smoothed: sqrt(|v|^2 + eps^2) of leg vector v)
+    u: np.ndarray       # v / d, 0 on a zero-length leg
 
 
-def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False) -> LegChain:
+def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
+              eps: float = 0.0) -> LegChain:
     """Length of the polyline through an (n, dim) point array and its gradient.
 
     The origin starts the first leg when `anchored` and ends the last when
     `closed`.  A zero-length leg contributes nothing to the gradient
     (subgradient choice: keeps the solver stable when consecutive escape
-    points merge).
+    points merge).  With `eps` > 0 each leg length is smoothed to
+    sqrt(|v|^2 + eps^2), which is smooth everywhere and overstates the
+    length by at most eps per leg.
     """
     P = np.asarray(points, dtype=float)
     n = P.shape[0]
@@ -70,6 +73,8 @@ def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False) -
     ext[1:n + 1] = P
     legs = np.diff(ext[first:last + 1], axis=0)
     d = np.linalg.norm(legs, axis=1)
+    if eps:
+        d = np.hypot(d, eps)
     u = legs / np.where(d > 0.0, d, 1.0)[:, None]
     u[d == 0.0] = 0.0
     g = np.zeros_like(ext)

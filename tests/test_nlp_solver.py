@@ -5,9 +5,9 @@ import pytest
 
 from escape_solver import geometry as geo
 from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
-                                      _Reduced, _ResidualProgram, resolve_branches,
-                                      solve_branch_strategies, solve_fixed_order,
-                                      solve_self_referential)
+                                      _HessianPattern, _polish, _Reduced, _ResidualProgram,
+                                      resolve_branches, solve_branch_strategies,
+                                      solve_fixed_order, solve_self_referential)
 from escape_solver.order_search import STEP_TOL
 from escape_solver.path import leg_chain, min_width
 from escape_solver.scenario import Instance, build, build_zalgaller, make_scenario
@@ -37,16 +37,60 @@ def test_point_targets_have_fixed_positions():
     assert sol.max_residual == 0.0
 
 
-def test_point_targets_solve_the_same_at_every_multistart():
+def _affine_families():
     rng = np.random.default_rng(3)
-    inst = _instance([geo.PointTarget(tuple(p)) for p in rng.uniform(-1, 1, (6, 2))])
-    order = (3, 0, 5, 1, 4, 2)
-    sols = [solve_fixed_order(inst, order, SolveOptions(multistart=k, seed=k))
-            for k in (1, 2, 5)]
-    for sol in sols[1:]:
-        assert sol.points().tobytes() == sols[0].points().tobytes()
-        assert repr(sol.length) == repr(sols[0].length)
-        assert sol.order == sols[0].order == order
+    points = _instance([geo.PointTarget(tuple(p)) for p in rng.uniform(-1, 1, (6, 2))])
+    yield points, (3, 0, 5, 1, 4, 2)
+    for name, n, m in (("halfplane_unit", 12, 1), ("strip_middle", 8, 1), ("plane3d", 2, 3)):
+        inst = build(make_scenario(name, n, m))
+        yield inst, inst.order_hint or tuple(range(inst.size))
+
+
+def test_affine_families_solve_the_same_at_every_multistart():
+    for inst, order in _affine_families():
+        sols = [solve_fixed_order(inst, order, SolveOptions(multistart=k, seed=k))
+                for k in (1, 2, 5)]
+        for sol in sols[1:]:
+            assert sol.points().tobytes() == sols[0].points().tobytes()
+            assert repr(sol.length) == repr(sols[0].length)
+            assert sol.order == sols[0].order == tuple(order)
+
+
+@pytest.mark.parametrize("multistart", [1, 2])
+def test_strip_wf2_polish_reaches_its_convex_minimum(multistart):
+    inst = build(make_scenario("strip_wf2", 6, 4))
+    sol = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=multistart))
+    assert sol.length <= 1.42881500
+
+
+def test_plane3d_polish_reaches_its_convex_minimum():
+    inst = build(make_scenario("plane3d", 3, 3))
+    sol = solve_fixed_order(inst, tuple(range(inst.size)), SolveOptions(multistart=2))
+    assert sol.length <= 5.87367010
+
+
+@pytest.mark.parametrize("name,n", [("halfplane_unit", 90), ("strip_middle", 60),
+                                    ("opaque_circle_tangent", 45)])
+def test_convex_families_reach_one_minimum_from_any_start(name, n):
+    inst = build(make_scenario(name, n))
+    base = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=1)).points()
+    rng = np.random.default_rng(7)
+    lengths = [solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=1),
+                                 initial_points=base + rng.normal(scale=0.3, size=base.shape)
+                                 ).length for _ in range(3)]
+    assert max(lengths) - min(lengths) <= 1e-12 * max(lengths)
+
+
+@pytest.mark.parametrize("lines,P0", [
+    ([geo.Line(0.3, 1.0)], [[0.8, 1.7]]),                          # no leg
+    ([geo.Line(0.0, 1.0), geo.Line(0.0, 1.0)], [[1.0, 0.5]] * 2),  # one leg of length 0
+])
+def test_affine_polish_without_length_returns_its_start(lines, P0):
+    program = _ResidualProgram(lines, 2)
+    P, L = _polish(program, np.array(P0), anchored=False, closed=False)
+    red = _Reduced(program)
+    assert L == 0.0
+    assert P.tobytes() == red.points(red.init_vars(np.array(P0))).tobytes()
 
 
 def test_feasibility_of_catalog_solutions():
@@ -211,6 +255,15 @@ def _hessian_case(case):
 
 @pytest.mark.parametrize("case", ["open", "closed", "opaque", "plane3d"])
 def test_hessian_matches_differences_of_the_gradient(case):
+    _check_hessian(case, eps=0.0)
+
+
+@pytest.mark.parametrize("case", ["open", "closed", "opaque", "plane3d"])
+def test_smoothed_hessian_matches_differences_of_the_gradient(case):
+    _check_hessian(case, eps=0.05)
+
+
+def _check_hessian(case, eps):
     bnds, anchored, closed, dim = _hessian_case(case)
     red = _Reduced(_ResidualProgram(bnds, dim))
     rng = np.random.default_rng(11)
@@ -218,11 +271,29 @@ def test_hessian_matches_differences_of_the_gradient(case):
                                 for b, p in zip(bnds, rng.uniform(-2, 2, (len(bnds), dim)))]))
 
     def gradient(t):
-        return red.chain(t, leg_chain(red.points(t), anchored, closed).grad)
+        return red.chain(t, leg_chain(red.points(t), anchored, closed, eps).grad)
 
-    H = _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed)).toarray()
+    H = _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed, eps)).toarray()
     assert np.array_equal(H, H.T)
     h = 1e-6
     fd = np.column_stack([(gradient(t + h * e) - gradient(t - h * e)) / (2 * h)
                           for e in np.eye(red.nvar)])
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+
+def test_hessian_pattern_refill_equals_scipy_conversion():
+    from scipy.sparse import coo_matrix
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        nnz = int(rng.integers(0, 40))
+        rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+        pattern = _HessianPattern(rows, cols, n)
+        for _ in range(2):  # refilled with new values, the pattern is reused
+            vals = rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 8, nnz)
+            H = pattern.matrix(vals)
+            ref = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+            assert np.array_equal(H.indptr, ref.indptr)
+            assert np.array_equal(H.indices, ref.indices)
+            assert H.data.tobytes() == ref.data.tobytes()
