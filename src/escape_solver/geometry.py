@@ -13,7 +13,9 @@ records, and the scalar functions below are the stacked operations at m = 1.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,8 @@ class Primitive:
       box `bound`, `chart_init(prm, P)` -> T (m, ndof), `chart_points(prm, T)`,
       `chart_tangents(prm, T)` -> the Jacobian's columns, contiguous (m, dim)
       arrays, and for a curved chart `chart_curvature(prm, T)` -> d2p/dt2;
+      `residual` and `chart_points` return new arrays, never packed
+      parameters, because the solver hands them on without a copy;
     - `moved(motion)` and `scaled(s)`: the boundary through the image points;
     - `svg_extent()`, points a drawing must include, and `svg_shape(reach)`,
       an (element, attributes, style) triple, lines `reach` long each way.
@@ -111,7 +115,7 @@ class _Hyperplane(Primitive):
     @staticmethod
     def residual(prm, P):
         n, d, _ = prm
-        return _dot(P, n) - d, n
+        return _dot(P, n) - d, n.copy()
 
     @staticmethod
     def nearest(prm, P):
@@ -185,6 +189,15 @@ class Line(_Hyperplane):
         return "line", (("x1", a[0]), ("y1", a[1]), ("x2", b[0]), ("y2", b[1])), "boundary"
 
 
+def _cos_sin(a: np.ndarray) -> np.ndarray:
+    """Rows (cos a, sin a), written into one (m, 2) array: the values of
+    `np.stack([np.cos(a), np.sin(a)], axis=1)` at a fraction of its cost."""
+    U = np.empty((a.size, 2))
+    np.cos(a, out=U[:, 0])
+    np.sin(a, out=U[:, 1])
+    return U
+
+
 @dataclass(frozen=True)
 class Circle(Primitive):
     center: tuple[float, float]
@@ -227,18 +240,19 @@ class Circle(Primitive):
     @staticmethod
     def chart_points(prm, T):
         c, r = prm
-        a = T[:, 0]
-        return c + r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+        return c + r[:, None] * _cos_sin(T[:, 0])
 
     @staticmethod
     def chart_tangents(prm, T):
         a = T[:, 0]
-        return (prm[1][:, None] * np.stack([-np.sin(a), np.cos(a)], axis=1),)
+        U = np.empty((a.size, 2))    # rows (-sin a, cos a)
+        np.negative(np.sin(a, out=U[:, 0]), out=U[:, 0])
+        np.cos(a, out=U[:, 1])
+        return (prm[1][:, None] * U,)
 
     @staticmethod
     def chart_curvature(prm, T):
-        a = T[:, 0]
-        return -prm[1][:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+        return -prm[1][:, None] * _cos_sin(T[:, 0])
 
     def moved(self, m: RigidMotion) -> "Circle":
         c = m.apply(self.center)
@@ -290,7 +304,7 @@ class PointTarget(Primitive):
 
     @staticmethod
     def chart_points(prm, T):
-        return prm[0]
+        return prm[0].copy()
 
     @staticmethod
     def chart_tangents(prm, T):
@@ -466,10 +480,13 @@ class Packed:
         parts = [kind.residual(prm, P) for kind, prm in zip(self.kinds, self.prms)]
         if len(parts) == 1:
             return parts[0]
-        fs = np.stack([f for f, _ in parts])        # factors x m
-        G = sum(np.prod(np.delete(fs, j, axis=0), axis=0)[:, None] * g
-                for j, (_, g) in enumerate(parts))
-        return np.prod(fs, axis=0), G
+        # products in factor order, rounded as np.prod rounds them; the
+        # gradient sum starts from 0, so a first term of -0 enters as +0
+        fs = [f for f, _ in parts]
+        G = 0
+        for j, (_, g) in enumerate(parts):
+            G = G + functools.reduce(operator.mul, fs[:j] + fs[j + 1:])[:, None] * g
+        return functools.reduce(operator.mul, fs), G
 
     def nearest(self, P: np.ndarray) -> np.ndarray:
         """Closest zero-set point to each row of P, (..., m, dim); a product's is

@@ -55,6 +55,8 @@ class SolveOptions:
             raise ValueError("the feasibility tolerance must be positive")
         if self.multistart < 1 or self.branch_budget < 1:
             raise ValueError("iteration budgets must be positive")
+        if self.seed < 0:
+            raise ValueError("the seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,8 @@ class _ResidualProgram:
 
     def residuals(self, P: np.ndarray):
         """Returns (F, G) with F shape (n,) and G shape (n, dim)."""
+        if len(self.groups) == 1:   # one shape on rows 0..n-1: no gather or scatter
+            return self.groups[0][1].residual(P)
         F = np.zeros(self.n)
         G = np.zeros((self.n, self.dim))
         for idx, packed in self.groups:
@@ -165,6 +169,9 @@ class _Reduced:
         return t
 
     def points(self, t: np.ndarray) -> np.ndarray:
+        if len(self.blocks) == 1:   # one kind on every row, as in every circle family
+            kind, prm, _, cols = self.blocks[0]
+            return kind.chart_points(prm, t.reshape(cols.shape))
         P = np.zeros((self.n, self.dim))
         for kind, prm, rows, cols in self.blocks:
             P[rows] = kind.chart_points(prm, t[cols])
@@ -172,6 +179,12 @@ class _Reduced:
 
     def chain(self, t: np.ndarray, Gp: np.ndarray) -> np.ndarray:
         """Pull a per-point gradient back to the reduced variables."""
+        if len(self.blocks) == 1:
+            kind, prm, _, cols = self.blocks[0]
+            g = np.empty(cols.shape)
+            for k, e in enumerate(kind.chart_tangents(prm, t.reshape(cols.shape))):
+                g[:, k] = np.einsum("ij,ij->i", Gp, e)
+            return g.reshape(self.nvar)
         g = np.zeros(self.nvar)
         for kind, prm, rows, cols in self.blocks:
             for k, e in enumerate(kind.chart_tangents(prm, t[cols])):

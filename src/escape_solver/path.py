@@ -63,6 +63,10 @@ def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
     points merge).  With `eps` > 0 each leg length is smoothed to
     sqrt(|v|^2 + eps^2), which is smooth everywhere and overstates the
     length by at most eps per leg.
+
+    Every value is rounded as `np.diff` and `np.linalg.norm` round it, and
+    the gradient rows are 0 + u_in - u_out, so the sign of a zero survives;
+    the polish's iterates depend on these bits.
     """
     P = np.asarray(points, dtype=float)
     n = P.shape[0]
@@ -71,13 +75,16 @@ def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
     first, last = (0 if anchored else 1), (n + 1 if closed else n)
     ext = np.zeros((n + 2, P.shape[1]))
     ext[1:n + 1] = P
-    legs = np.diff(ext[first:last + 1], axis=0)
-    d = np.linalg.norm(legs, axis=1)
+    legs = ext[first + 1:last + 1] - ext[first:last]
+    d = np.sqrt(np.add.reduce(legs * legs, axis=1))   # np.linalg.norm's own reduction
     if eps:
         d = np.hypot(d, eps)
-    u = legs / np.where(d > 0.0, d, 1.0)[:, None]
-    u[d == 0.0] = 0.0
-    g = np.zeros_like(ext)
+    if np.count_nonzero(d > 0.0) == d.size:
+        u = legs / d[:, None]
+    else:
+        u = legs / np.where(d > 0.0, d, 1.0)[:, None]
+        u[d == 0.0] = 0.0
+    g = np.zeros(ext.shape)
     g[first + 1:last + 1] += u
     g[first:last] -= u
     a = np.arange(first - 1, last - 1)

@@ -24,6 +24,16 @@ def test_solve_unknown_scenario_exits_2(tmp_path, capsys):
     assert main(["solve", "not_a_scenario", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "halfplane_unit", "--n", "3"],
+    ["sweep", "halfplane_unit", "--param", "N", "--values", "3"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    rc = main([*command, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_bad_format_exits_2(tmp_path):
     assert main(["solve", "point_unit", "--n", "4", "--out", str(tmp_path),
                  "--format", "png"]) == 2

@@ -231,6 +231,54 @@ def test_options_validation():
         SolveOptions(feas_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(multistart=0)
+    with pytest.raises(ValueError, match="seed"):
+        SolveOptions(seed=-1)
+
+
+def _leaves(prm):
+    """The arrays of a packed parameter tuple (a plane's frame is a nested tuple)."""
+    return [prm] if isinstance(prm, np.ndarray) else [a for x in prm for a in _leaves(x)]
+
+
+@pytest.mark.parametrize("name", ["lines", "circles", "points", "planes", "products", "mixed"])
+def test_program_results_own_their_memory(name):
+    """A program of one group returns its kernels' arrays without the gather
+    and scatter by group; they are bitwise what the scatter gives, share no
+    memory with the packed parameters or the inputs, and writing into them
+    changes no later result."""
+    bnds, dim = {
+        "lines": (build(make_scenario("halfplane_unit", 6)).boundaries, 2),
+        "circles": (build(make_scenario("circle_interior_nonunique", 6)).boundaries, 2),
+        "points": ((geo.PointTarget((1.0, 0.5)), geo.PointTarget((-0.5, 1.0))), 2),
+        "planes": (build(make_scenario("plane3d", 3, 3)).boundaries, 3),
+        "products": (build(make_scenario("strip_middle_product", 6)).boundaries, 2),
+        "mixed": (_hessian_case("open")[0], 2),
+    }[name]
+    program = _ResidualProgram(bnds, dim)
+    P = program.nearest(np.random.default_rng(3).uniform(-2, 2, (len(bnds), dim)))
+    red = _Reduced(program.resolved(program.branches(P)))
+    t = red.init_vars(P)
+    Gp = leg_chain(P).grad
+    packed = [a for _, pk in program.groups for prm in pk.prms for a in _leaves(prm)]
+    packed += [a for _, prm, _, _ in red.blocks for a in _leaves(prm)]
+
+    ref_F, ref_G = np.zeros(len(bnds)), np.zeros((len(bnds), dim))
+    ref_P, ref_g = np.zeros((len(bnds), dim)), np.zeros(red.nvar)
+    for idx, pk in program.groups:
+        ref_F[idx], ref_G[idx] = pk.residual(P[idx])
+    for kind, prm, rows, cols in red.blocks:
+        ref_P[rows] = kind.chart_points(prm, t[cols])
+        for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+            ref_g[cols[:, k]] = np.einsum("ij,ij->i", Gp[rows], e)
+
+    for call, ref in ((lambda: program.residuals(P), (ref_F, ref_G)),
+                      (lambda: (red.points(t), red.chain(t, Gp)), (ref_P, ref_g))):
+        out = call()
+        assert [x.tobytes() for x in out] == [x.tobytes() for x in ref]
+        for x in out:
+            assert not any(np.shares_memory(x, a) for a in packed + [P, t, Gp])
+            x[...] = 7.0
+        assert [x.tobytes() for x in call()] == [x.tobytes() for x in ref]
 
 
 def test_order_plan_object_accepted():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from escape_solver.geometry import RigidMotion
-from escape_solver.path import Polyline, grad_length, length
+from escape_solver.path import Polyline, grad_length, leg_chain, length
 
 
 def test_single_anchored_point():
@@ -109,3 +112,54 @@ def test_three_dimensional_paths():
     poly = Polyline(((0.0, 0.0, 2.0), (0.0, 3.0, 2.0)))
     assert length(poly).total == pytest.approx(5.0)
     assert grad_length(poly).shape == (2, 3)
+
+
+def _reference_leg_chain(points, anchored, closed, eps):
+    """`leg_chain` written with np.diff and np.linalg.norm."""
+    P = np.asarray(points, dtype=float)
+    n = P.shape[0]
+    first, last = (0 if anchored else 1), (n + 1 if closed else n)
+    ext = np.zeros((n + 2, P.shape[1]))
+    ext[1:n + 1] = P
+    legs = np.diff(ext[first:last + 1], axis=0)
+    d = np.linalg.norm(legs, axis=1)
+    if eps:
+        d = np.hypot(d, eps)
+    u = legs / np.where(d > 0.0, d, 1.0)[:, None]
+    u[d == 0.0] = 0.0
+    g = np.zeros_like(ext)
+    g[first + 1:last + 1] += u
+    g[first:last] -= u
+    a = np.arange(first - 1, last - 1)
+    b = a + 1
+    if closed:
+        b[-1] = -1
+    return float(d.sum()), g[1:n + 1], a, b, d, u
+
+
+_LEG_COORD = st.one_of(st.floats(-3.0, 3.0),
+                       st.sampled_from([0.0, -0.0, 1.0, -0.5, math.inf, math.nan]))
+
+
+@st.composite
+def _chains(draw):
+    """Points with repeated neighbours (zero-length legs) and signed zeros."""
+    dim = draw(st.sampled_from([2, 3]))
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        if pts and draw(st.booleans()):
+            pts.append(pts[-1])
+        else:
+            pts.append(draw(st.tuples(*[_LEG_COORD] * dim)))
+    return np.array(pts)
+
+
+@given(P=_chains(), anchored=st.booleans(), closed=st.booleans(),
+       eps=st.one_of(st.just(0.0), st.floats(1e-13, 1.0)))
+def test_leg_chain_is_bitwise_the_reference(P, anchored, closed, eps):
+    with np.errstate(invalid="ignore"):
+        got = leg_chain(P, anchored, closed, eps)
+        ref = _reference_leg_chain(P, anchored, closed, eps)
+    assert np.float64(got.total).tobytes() == np.float64(ref[0]).tobytes()
+    for x, y in zip(got[1:], ref[1:]):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -6,19 +6,25 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 from escape_solver import geometry, nlp_solver, order_search, scenario
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-def test_benchmark_hooks_install_and_unpatch(monkeypatch):
+@pytest.fixture
+def run(monkeypatch):
     # run.py pins thread variables and extends sys.path when it loads
     monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.setattr(sys, "path", [str(RUN_PY.parent)] + sys.path)
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_benchmark_hooks_install_and_unpatch(run):
     hooked = [(geometry, "project"), (geometry, "scaled_residual"),
               (scenario, "eval_boundary"), (nlp_solver, "minimize"),
               (order_search, "solve_fixed_order"), (order_search, "_held_karp_order")]
@@ -30,3 +36,20 @@ def test_benchmark_hooks_install_and_unpatch(monkeypatch):
     finally:
         tracer.unpatch()
     assert all(getattr(m, name) is f for (m, name), f in zip(hooked, before))
+
+
+def test_benchmark_hooks_see_the_polish(run):
+    """The wrappers replace module attributes, so the solver must look L-BFGS-B
+    and SuperLU up there at call time; a name bound at import would leave the
+    per-layer trace at zero without failing."""
+    inst = scenario.build(scenario.make_scenario("circle_interior_nonunique", 8))
+    tracer = run.Tracer()
+    try:
+        run.install(tracer)
+        nlp_solver.solve_fixed_order(inst, inst.order_hint or range(inst.size),
+                                     nlp_solver.SolveOptions(multistart=1))
+    finally:
+        tracer.unpatch()
+    layers = tracer.layer_totals(tracer.run)
+    assert layers["nlp_solver.lbfgs"][0] > 0 and layers["nlp_solver.splu"][0] > 0
+    assert tracer.counts[tracer.run]["nlp_solver.lbfgs_nfev"] > 0

@@ -129,12 +129,13 @@ def test_eval_boundary_takes_a_stack_of_points():
 
 _COORD = st.one_of(st.floats(-2.0, 2.0), st.integers(-4, 4).map(lambda i: i / 2))
 _XY = st.tuples(_COORD, _COORD)
-_FACTOR = st.one_of(
+_FACTOR_KINDS = (
     st.builds(geo.Line, st.floats(0.0, 2 * math.pi), _COORD),
     st.builds(geo.Circle, _XY, st.floats(0.25, 2.0)),
     st.builds(geo.PointTarget, _XY),
     st.builds(lambda a, d: geo.Segment(a, (a[0] + d[0], a[1] + d[1])),
               _XY, st.tuples(st.floats(0.2, 1.0), st.floats(-1.0, 1.0))))
+_FACTOR = st.one_of(*_FACTOR_KINDS)
 _PLANE = st.builds(lambda n, d: geo.Plane3(tuple(np.asarray(n) / np.linalg.norm(n)), d),
                    st.tuples(*[st.integers(-2, 2)] * 3).filter(any), _COORD)
 
@@ -187,3 +188,54 @@ def test_batched_steps_equal_the_scalar_api(bnds, data):
                 assert a == r.index(min(r))
             else:
                 assert a is None
+
+
+# --------------------------------------------------------------------------
+# the polish's kernels against plain references, bit for bit (tobytes, so a
+# flipped sign of zero fails too)
+
+def _gradient_zero(f):
+    """A point where f's residual gradient vanishes, or the origin."""
+    return {geo.Circle: lambda: f.center, geo.PointTarget: lambda: f.point,
+            geo.Segment: lambda: f.a}.get(type(f), lambda: (0.0, 0.0))()
+
+
+@st.composite
+def _product_batches(draw):
+    """m products of the same 2 or 3 factor kinds, and m points: free ones, the
+    origin, and points where a factor's gradient vanishes."""
+    kinds = draw(st.lists(st.sampled_from(_FACTOR_KINDS), min_size=2, max_size=3))
+    bnds = [geo.Product(tuple(draw(k) for k in kinds)) for _ in range(draw(st.integers(1, 4)))]
+    special = [(0.0, 0.0), (-0.0, 0.0)] + [_gradient_zero(f) for b in bnds for f in b.factors]
+    P = np.array([draw(st.one_of(_XY, st.sampled_from(special))) for _ in bnds], dtype=float)
+    return bnds, P
+
+
+@given(batch=_product_batches())
+def test_product_rule_is_bitwise_the_reference(batch):
+    bnds, P = batch
+    packed = geo.Packed(bnds)
+    parts = [kind.residual(prm, P) for kind, prm in zip(packed.kinds, packed.prms)]
+    fs = np.stack([f for f, _ in parts])
+    G_ref = sum(np.prod(np.delete(fs, j, axis=0), axis=0)[:, None] * g
+                for j, (_, g) in enumerate(parts))
+    F, G = packed.residual(P)
+    assert F.tobytes() == np.prod(fs, axis=0).tobytes()
+    assert G.shape == G_ref.shape and G.tobytes() == G_ref.tobytes()
+
+
+_ANGLE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]))
+
+
+@given(angles=st.lists(_ANGLE, min_size=1, max_size=12), data=st.data())
+def test_circle_charts_are_bitwise_the_stacked_reference(angles, data):
+    circles = [data.draw(st.builds(geo.Circle, _XY, st.floats(0.25, 2.0))) for _ in angles]
+    c, r = prm = geo.Circle.pack(circles)
+    T = np.array(angles)[:, None]
+    a = T[:, 0]
+    cos_sin = np.stack([np.cos(a), np.sin(a)], axis=1)
+    (tangent,) = geo.Circle.chart_tangents(prm, T)
+    for got, ref in ((geo.Circle.chart_points(prm, T), c + r[:, None] * cos_sin),
+                     (tangent, r[:, None] * np.stack([-np.sin(a), np.cos(a)], axis=1)),
+                     (geo.Circle.chart_curvature(prm, T), -r[:, None] * cos_sin)):
+        assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
