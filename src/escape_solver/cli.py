@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -68,8 +69,13 @@ def _parse_formats(text: str) -> frozenset:
 
 def _load_spec(args, **override):
     """The scenario spec the command line names; `override` replaces some of its
-    settings (n, m, theta) by name."""
+    settings (n, m, theta) by name.  A start count below 1 or a non-finite
+    angle raises ValueError."""
     args = argparse.Namespace(**{**vars(args), **override})
+    if args.m < 1:
+        raise ValueError(f"the start count M must be at least 1, not {args.m}")
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise ValueError(f"theta must be finite, not {args.theta}")
     params = {}
     if args.theta is not None:
         params["theta"] = args.theta

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 
 from . import geometry as geo
 from .path import Polyline, leg_chain, length
@@ -74,6 +75,65 @@ class Solution:
 
     def points(self) -> np.ndarray:
         return self.polyline.as_array()
+
+
+# --------------------------------------------------------------------------
+# L-BFGS-B
+
+def minimize(fun, x0, bounds=None, *, maxcor=10, ftol=2.2204460492503131e-09, gtol=1e-5,
+             maxiter=15000, maxfun=15000) -> OptimizeResult:
+    """L-BFGS-B on fun(x) -> (value, gradient) from x0, within optional
+    per-variable (low, high) bounds, None meaning unbounded.
+
+    Drives scipy's `setulb` as `scipy.optimize.minimize(method="L-BFGS-B",
+    jac=True)` does: the same workspace, tolerances, bound encoding, clipping
+    of x0, line-search limit and maxiter/maxfun stops, and `fun` is called
+    again only when x changes.  So x, fun, nit and nfev are bitwise scipy's,
+    without the cost of its per-evaluation wrappers.
+    """
+    x = np.array(x0, dtype=np.float64).ravel()
+    n, m = x.size, maxcor
+    low, high, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    if bounds is not None:
+        lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds], dtype=float)
+        hi = np.array([np.inf if b[1] is None else b[1] for b in bounds], dtype=float)
+        x = np.clip(x, lo, hi)
+        has_lo, has_hi = ~np.isinf(lo), ~np.isinf(hi)
+        low[has_lo], high[has_hi] = lo[has_lo], hi[has_hi]
+        nbd[:] = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0))
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+
+    def evaluate(x):
+        f, g = fun(x)
+        g = np.ascontiguousarray(g, dtype=np.float64)   # setulb reads n doubles from it
+        if g.shape != (n,):
+            raise ValueError(f"gradient of shape {g.shape} for {n} variables")
+        return f, g
+
+    x_eval = x.copy()
+    f, g = evaluate(x_eval)
+    nfev, nit = 1, 0
+    while True:
+        # 20: the line-search steps allowed per iteration, scipy's maxls default
+        setulb(m, x, low, high, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)
+        if task[0] == 3:            # FG: value and gradient at x
+            if not (x == x_eval).all():
+                x_eval = x.copy()
+                f, g = evaluate(x_eval)
+                nfev += 1
+        elif task[0] == 1:          # NEW_X: an iteration is done
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
 
 
 # --------------------------------------------------------------------------
@@ -268,17 +328,14 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
 
     bounds = red.bounds if any(b != (None, None) for b in red.bounds) else None
     if t0.size and (not newton or bounds is not None or P0.shape[0] < 2):
-        res = minimize(obj, t0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options=dict(maxiter=POLISH_MAXITER, ftol=1e-18,
-                                    gtol=1e-13, maxcor=40))
+        res = minimize(obj, t0, bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
+                       maxcor=40)
         t = res.x
     else:
         # warm path (post-merge): quasi-Newton briefly, then damped Newton with
         # the exact sparse Hessian (the chain objective is too ill-conditioned
         # for a limited-memory method alone)
-        res = minimize(obj, t0, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=2000,
-                                    ftol=1e-18, gtol=1e-11, maxcor=40))
+        res = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40)
         t = _newton_refine(red, res.x, anchored, closed)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
@@ -562,8 +619,7 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
             Gp = legs.grad + (2.0 * w * F)[:, None] * Gf
             return legs.total + pen, Gp.ravel()
 
-        res = minimize(obj, P.ravel(), jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20))
+        res = minimize(obj, P.ravel(), maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20)
         P = res.x.reshape(P.shape)
         stages += 1
         if program.scaled(P).max() <= math.sqrt(opts.feas_tol) or mu > 1e9:

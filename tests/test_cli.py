@@ -223,3 +223,35 @@ def test_sweep_non_integer_count_exits_2(tmp_path, capsys, param):
     assert rc == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings", [
+    ["halfplane_unit", "--n", "6", "--m", "-3"],
+    ["halfplane_unit", "--n", "6", "--m", "0"],
+    ["circle_wf2", "--n", "4", "--theta", "nan"],
+    ["halfplane_unit", "--n", "4", "--theta", "inf"]])
+def test_solve_bad_start_count_or_angle_exits_2(tmp_path, capsys, settings):
+    rc = main(["solve", *settings, "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,param,values", [
+    ("halfplane_unit", "M", "1,0"), ("halfplane_unit", "M", "-2"),
+    ("halfplane_unit", "theta", "0.5,nan"), ("circle_wf2", "theta", "inf,0.5")])
+def test_sweep_bad_start_count_or_angle_exits_2_before_solving(tmp_path, capsys, scenario,
+                                                                param, values):
+    rc = main(["sweep", scenario, "--param", param, "--values", values, "--n", "4",
+               "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "invalid configuration" in captured.err and "length=" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_n_refuses_a_non_finite_theta(tmp_path, capsys):
+    rc = main(["sweep", "circle_wf2", "--param", "N", "--values", "4", "--theta", "nan",
+               "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err

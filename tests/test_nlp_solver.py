@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from escape_solver import geometry as geo
+from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
                                       _HessianPattern, _polish, _Reduced, _ResidualProgram,
                                       resolve_branches, solve_branch_strategies,
@@ -345,3 +347,71 @@ def test_hessian_pattern_refill_equals_scipy_conversion():
             assert np.array_equal(H.indptr, ref.indptr)
             assert np.array_equal(H.indices, ref.indices)
             assert H.data.tobytes() == ref.data.tobytes()
+
+
+LBFGS = nlp_solver.minimize
+
+
+def _lbfgs_calls(monkeypatch, name, n, multistart=1):
+    """(objective, start, bounds, options) of every L-BFGS-B call of one solve."""
+    calls = []
+
+    def record(fun, x0, bounds=None, **options):
+        calls.append((fun, np.array(x0), bounds, options))
+        return LBFGS(fun, x0, bounds, **options)
+
+    monkeypatch.setattr(nlp_solver, "minimize", record)
+    inst = build(make_scenario(name, n))
+    solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=multistart))
+    monkeypatch.undo()
+    return calls
+
+
+def _same_as_scipy(fun, x0, bounds, options):
+    """Run the driver and scipy's L-BFGS-B on one problem, assert that x, fun,
+    nit and nfev are bitwise equal, and return scipy's result."""
+    ours = LBFGS(fun, x0, bounds, **options)
+    ref = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                                  options=options)
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (ours.nit, ours.nfev) == (ref.nit, ref.nfev)
+    return ref
+
+
+def test_lbfgs_driver_matches_scipy_on_a_circle_polish(monkeypatch):
+    fun, x0, bounds, options = _lbfgs_calls(monkeypatch, "circle_interior_02", 8)[0]
+    assert bounds is None
+    assert _same_as_scipy(fun, x0, bounds, options).status == 0
+    # maxfun is checked once an iteration ends, so the stop comes after 50
+    capped = _same_as_scipy(fun, x0, bounds, {**options, "maxfun": 50})
+    assert capped.status == 1 and capped.nfev > 50 and capped.nit < options["maxiter"]
+
+
+def test_lbfgs_driver_matches_scipy_on_segment_boxes_and_penalty_stages(monkeypatch):
+    calls = _lbfgs_calls(monkeypatch, "circle_plus_segment", 12, multistart=2)
+    boxed = [c for c in calls if c[2] is not None]
+    assert boxed
+    for fun, x0, bounds, options in boxed:
+        _same_as_scipy(fun, x0, bounds, options)
+        # a start outside the box is clipped into it first
+        _same_as_scipy(fun, np.linspace(-0.5, 1.5, x0.size), bounds, options)
+    stages = [(c[3]["maxiter"], _same_as_scipy(*c)) for c in calls if c[3]["maxcor"] == 20]
+    assert any(ref.nit == maxiter for maxiter, ref in stages)
+    # the segments end on the lower face of their box; this quadratic, at the
+    # default options, ends on upper faces and has every kind of bound
+    quadratic = lambda x: (float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0))
+    ref = _same_as_scipy(quadratic, np.zeros(4), [(0.0, 1.0), (None, 1.0), (0.0, None),
+                                                   (None, None)], {})
+    assert np.allclose(ref.x, [1.0, 1.0, 2.0, 2.0])
+
+
+def test_lbfgs_driver_matches_scipy_on_a_failed_line_search(monkeypatch):
+    # the cold polish of this family ends at a kink where no step decreases
+    fun, x0, bounds, options = _lbfgs_calls(monkeypatch, "circle_interior_nonunique", 8)[0]
+    assert _same_as_scipy(fun, x0, bounds, options).message.startswith("ABNORMAL")
+
+
+def test_lbfgs_driver_refuses_a_gradient_of_the_wrong_size():
+    with pytest.raises(ValueError, match="gradient"):
+        LBFGS(lambda x: (0.0, np.zeros(3)), np.zeros(2))
