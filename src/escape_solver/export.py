@@ -181,16 +181,12 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     buf = io.StringIO()
     buf.write(f"MTZ K={k} anchored={int(model.anchored)}\n")
     buf.write("VARS\n")
-    for i in range(k):
-        for j in range(k):
-            buf.write(f"b[{i}][{j}] binary\n")
+    buf.write("".join(f"b[{i}][{j}] binary\n" for i in range(k) for j in range(k)))
     for i in range(k):
         buf.write(f"u[{i}] in [0,{k - 1}]\n")
     for i in range(k):
         buf.write(f"x[{i}] free\ny[{i}] free\n")
-    for i in range(k):
-        for j in range(k):
-            buf.write(f"c[{i}][{j}] >= 0\n")
+    buf.write("".join(f"c[{i}][{j}] >= 0\n" for i in range(k) for j in range(k)))
     buf.write("OBJ\n")
     buf.write("c[0][0] + sum_ij b[i][j]*c[i][j]\n")
     buf.write("QCONS\n")

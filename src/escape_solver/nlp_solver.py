@@ -7,7 +7,7 @@ undecided, project exactly, then polish in reduced on-boundary coordinates
 chart is affine (lines, planes, points) the polish objective is convex and the
 polish is damped Newton on the smoothed length, continued down to the exact
 one; curved and bounded charts keep L-BFGS followed by damped Newton on the
-exact sparse Hessian.  Coincident consecutive
+exact block-tridiagonal Hessian.  Coincident consecutive
 points are genuine corners of many optima; such clusters get pinned to the
 common point of their boundaries so the corner nonsmoothness cannot cap the
 final accuracy.  The best feasible start wins; ties break to the
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv, dpbsv
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lbfgsb import setulb
 
@@ -203,6 +204,9 @@ class _Reduced:
     Blocks of the same primitive kind are batched so the coordinate map and its
     chain rule are single numpy expressions per kind: each block is (kind's
     record, packed parameters, point rows, variable columns of shape (m, ndof)).
+    The Hessian gives every point `width` slots in path order, the widest
+    chart's dof count: variable j sits in slot `slots[j]`, point i's k-th
+    coordinate in slot i * width + k, and `dead` marks the slots of no variable.
     """
 
     def __init__(self, program: _ResidualProgram):
@@ -220,7 +224,12 @@ class _Reduced:
             self.bounds.extend([kind.bound] * cols.size)
             self.blocks.append((kind, packed.prms[0], rows, cols))
         self.affine = all(_affine(kind) for kind, *_ in self.blocks)
-        self.hessian_pattern = None
+        self.width = max(kind.ndof for kind, *_ in self.blocks)
+        self.slots = np.zeros(self.nvar, dtype=int)
+        for kind, _, rows, cols in self.blocks:
+            self.slots[cols] = rows[:, None] * self.width + np.arange(kind.ndof)
+        self.dead = np.ones(self.n * self.width, dtype=bool)
+        self.dead[self.slots] = False
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
         t = np.zeros(self.nvar)
@@ -250,28 +259,6 @@ class _Reduced:
             for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
                 g[cols[:, k]] = np.einsum("ij,ij->i", Gp[rows], e)
         return g
-
-    def jacobians(self, t: np.ndarray):
-        """Per-point jacobian blocks dP_i/dt (dim x ndof_i), dof counts, first columns."""
-        D = np.zeros((self.n, self.dim, 2))
-        ndof = np.zeros(self.n, dtype=int)
-        offsets = np.zeros(self.n, dtype=int)
-        for kind, prm, rows, cols in self.blocks:
-            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
-                D[rows, :, k] = e
-            if kind.ndof:
-                ndof[rows] = kind.ndof
-                offsets[rows] = cols[:, 0]
-        return D, ndof, offsets
-
-    def curvature(self, t: np.ndarray, Gp: np.ndarray):
-        """(variable indices, values) of the diagonal Hessian terms Gp . d2p/dt2."""
-        idx, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for kind, prm, rows, cols in self.blocks:
-            if kind.chart_curvature is not None:
-                idx.append(cols[:, 0])
-                vals.append(np.einsum("ij,ij->i", Gp[rows], kind.chart_curvature(prm, t[cols])))
-        return np.concatenate(idx), np.concatenate(vals)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +320,7 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
         t = res.x
     else:
         # warm path (post-merge): quasi-Newton briefly, then damped Newton with
-        # the exact sparse Hessian (the chain objective is too ill-conditioned
+        # the exact Hessian (the chain objective is too ill-conditioned
         # for a limited-memory method alone)
         res = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40)
         t = _newton_refine(red, res.x, anchored, closed)
@@ -359,7 +346,7 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool)
         legs = leg_chain(red.points(t), anchored, closed, eps)
         for _ in range(50):
             g = red.chain(t, legs.grad)
-            step = _semidefinite_solve(_assemble_hessian(red, t, legs, floor=0.0), -g)
+            step = _semidefinite_solve(red, _assemble_hessian(red, t, legs, floor=0.0), -g)
             if step is None:
                 break
             decrement = -float(g @ step)
@@ -378,71 +365,46 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool)
     return t
 
 
-def _semidefinite_solve(H, rhs):
-    """x with H x = rhs for a positive semidefinite sparse H.  The diagonal is
-    shifted by 1e-12 of the largest entry when H is singular, as it is to
-    rounding where both legs at a point run along its line (halfplane_unit
-    N=5 under exhaustive order search); None when that does not give a
-    finite x either."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
-    for shift in (0.0, 1e-12):
-        A = H + shift * abs(H).max() * identity(H.shape[0], format="csc") if shift else H
-        try:
-            x = splu(A, diag_pivot_thresh=0.0).solve(rhs)
-        except RuntimeError:
-            continue
-        if np.all(np.isfinite(x)):
-            return x
+def _semidefinite_solve(red: _Reduced, H, rhs):
+    """x with H x = rhs for a positive semidefinite H in `_assemble_hessian`'s
+    band storage, by banded Cholesky.  The diagonal is shifted by 1e-12 of its
+    largest entry when H is singular, as it is to rounding where both legs at
+    a point run along its line (halfplane_unit N=5 under exhaustive order
+    search); None when that does not give a finite x either."""
+    b = np.zeros(H.shape[1])
+    b[red.slots] = rhs
+    for shift in (0.0, 1e-12 * H[0, red.slots].max()):
+        A = H.copy()
+        A[0] += shift
+        _, x, info = dpbsv(A, b, lower=1)
+        if info == 0 and np.all(np.isfinite(x)):
+            return x[red.slots]
     return None
 
 
-def _indptr(cols, n):
-    """CSC column pointers of the entries in columns `cols`."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return indptr
+def _shifted_solve(red: _Reduced, H, rhs, lam: float):
+    """x with (H + lam I) x = rhs for a symmetric H in `_assemble_hessian`'s
+    band storage, by banded LU, since H is indefinite on curved charts; None
+    when H + lam I is singular or x is not finite."""
+    kd = H.shape[0] - 1
+    G = np.zeros((3 * kd + 1, H.shape[1]))   # dgbsv's storage: kd rows of fill, then the band
+    G[2 * kd:] = H
+    G[2 * kd] += lam
+    for r in range(1, kd + 1):
+        G[2 * kd - r, r:] = H[r, :-r]
+    b = np.zeros(H.shape[1])
+    b[red.slots] = rhs
+    _, _, x, info = dgbsv(kd, kd, G, b)
+    return x[red.slots] if info == 0 and np.all(np.isfinite(x)) else None
 
 
-class _HessianPattern:
-    """The COO -> CSC conversion of one sparsity pattern, so that a Hessian of
-    that pattern is assembled by refilling its values.  Entries are ordered
-    and their duplicates added as `coo_matrix(...).tocsc()` does it (a stable
-    sort by column, scipy's sort of each column's row indices, duplicates
-    added left to right), so the matrix is bitwise the same."""
+def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14) -> np.ndarray:
+    """Exact Hessian of the reduced objective in LAPACK lower band storage.
 
-    def __init__(self, rows, cols, n):
-        from scipy.sparse import csc_matrix
-
-        self.rows, self.cols, self.n = rows, cols, n
-        by_col = np.argsort(cols, kind="stable")
-        m = csc_matrix((by_col.astype(float), rows[by_col].astype(np.int32), _indptr(cols, n)),
-                       shape=(n, n))
-        m.sort_indices()
-        src = m.data.astype(np.intp)            # COO position of each sorted entry
-        col = cols[by_col]
-        first = np.ones(src.size, dtype=bool)   # the first entry of each (row, col)
-        first[1:] = (m.indices[1:] != m.indices[:-1]) | (col[1:] != col[:-1])
-        slot = np.cumsum(first) - 1
-        rank = np.arange(src.size) - np.flatnonzero(first)[slot]
-        self.indices, self.indptr = m.indices[first], _indptr(col[first], n)
-        self.fills = [(slot[rank == r], src[rank == r]) for r in range(rank.max(initial=-1) + 1)]
-
-    def matrix(self, vals):
-        from scipy.sparse import csc_matrix
-
-        out = np.zeros(self.indices.size)
-        for r, (dst, src) in enumerate(self.fills):
-            if r:
-                out[dst] += vals[src]
-            else:
-                out[dst] = vals[src]
-        return csc_matrix((out, self.indices, self.indptr), shape=(self.n, self.n))
-
-
-def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14):
-    """Exact sparse Hessian of the reduced objective, vectorized over legs.
+    A leg joins two consecutive points or a point and the fixed origin, so in
+    the slot order of `_Reduced` the Hessian is block tridiagonal with blocks
+    of width w = `red.width`: entry (i, j) of slots i >= j is H[i - j, j], for
+    i - j < 2w.  A dead slot gets a unit diagonal and no couplings.
 
     A leg of length d and unit vector u from point a to point b adds
     (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
@@ -450,47 +412,51 @@ def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14):
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
     length, u = v / d) gives the Hessian of the smoothed objective.  Legs no
     longer than `floor` add nothing.  The chart curvature adds the diagonal
-    terms Gp . d2p/dt2.  The sparsity pattern's conversion is kept on `red`.
+    terms Gp . d2p/dt2.
     """
-    D, ndof, offs = red.jacobians(t)
-    D = np.concatenate([D, np.zeros((1,) + D.shape[1:])])   # row -1: the fixed origin
-    ndof, offs = np.append(ndof, 0), np.append(offs, 0)
+    n, w = red.n, red.width
+    # per row of leg_chain's [origin, p_0, ..., p_{n-1}, origin]: tangents (the
+    # origin's are zero), curvature terms and diagonal blocks
+    T = np.zeros((n + 2, red.dim, w))
+    curv = np.zeros(n + 2)
+    for kind, prm, rows, cols in red.blocks:
+        for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+            T[rows + 1, :, k] = e
+        if kind.chart_curvature is not None:
+            curv[rows + 1] = np.einsum("ij,ij->i", legs.grad[rows],
+                                       kind.chart_curvature(prm, t[cols]))
+    first = legs.a[0] + 1 if legs.d.size else 0   # leg_chain's slices of those rows
+    last = first + legs.d.size
     ok = legs.d > floor
-    u, d = legs.u[ok], legs.d[ok, None, None]
-    k = np.arange(D.shape[2])
+    d = np.where(ok, legs.d, 1.0)[:, None, None]
+    Ta, Tb = T[first:last], T[first + 1:last + 1]
+    ua, ub = np.einsum("lxk,lx->lk", Ta, legs.u), np.einsum("lxk,lx->lk", Tb, legs.u)
 
-    def ends(i):
-        """Tangents of the leg ends i, their components along u, live dofs, columns."""
-        Di = D[i[ok]]
-        return Di, np.einsum("lxk,lx->lk", Di, u), ndof[i[ok], None] > k, offs[i[ok], None] + k
+    def block(De, ue, Df, uf):
+        """The entries (e_k, f_m) leg by leg."""
+        h = (np.einsum("lxk,lxm->lkm", De, Df) - ue[:, :, None] * uf[:, None, :]) / d
+        return np.where(ok[:, None, None], h, 0.0)
 
-    def block(e, f, sign):
-        """(rows, cols, values) of the entries (e_k, f_l) leg by leg."""
-        (De, ue, live_e, col_e), (Df, uf, live_f, col_f) = e, f
-        h = sign * (np.einsum("lxk,lxm->lkm", De, Df) - ue[:, :, None] * uf[:, None, :]) / d
-        keep = live_e[:, :, None] & live_f[:, None, :]
-        rows, cols = np.broadcast_arrays(col_e[:, :, None], col_f[:, None, :])
-        return rows[keep], cols[keep], h[keep]
-
-    A, B = ends(legs.a), ends(legs.b)
-    ci, cv = red.curvature(t, legs.grad)
-    ab_rows, ab_cols, ab = block(A, B, -1.0)
-    parts = (block(A, A, 1.0), block(B, B, 1.0), (ab_rows, ab_cols, ab), (ab_cols, ab_rows, ab),
-             (ci, ci, cv))
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    pattern = red.hessian_pattern
-    if pattern is None or not (np.array_equal(rows, pattern.rows)
-                               and np.array_equal(cols, pattern.cols)):
-        pattern = red.hessian_pattern = _HessianPattern(rows, cols, red.nvar)
-    return pattern.matrix(vals)
+    diag = np.zeros((n + 2, w, w))
+    diag[first:last] += block(Ta, ua, Ta, ua)
+    diag[first + 1:last + 1] += block(Tb, ub, Tb, ub)
+    diag[:, 0, 0] += curv
+    below = np.zeros((n + 1, w, w))       # row r + 1 against row r, by the leg starting at r
+    below[first:last] = -block(Tb, ub, Ta, ua)
+    H = np.zeros((2 * w, n * w))
+    for k in range(w):
+        for m in range(w):
+            if k >= m:
+                H[k - m, m::w] = diag[1:n + 1, k, m]
+            H[w + k - m, m::w][:n - 1] = below[1:n, k, m]
+    H[0, red.dead] = 1.0
+    return H
 
 
 def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
                    maxiter: int = 40) -> np.ndarray:
-    """Damped Newton on the reduced coordinates with an exact sparse Hessian."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
+    """Damped Newton on the reduced coordinates with the exact Hessian, shifted
+    by lam I while a step fails."""
     lam = 0.0
     L_cur = None
     for _ in range(maxiter):
@@ -502,15 +468,9 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
         H = _assemble_hessian(red, t, legs)
         step = None
         for _ in range(8):
-            try:
-                lu = splu(H + lam * identity(red.nvar, format="csc"),
-                          diag_pivot_thresh=0.0)
-                cand = lu.solve(-g)
-                if np.all(np.isfinite(cand)):
-                    step = cand
-                    break
-            except RuntimeError:
-                pass
+            step = _shifted_solve(red, H, -g, lam)
+            if step is not None:
+                break
             lam = max(lam * 10.0, 1e-10)
         if step is None:
             break

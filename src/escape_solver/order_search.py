@@ -70,11 +70,13 @@ class MtzModel:
         u = np.asarray(self.u)
         if (u < -1e-9).any() or (u > k - 1 + 1e-9).any():
             raise ValueError("u out of [0, K-1]")
-        # subtour elimination over the non-depot nodes, coefficient = node count
-        for i in range(1, k):
-            for j in range(1, k):
-                if i != j and u[i] - u[j] + 1 > k * (1 - B[i, j]) + 1e-9:
-                    raise ValueError(f"subtour constraint violated at ({i},{j})")
+        # subtour elimination over the non-depot nodes, coefficient = node count;
+        # the first violation in row-major order is reported
+        bad = u[1:, None] - u[None, 1:] + 1 > k * (1 - B[1:, 1:]) + 1e-9
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0] + 1
+            raise ValueError(f"subtour constraint violated at ({i},{j})")
 
 
 @dataclass(frozen=True)

@@ -155,3 +155,100 @@ def test_mtz_refuses_invalid_model():
                       objective=model.objective)
     with pytest.raises(ValueError):
         to_mtz_text(broken, inst)
+
+
+def _reference_mtz_text(model, inst=None):
+    """The order-model writer as it was, one write per line."""
+    import io
+
+    from escape_solver.export import _boundary_text, _fmt
+
+    model.validate()
+    k = model.size
+    buf = io.StringIO()
+    buf.write(f"MTZ K={k} anchored={int(model.anchored)}\n")
+    buf.write("VARS\n")
+    for i in range(k):
+        for j in range(k):
+            buf.write(f"b[{i}][{j}] binary\n")
+    for i in range(k):
+        buf.write(f"u[{i}] in [0,{k - 1}]\n")
+    for i in range(k):
+        buf.write(f"x[{i}] free\ny[{i}] free\n")
+    for i in range(k):
+        for j in range(k):
+            buf.write(f"c[{i}][{j}] >= 0\n")
+    buf.write("OBJ\n")
+    buf.write("c[0][0] + sum_ij b[i][j]*c[i][j]\n")
+    buf.write("QCONS\n")
+    buf.write("c[i][j]^2 = (x[i]-x[j])^2 + (y[i]-y[j])^2 for all i,j\n")
+    for i, b in enumerate(model.boundaries):
+        buf.write(f"on[{i}] {_boundary_text(b)}\n")
+    buf.write("LCONS\n")
+    buf.write("sum_j b[i][j] = 1 for all i\n")
+    buf.write("sum_i b[i][j] = 1 for all j\n")
+    buf.write("b[i][i] = 0 for all i\n")
+    buf.write(f"u[i] - u[j] + 1 <= {k}*(1 - b[i][j]) for i,j >= 1\n")
+    buf.write("SOLUTION\n")
+    for i, row in enumerate(model.b):
+        buf.write("b " + " ".join(str(int(v)) for v in row) + "\n")
+    buf.write("u " + " ".join(_fmt(v) for v in model.u) + "\n")
+    for i, p in enumerate(model.points):
+        buf.write("p " + " ".join(_fmt(c) for c in p) + "\n")
+    for row in model.c:
+        buf.write("c " + " ".join(_fmt(v) for v in row) + "\n")
+    buf.write(f"OBJVALUE {_fmt(model.objective)}\n")
+    return buf.getvalue()
+
+
+def test_mtz_text_is_the_reference_writers_byte_for_byte():
+    rng = np.random.default_rng(4)
+    insts = [_points_instance(rng.uniform(-1, 1, (k, 2))) for k in (2, 5, 8)]
+    insts += [build(make_scenario("circle_exterior", 4)), build(make_scenario("plane3d", 2, 2))]
+    for inst in insts:
+        sol = solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size))[::-1], OPTS)
+        model = build_mtz_model(inst, sol)
+        assert to_mtz_text(model, inst).encode() == _reference_mtz_text(model, inst).encode()
+
+
+def _reference_subtour_check(model):
+    """The subtour check as a loop: the first violated (i, j) in row-major order."""
+    k, B, u = model.size, np.asarray(model.b), np.asarray(model.u)
+    for i in range(1, k):
+        for j in range(1, k):
+            if i != j and u[i] - u[j] + 1 > k * (1 - B[i, j]) + 1e-9:
+                return f"subtour constraint violated at ({i},{j})"
+    return None
+
+
+def test_mtz_validate_reports_the_first_subtour_violation():
+    # the cycles 0 -> 1 -> 0, 2 -> 3 -> 2 and 4 -> 5 -> 4: every row and column
+    # sums to one, and the positions break (3, 2) and (4, 5)
+    b = np.zeros((6, 6), dtype=int)
+    for a, c in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)):
+        b[a, c] = 1
+    model = MtzModel(b=tuple(map(tuple, b)), u=(0.0, 1.0, 2.0, 3.0, 5.0, 4.0),
+                     c=((0.0,) * 6,) * 6, points=((0.0, 0.0),) * 6, boundaries=(),
+                     objective=0.0)
+    with pytest.raises(ValueError, match=r"^subtour constraint violated at \(3,2\)$"):
+        model.validate()
+    # random successor matrices without self loops, positions on and off the
+    # 1e-9 slack, against the loop
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        k = int(rng.integers(2, 8))
+        perm = rng.permutation(k)
+        while (perm == np.arange(k)).any():
+            perm = rng.permutation(k)
+        u = rng.integers(0, k, k) + rng.choice([0.0, 5e-10, -5e-10, 2e-9], k)
+        u = np.clip(u, 0.0, k - 1.0)
+        model = MtzModel(b=tuple(map(tuple, np.eye(k, dtype=int)[perm])), u=tuple(u),
+                         c=((0.0,) * k,) * k, points=((0.0, 0.0),) * k, boundaries=(),
+                         objective=0.0)
+        expected = _reference_subtour_check(model)
+        if expected is None:
+            model.validate()
+        else:
+            with pytest.raises(ValueError) as err:
+                model.validate()
+            assert str(err.value) == expected

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, strategies as st
+from scipy.linalg.lapack import dpbsv
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
-                                      _HessianPattern, _polish, _Reduced, _ResidualProgram,
-                                      resolve_branches, solve_branch_strategies,
+                                      _polish, _Reduced, _ResidualProgram, _semidefinite_solve,
+                                      _shifted_solve, resolve_branches, solve_branch_strategies,
                                       solve_fixed_order, solve_self_referential)
 from escape_solver.order_search import STEP_TOL
 from escape_solver.path import leg_chain, min_width
@@ -313,6 +315,17 @@ def test_smoothed_hessian_matches_differences_of_the_gradient(case):
     _check_hessian(case, eps=0.05)
 
 
+def _dense(red, H):
+    """`_assemble_hessian`'s band storage expanded: the Hessian in the reduced
+    variables' order, and the rows of the dead slots."""
+    n = H.shape[1]
+    A = np.zeros((n, n))
+    for r in range(H.shape[0]):
+        for j in range(n - r):
+            A[j + r, j] = A[j, j + r] = H[r, j]
+    return A[np.ix_(red.slots, red.slots)], A[red.dead]
+
+
 def _check_hessian(case, eps):
     bnds, anchored, closed, dim = _hessian_case(case)
     red = _Reduced(_ResidualProgram(bnds, dim))
@@ -323,30 +336,126 @@ def _check_hessian(case, eps):
     def gradient(t):
         return red.chain(t, leg_chain(red.points(t), anchored, closed, eps).grad)
 
-    H = _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed, eps)).toarray()
-    assert np.array_equal(H, H.T)
+    H, _ = _dense(red, _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed, eps)))
     h = 1e-6
     fd = np.column_stack([(gradient(t + h * e) - gradient(t - h * e)) / (2 * h)
                           for e in np.eye(red.nvar)])
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
-def test_hessian_pattern_refill_equals_scipy_conversion():
-    from scipy.sparse import coo_matrix
+def _reference_hessian(red, t, legs, floor):
+    """The Hessian of the reduced objective entry by entry: a leg from point a
+    to point b with d > floor adds s_j s_k D_j.(I - u u^T) D_k / d to entry
+    (j, k), where D_j is variable j's tangent and s_j is -1 at a, +1 at b and
+    0 elsewhere; a curved chart adds Gp . d2p/dt2 to its diagonal."""
+    tangent, H = {}, np.zeros((red.nvar, red.nvar))
+    for kind, prm, rows, cols in red.blocks:
+        for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+            for r, i in enumerate(rows):
+                tangent[cols[r, k]] = (i, e[r])
+        if kind.chart_curvature is not None:
+            for r, (i, c) in enumerate(zip(rows, kind.chart_curvature(prm, t[cols]))):
+                H[cols[r, 0], cols[r, 0]] += legs.grad[i] @ c
+    for a, b, d, u in zip(legs.a, legs.b, legs.d, legs.u):
+        if not d > floor:
+            continue
+        M = (np.eye(u.size) - np.outer(u, u)) / d
+        for j, (pj, ej) in tangent.items():
+            for k, (pk, ek) in tangent.items():
+                sj, sk = int(pj == b) - int(pj == a), int(pk == b) - int(pk == a)
+                H[j, k] += sj * sk * (ej @ M @ ek)
+    return H
 
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        nnz = int(rng.integers(0, 40))
-        rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
-        pattern = _HessianPattern(rows, cols, n)
-        for _ in range(2):  # refilled with new values, the pattern is reused
-            vals = rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 8, nnz)
-            H = pattern.matrix(vals)
-            ref = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-            assert np.array_equal(H.indptr, ref.indptr)
-            assert np.array_equal(H.indices, ref.indices)
-            assert H.data.tobytes() == ref.data.tobytes()
+
+_UNIT = st.floats(-1, 1)
+_FLAT = st.sampled_from([
+    lambda draw: geo.Line(draw(st.floats(0, 2 * math.pi)), draw(st.sampled_from([0.0, 0.5, 1.5]))),
+    lambda draw: geo.Circle(draw(st.tuples(_UNIT, _UNIT)), draw(st.floats(0.2, 2.0))),
+    lambda draw: geo.Segment(*draw(st.tuples(_UNIT, _UNIT, st.floats(0.2, 1.0), _UNIT).map(
+        lambda v: ((v[0], v[1]), (v[0] + v[2], v[1] + v[3]))))),
+    lambda draw: geo.PointTarget(draw(st.tuples(_UNIT, _UNIT)))])
+
+
+@st.composite
+def _hessian_chains(draw):
+    """A branch-free chain of lines, circles, segments and point targets in 2D
+    or of planes in 3D, on its boundaries' nearest points to drawn ones.  A
+    point may repeat its predecessor's boundary and draw, which makes a leg of
+    length zero, and a line through the origin may start a zero first leg."""
+    dim = draw(st.sampled_from([2, 3]))
+    bnds, raw = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if bnds and draw(st.booleans()):
+            bnds.append(bnds[-1])
+            raw.append(raw[-1])
+            continue
+        if dim == 2:
+            bnds.append(draw(_FLAT)(draw))
+        else:
+            n = np.array(draw(st.tuples(_UNIT, _UNIT, _UNIT))) + (0.0, 0.0, 1.5)
+            bnds.append(geo.Plane3(tuple(n / np.linalg.norm(n)), draw(st.floats(-2, 2))))
+        raw.append(draw(st.one_of(st.just((0.0,) * dim), st.tuples(*[st.floats(-2, 2)] * dim))))
+    return bnds, np.array(raw), dim
+
+
+@given(chain=_hessian_chains(), ends=st.sampled_from([(True, False), (True, True), (False, False)]),
+       eps=st.sampled_from([0.0, 1e-3, 0.05, 1.0]), floor=st.sampled_from([None, 0.0, 1e-14]))
+def test_banded_hessian_is_the_dense_reference(chain, ends, eps, floor):
+    """The banded Hessian, expanded, against the entry-by-entry reference, with
+    unit rows on the dead slots; a floor of None puts it at the first leg's
+    length (if any), so that leg, and every one as short, adds nothing."""
+    bnds, raw, dim = chain
+    program = _ResidualProgram(bnds, dim)
+    red = _Reduced(program)
+    if red.nvar == 0:
+        return
+    t = red.init_vars(program.nearest(raw))
+    legs = leg_chain(red.points(t), *ends, eps)
+    floor = legs.d[:1].max(initial=0.0) if floor is None else floor
+    H, dead = _dense(red, _assemble_hessian(red, t, legs, floor))
+    ref = _reference_hessian(red, t, legs, floor)
+    assert np.abs(H - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.array_equal(dead, np.eye(red.n * red.width)[red.dead])
+
+
+def test_semidefinite_solve_shifts_a_singular_hessian(monkeypatch):
+    """On the order (2, 0, 1, 4, 3) of halfplane_unit N=5, one of those an
+    exhaustive search solves, both legs at a point run along its line, so the
+    smoothed Hessian has a zero diagonal and no Cholesky factor.  The shifted
+    solve still gives a finite step of the shifted system."""
+    seen = []
+
+    def record(red, H, rhs):
+        seen.append((red, H, rhs, _semidefinite_solve(red, H, rhs)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(nlp_solver, "_semidefinite_solve", record)
+    solve_fixed_order(build(make_scenario("halfplane_unit", 5)), (2, 0, 1, 4, 3), OPTS)
+    singular = [c for c in seen if dpbsv(c[1], np.zeros(c[1].shape[1]), lower=1)[2] > 0]
+    assert singular
+    for red, H, rhs, x in singular:
+        assert x is not None and np.all(np.isfinite(x))
+        A, _ = _dense(red, H)
+        A = A + 1e-12 * np.diag(A).max() * np.eye(red.nvar)
+        assert np.abs(A @ x - rhs).max() <= 1e-6 * np.abs(A).max() * np.abs(x).max()
+
+
+def test_shifted_solve_is_the_dense_solve_on_an_indefinite_hessian():
+    """_newton_refine's banded LU of H + lam I on a circle chain with a point
+    target's dead slot, where the curvature makes H + lam I indefinite."""
+    bnds = build(make_scenario("circle_interior_nonunique", 8)).boundaries
+    bnds = bnds[:4] + (geo.PointTarget((0.3, -0.2)),) + bnds[4:]
+    program = _ResidualProgram(bnds, 2)
+    red = _Reduced(program)
+    t = red.init_vars(program.nearest(np.random.default_rng(7).uniform(-2, 2, (len(bnds), 2))))
+    legs = leg_chain(red.points(t))
+    H = _assemble_hessian(red, t, legs)
+    rhs = -red.chain(t, legs.grad)
+    A, _ = _dense(red, H)
+    for lam in (0.0, 1e-3, 0.1):
+        assert np.linalg.eigvalsh(A + lam * np.eye(red.nvar)).min() < 0.0
+        ref = np.linalg.solve(A + lam * np.eye(red.nvar), rhs)
+        assert np.abs(_shifted_solve(red, H, rhs, lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 LBFGS = nlp_solver.minimize
