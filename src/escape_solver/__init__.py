@@ -13,8 +13,8 @@ from .path import LengthReport, Polyline, grad_length, length, min_width
 from .scenario import (CATALOG, Instance, ScenarioSpec, build, load_config,
                        make_scenario, symmetry_reduce)
 from .nlp_solver import (NonConvergenceError, SolveOptions, Solution,
-                         resolve_branches, solve_branch_strategies,
-                         solve_fixed_order, solve_self_referential)
+                         solve_branch_strategies, solve_fixed_order,
+                         solve_self_referential)
 from .order_search import (MtzModel, OrderPlan, PartitionPlan, SizeGuardError,
                            build_mtz_model, exhaustive, held_karp,
                            mtz_branch_and_bound, partition_search,

@@ -344,8 +344,10 @@ class Segment(Primitive):
     bound = (0.0, 1.0)
 
     def __post_init__(self):
-        if math.dist(self.a, self.b) <= 0:
-            raise ValueError("segment endpoints coincide")
+        # chart_init divides by the squared length, so it must not underflow
+        _, d = Segment.pack((self,))
+        if not np.einsum("ij,ij->i", d, d)[0] >= np.finfo(float).tiny:
+            raise ValueError("segment endpoints coincide or are too close")
 
     @staticmethod
     def pack(segments) -> tuple:

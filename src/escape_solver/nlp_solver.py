@@ -16,7 +16,6 @@ lexicographically smallest point sequence so reruns are bitwise stable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,6 +42,7 @@ SMOOTH_FLOOR = 1e-13      # last smoothing radius of an affine polish, times the
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
 PENALTY_MAX_STAGES = 200
+COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,12 @@ class SolveOptions:
     feas_tol: float = 1e-8
     multistart: int = 16
     seed: int = 0
-    branch_budget: int = 64
 
     def __post_init__(self):
         if self.feas_tol <= 0:
             raise ValueError("the feasibility tolerance must be positive")
-        if self.multistart < 1 or self.branch_budget < 1:
-            raise ValueError("iteration budgets must be positive")
+        if self.multistart < 1:
+            raise ValueError("the number of starts must be positive")
         if self.seed < 0:
             raise ValueError("the seed must be non-negative")
 
@@ -517,33 +516,18 @@ def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
         return program, P
     bnds = list(program.boundaries)
     for _ in range(3):
-        legs = np.linalg.norm(np.diff(P, axis=0), axis=1)
-        tiny = np.flatnonzero(legs < 1e-6)
+        runs = _coincident_runs(P)
         merged_any = False
         # a first/last point sitting on the anchor is the same kind of corner
         ends = ([0] if anchored else []) + ([len(P) - 1] if closed else [])
         for e in ends:
-            if (np.linalg.norm(P[e]) < 1e-6
+            if (np.linalg.norm(P[e]) < COINCIDENT
                     and not isinstance(bnds[e], geo.PointTarget)
                     and geo.scaled_residual(bnds[e], np.zeros(2)) < 1e-8):
                 q = geo.project(bnds[e], np.zeros(2))
                 bnds[e] = geo.PointTarget(tuple(q))
                 P[e] = q
                 merged_any = True
-        if tiny.size == 0:
-            if not merged_any:
-                return program, P
-            program = _ResidualProgram(bnds, 2)
-            P, _ = _polish(program, P, anchored, closed)
-            continue
-        i = 0
-        runs = []
-        while i < tiny.size:
-            j = i
-            while j + 1 < tiny.size and tiny[j + 1] == tiny[j] + 1:
-                j += 1
-            runs.append(list(range(tiny[i], tiny[j] + 2)))  # point indices
-            i = j + 1
         for run in runs:
             group = [bnds[r] for r in run]
             if all(isinstance(b, geo.PointTarget) for b in group):
@@ -560,6 +544,14 @@ def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
         program = _ResidualProgram(bnds, 2)
         P, _ = _polish(program, P, anchored, closed)
     return program, P
+
+
+def _coincident_runs(P) -> list:
+    """Index arrays of the runs of more than one consecutive point joined by
+    legs shorter than COINCIDENT; a NaN leg ends a run."""
+    legs = np.linalg.norm(np.diff(P, axis=0), axis=1)
+    runs = np.split(np.arange(len(P)), np.flatnonzero(~(legs < COINCIDENT)) + 1)
+    return [run for run in runs if len(run) > 1]
 
 
 def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveOptions):
@@ -586,30 +578,6 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
             break
         mu *= PENALTY_GROWTH
     return P
-
-
-def resolve_branches(inst: Instance, points, opts: SolveOptions | None = None, order=None):
-    """Factor choice per point for product boundaries.
-
-    Nearest factor by scaled residual; when the total number of assignments is
-    within the branch budget, every assignment is solved and the shortest
-    feasible one wins.
-    """
-    opts = opts or SolveOptions()
-    ordered = _Ordered(inst, order if order is not None else range(inst.size))
-    program = _ResidualProgram(ordered.boundaries, inst.dimension)
-    P = np.asarray(points, dtype=float)
-    if 1 < math.prod(len(b.factors) for b in ordered.boundaries) <= opts.branch_budget:
-        choices = [range(len(b.factors)) if isinstance(b, geo.Product) else (None,)
-                   for b in ordered.boundaries]
-        best, best_len = None, np.inf
-        for assign in itertools.product(*choices):
-            resolved = program.resolved(assign)
-            _, L = _polish(resolved, resolved.nearest(P), inst.anchored, inst.closed)
-            if L < best_len:
-                best, best_len = assign, L
-        return tuple(best)
-    return program.branches(P)
 
 
 def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *,
@@ -788,14 +756,13 @@ def _edge_strip_slope(n: int, gamma: float, points):
     """
     h = 1e-4
     P = np.asarray(points, dtype=float)
-    cuts = np.flatnonzero(np.linalg.norm(np.diff(P, axis=0), axis=1) >= 1e-6) + 1
-    runs = np.split(np.arange(len(P)), cuts)
+    runs = _coincident_runs(P)
     lengths = []
     for g in (gamma - h, gamma, gamma + h):
         bnds = build_zalgaller(n, g).boundaries
         Q = _ResidualProgram(bnds, 2).nearest(P)
         for run in runs:
-            q = _common_point([bnds[r] for r in run], P[run].mean(axis=0)) if len(run) > 1 else None
+            q = _common_point([bnds[r] for r in run], P[run].mean(axis=0))
             if q is not None:
                 Q[run] = q
         lengths.append(leg_chain(Q).total)

@@ -1,9 +1,16 @@
 """Search over boundary visiting orders (and curve partitions for opaque sets).
 
-Exhaustive enumeration, Held-Karp dynamic programming, first-improvement 2-opt
-and depth-first branch-and-bound with a spanning-tree bound all operate on
-positions frozen from a preliminary continuous solve; accepted orders are then
-re-solved continuously.  A master alternating loop couples the two stages.
+Every strategy freezes the points of a continuous solve, asks an order oracle
+for an order at those points and re-solves it.  An oracle is
+``oracle(order, dmat, anchor, closed) -> order``: the current order, the
+distances between the frozen points, their distances to the start (zero on an
+unanchored family) and whether the path closes back to the start.  The oracles
+are Held-Karp subset DP (exact, closing leg included), depth-first branch and
+bound with a spanning-tree bound, one first-improvement 2-opt move and a 2-opt
+descent.  `_improve` is the one re-solve loop, with two gates: it re-solves an
+order only if that is shorter at the frozen points by more than 1e-12, and it
+keeps the re-solve only if that is shorter by more than max(STEP_TOL * L,
+1e-14).  `exhaustive` solves every order; it is the reference for the oracles.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ class SizeGuardError(ValueError):
 
 # largest K for the subset DP, whose tables take K * 2^K * 9 bytes (189 MB at 20)
 HELD_KARP_MAX_K = 20
-MAX_ROUNDS = 200    # re-solves of a 2-opt or alternating loop
-STEP_TOL = 1e-10    # relative gain below which the alternating loop stops
+MAX_ROUNDS = 200    # rounds of the 2-opt and alternating loops
+STEP_TOL = 1e-10    # relative gain a kept re-solve must exceed
 
 
 @dataclass(frozen=True)
@@ -132,21 +139,22 @@ def exhaustive(inst: Instance, opts: SolveOptions | None = None) -> Solution:
     return best
 
 
-def _held_karp_order(dmat, anchor, free_start: bool):
-    """Exact open-path order for fixed positions via subset DP.
+def _held_karp_order(dmat, anchor, closed: bool):
+    """Exact order and its cost for fixed positions via subset DP.
 
-    C[S, v] is the shortest path through the node set S (a bitmask) that ends
-    at v, and P[S, v] its predecessor (-1 at the start).  The table is filled
-    one popcount layer at a time; predecessors j are swept upward and a later
-    one wins only if it is shorter by more than 1e-15, so near-ties keep the
-    lowest index.  The tables take K * 2^K * 9 bytes (see HELD_KARP_MAX_K).
+    C[S, v] is the shortest path from the start through the node set S (a
+    bitmask) that ends at v, and P[S, v] its predecessor (-1 at the start).
+    The table is filled one popcount layer at a time; predecessors j are swept
+    upward and a later one wins only if it is shorter by more than 1e-15, so
+    near-ties keep the lowest index.  A closed path ends with its leg back to
+    the start.  The tables take K * 2^K * 9 bytes (see HELD_KARP_MAX_K).
     """
     k = dmat.shape[0]
     full = (1 << k) - 1
     C = np.full((1 << k, k), np.inf)
     P = np.full((1 << k, k), -1, dtype=np.int8)
     nodes = np.arange(k)
-    C[1 << nodes, nodes] = 0.0 if free_start else anchor
+    C[1 << nodes, nodes] = anchor
     popcount = np.zeros(1 << k, dtype=np.int8)
     for b in range(k):
         popcount[1 << b:2 << b] = popcount[:1 << b] + 1
@@ -164,46 +172,19 @@ def _held_karp_order(dmat, anchor, free_start: bool):
                 pred[take] = j
             C[S, v] = best
             P[S, v] = pred
-    end = int(np.argmin(C[full]))
+    total = C[full] + anchor if closed else C[full]
+    end = int(np.argmin(total))
     order = [end]
     mask = full
     while (prev := int(P[mask, order[-1]])) >= 0:
         mask ^= 1 << order[-1]
         order.append(prev)
-    return tuple(reversed(order)), float(C[full, end])
+    return tuple(reversed(order)), float(total[end])
 
 
-def held_karp(inst: Instance, opts: SolveOptions | None = None,
-              base_order=None) -> Solution:
-    """Optimal order for positions frozen from a preliminary solve, then re-solved."""
-    opts = opts or SolveOptions()
-    if inst.size > HELD_KARP_MAX_K:
-        raise SizeGuardError(
-            f"subset DP needs K <= {HELD_KARP_MAX_K} (its tables take K * 2^K * 9 bytes, "
-            f"{HELD_KARP_MAX_K * 9 * 2 ** HELD_KARP_MAX_K / 1e6:.0f} MB at the limit)")
-    base = solve_fixed_order(inst, base_order if base_order is not None
-                             else (inst.order_hint or range(inst.size)), opts)
-    _, dmat, anchor = _frozen_geometry(inst, base)
-    order, _ = _held_karp_order(dmat, anchor, free_start=not inst.anchored)
-    sol = solve_fixed_order(inst, order, opts)
-    return sol if sol.length <= base.length else base
-
-
-def two_opt(inst: Instance, start_order, opts: SolveOptions | None = None) -> Solution:
-    """First-improvement 2-opt on the order, re-solving after each accepted move."""
-    opts = opts or SolveOptions()
-    order = tuple(getattr(start_order, "perm", start_order))
-    sol = solve_fixed_order(inst, order, opts)
-    for _ in range(MAX_ROUNDS):
-        _, dmat, anchor = _frozen_geometry(inst, sol)
-        improved = _two_opt_move(sol.order, dmat, anchor, inst.closed)
-        if improved is None:
-            break
-        new_sol = solve_fixed_order(inst, improved, opts)
-        if new_sol.length >= sol.length - 1e-15:
-            break
-        sol = new_sol
-    return sol
+def _dp_order(order, dmat, anchor, closed):
+    """Held-Karp as an order oracle; the current order plays no part."""
+    return _held_karp_order(dmat, anchor, closed)[0]
 
 
 def _mst_weight(dmat, nodes) -> float:
@@ -224,26 +205,18 @@ def _mst_weight(dmat, nodes) -> float:
     return float(total)
 
 
-def mtz_branch_and_bound(inst: Instance, opts: SolveOptions | None = None) -> tuple:
-    """Depth-first order search with a spanning-tree bound on frozen positions.
-
-    Returns (solution, model): the re-solved best order and the populated
-    order-model for export.
-    """
-    opts = opts or SolveOptions()
-    if inst.size > 12:
-        raise SizeGuardError("branch and bound guard is K <= 12")
-    base = solve_fixed_order(inst, inst.order_hint or range(inst.size), opts)
-    _, dmat, anchor = _frozen_geometry(inst, base)
-    k = inst.size
-
-    best_order = base.order
-    best_cost = _order_cost(base.order, dmat, anchor, inst.closed)
+def _branch_and_bound_order(order, dmat, anchor, closed):
+    """Depth-first order search with a spanning-tree bound; `order` is the
+    first incumbent, and a later order replaces it only if it is shorter by
+    more than 1e-15."""
+    k = len(order)
+    best_order = tuple(order)
+    best_cost = _order_cost(best_order, dmat, anchor, closed)
 
     def dfs(prefix, used, cost):
         nonlocal best_order, best_cost
         if len(prefix) == k:
-            total = cost + (anchor[prefix[-1]] if inst.closed else 0.0)
+            total = cost + (anchor[prefix[-1]] if closed else 0.0)
             if total < best_cost - 1e-15:
                 best_cost, best_order = total, tuple(prefix)
             return
@@ -260,9 +233,89 @@ def mtz_branch_and_bound(inst: Instance, opts: SolveOptions | None = None) -> tu
             used.remove(v)
 
     dfs([], set(), 0.0)
-    sol = solve_fixed_order(inst, best_order, opts)
-    if sol.length > base.length:
-        sol = base
+    return best_order
+
+
+def _two_opt_move(order, dmat, anchor, closed):
+    """The first segment reversal of `order` that shortens it by more than
+    1e-12 at the frozen positions, or `order` itself.
+
+    Reversing order[i..j] changes two legs of a symmetric `dmat`: the one into
+    position i (the anchor leg when i = 0) and the one out of position j (the
+    closing leg when j = K-1, none on an open path).  Those changes are
+    computed for every (i, j) at once and screened with a slack far above the
+    rounding of two K-term sums; the survivors are confirmed in lexicographic
+    order with the exact full cost, so the move is the one a full scan finds.
+    """
+    order = tuple(order)
+    cost = _order_cost(order, dmat, anchor, closed)
+    o = np.asarray(order)
+    D = dmat.take(o, 0).take(o, 1)
+    A = np.asarray(anchor)[o]
+    step = np.diagonal(D, 1)                    # D[i, i+1]: the current legs
+    delta = np.empty_like(D)
+    delta[0] = A - A[0]
+    delta[1:] = D[:-1] - step[:, None]
+    delta[:, :-1] += D[:, 1:] - step
+    if closed:
+        delta[:, -1] += A - A[-1]
+    screen = np.triu(delta < -1e-12 + 1e-9 * max(cost, 1.0), 1)
+    for i, j in zip(*np.nonzero(screen)):
+        cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+        if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
+            return cand
+    return order
+
+
+def _two_opt_order(order, dmat, anchor, closed):
+    """First-improvement 2-opt at frozen positions until no reversal helps."""
+    order = tuple(order)
+    while (move := _two_opt_move(order, dmat, anchor, closed)) != order:
+        order = move
+    return order
+
+
+def _improve(inst: Instance, order, oracle, opts, rounds: int) -> Solution:
+    """Solve `order`, then for up to `rounds` rounds re-solve the order that
+    `oracle` gives at the frozen points, until a gate (see the module
+    docstring) stops it; `iterations` counts the solves."""
+    sol = solve_fixed_order(inst, order, opts)
+    solves = 1
+    for _ in range(rounds):
+        _, dmat, anchor = _frozen_geometry(inst, sol)
+        order = oracle(sol.order, dmat, anchor, inst.closed)
+        if _order_cost(order, dmat, anchor, inst.closed) >= \
+           _order_cost(sol.order, dmat, anchor, inst.closed) - 1e-12:
+            break
+        new_sol = solve_fixed_order(inst, order, opts)
+        solves += 1
+        if new_sol.length >= sol.length - max(STEP_TOL * sol.length, 1e-14):
+            break
+        sol = new_sol
+    return replace(sol, iterations=solves)
+
+
+def held_karp(inst: Instance, opts: SolveOptions | None = None) -> Solution:
+    """Optimal order for positions frozen from the hint's solve, then re-solved."""
+    if inst.size > HELD_KARP_MAX_K:
+        raise SizeGuardError(
+            f"subset DP needs K <= {HELD_KARP_MAX_K} (its tables take K * 2^K * 9 bytes, "
+            f"{HELD_KARP_MAX_K * 9 * 2 ** HELD_KARP_MAX_K / 1e6:.0f} MB at the limit)")
+    return _improve(inst, inst.order_hint or range(inst.size), _dp_order, opts, 1)
+
+
+def two_opt(inst: Instance, start_order, opts: SolveOptions | None = None) -> Solution:
+    """First-improvement 2-opt on the order, re-solving after each accepted move."""
+    return _improve(inst, getattr(start_order, "perm", start_order), _two_opt_move,
+                    opts, MAX_ROUNDS)
+
+
+def mtz_branch_and_bound(inst: Instance, opts: SolveOptions | None = None) -> tuple:
+    """Branch and bound on positions frozen from the hint's solve, then
+    re-solved; returns (solution, order model for export)."""
+    if inst.size > 12:
+        raise SizeGuardError("branch and bound guard is K <= 12")
+    sol = _improve(inst, inst.order_hint or range(inst.size), _branch_and_bound_order, opts, 1)
     model = build_mtz_model(inst, sol)
     model.validate()
     return sol, model
@@ -291,67 +344,10 @@ def build_mtz_model(inst: Instance, sol: Solution) -> MtzModel:
 
 def solve_alternating(inst: Instance, opts: SolveOptions | None = None) -> Solution:
     """Block-coordinate master loop: positions at fixed order, then order at
-    fixed positions, until neither side improves."""
-    opts = opts or SolveOptions()
-    order = tuple(inst.order_hint) if inst.order_hint is not None else tuple(range(inst.size))
-    sol = solve_fixed_order(inst, order, opts)
-    rounds = 1
-    for _ in range(MAX_ROUNDS):
-        _, dmat, anchor = _frozen_geometry(inst, sol)
-        if inst.size <= HELD_KARP_MAX_K:
-            new_order, _ = _held_karp_order(dmat, anchor, free_start=not inst.anchored)
-        else:
-            new_order = _two_opt_order(sol.order, dmat, anchor, inst.closed)
-        if tuple(new_order) == sol.order:
-            break
-        if _order_cost(new_order, dmat, anchor, inst.closed) >= \
-           _order_cost(sol.order, dmat, anchor, inst.closed) - 1e-12:
-            break
-        new_sol = solve_fixed_order(inst, new_order, opts)
-        rounds += 1
-        if new_sol.length >= sol.length - max(STEP_TOL * sol.length, 1e-14):
-            break
-        sol = new_sol
-    return replace(sol, iterations=rounds)
-
-
-def _two_opt_move(order, dmat, anchor, closed):
-    """The first segment reversal of `order` that shortens it by more than
-    1e-12 at the frozen positions, or None.
-
-    Reversing order[i..j] changes two legs of a symmetric `dmat`: the one into
-    position i (the anchor leg when i = 0) and the one out of position j (the
-    closing leg when j = K-1, none on an open path).  Those changes are
-    computed for every (i, j) at once and screened with a slack far above the
-    rounding of two K-term sums; the survivors are confirmed in lexicographic
-    order with the exact full cost, so the move is the one a full scan finds.
-    """
-    order = tuple(order)
-    cost = _order_cost(order, dmat, anchor, closed)
-    o = np.asarray(order)
-    D = dmat.take(o, 0).take(o, 1)
-    A = np.asarray(anchor)[o]
-    step = np.diagonal(D, 1)                    # D[i, i+1]: the current legs
-    delta = np.empty_like(D)
-    delta[0] = A - A[0]
-    delta[1:] = D[:-1] - step[:, None]
-    delta[:, :-1] += D[:, 1:] - step
-    if closed:
-        delta[:, -1] += A - A[-1]
-    screen = np.triu(delta < -1e-12 + 1e-9 * max(cost, 1.0), 1)
-    for i, j in zip(*np.nonzero(screen)):
-        cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-        if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
-            return cand
-    return None
-
-
-def _two_opt_order(order, dmat, anchor, closed):
-    """First-improvement 2-opt at frozen positions until no reversal helps."""
-    order = tuple(order)
-    while (move := _two_opt_move(order, dmat, anchor, closed)) is not None:
-        order = move
-    return order
+    fixed positions (Held-Karp up to HELD_KARP_MAX_K, a 2-opt descent above),
+    until neither side improves."""
+    oracle = _dp_order if inst.size <= HELD_KARP_MAX_K else _two_opt_order
+    return _improve(inst, inst.order_hint or range(inst.size), oracle, opts, MAX_ROUNDS)
 
 
 # --------------------------------------------------------------------------

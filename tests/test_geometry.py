@@ -163,6 +163,10 @@ def test_validation_errors():
         geo.Plane3((0.0, 0.0, 2.0), 1.0)
     with pytest.raises(ValueError):
         geo.Segment((0.0, 0.0), (0.0, 0.0))
+    # d·d underflows to 0, where projecting onto it would divide 0 by 0
+    with pytest.raises(ValueError):
+        geo.Segment((0.0, 0.0), (1e-170, 0.0))
+    geo.Segment((0.0, 0.0), (1e-150, 0.0))
 
 
 def test_scale_boundary():

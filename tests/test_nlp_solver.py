@@ -9,9 +9,10 @@ from scipy.linalg.lapack import dpbsv
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
-                                      _polish, _Reduced, _ResidualProgram, _semidefinite_solve,
-                                      _shifted_solve, resolve_branches, solve_branch_strategies,
-                                      solve_fixed_order, solve_self_referential)
+                                      _coincident_runs, _polish, _Reduced, _ResidualProgram,
+                                      _semidefinite_solve, _shifted_solve,
+                                      solve_branch_strategies, solve_fixed_order,
+                                      solve_self_referential)
 from escape_solver.order_search import STEP_TOL
 from escape_solver.path import leg_chain, min_width
 from escape_solver.scenario import Instance, build, build_zalgaller, make_scenario
@@ -129,25 +130,15 @@ def test_order_must_be_permutation():
         solve_fixed_order(inst, (0, 0), OPTS)
 
 
-def test_resolve_branches_nearest_factor():
-    prod = geo.Product((geo.Line(0.0, 1.0), geo.Line(0.0, -1.0)))
-    inst = _instance([prod])
-    assign = resolve_branches(inst, [(0.9, 0.0)], SolveOptions(branch_budget=1))
-    assert assign == (0,)
-
-
-def test_resolve_branches_enumerates_within_budget():
-    prods = [geo.Product((geo.PointTarget((1.0, 0.0)), geo.PointTarget((5.0, 0.0)))),
-             geo.Product((geo.PointTarget((9.0, 0.0)), geo.PointTarget((2.0, 0.0))))]
-    inst = _instance(prods)
-    # nearest-by-seed would pick the far pair; enumeration finds the short one
-    assign = resolve_branches(inst, [(4.9, 0.0), (8.9, 0.0)], SolveOptions(branch_budget=4))
-    assert assign == (0, 1)
+def test_coincident_runs_split_at_long_and_nan_legs():
+    P = np.array([[0, 0], [0, 1e-7], [1, 0], [1, 0], [np.nan, 0], [2, 0], [2, 5e-7],
+                  [2, 9e-7]], dtype=float)
+    assert [list(run) for run in _coincident_runs(P)] == [[0, 1], [2, 3], [5, 6, 7]]
 
 
 def test_strip_product_interleaved_branches_alternate():
     inst = build(make_scenario("strip_middle_product", 4))
-    sol = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=2, branch_budget=16))
+    sol = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=2))
     assert sol.branch_assignment is not None
     pairs = list(zip(sol.branch_assignment[0::2], sol.branch_assignment[1::2]))
     assert all(a != b for a, b in pairs)

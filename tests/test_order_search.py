@@ -77,6 +77,19 @@ def test_held_karp_bounds_exhaustive_on_line_family():
     assert dp >= joint - 1e-12
 
 
+def test_exact_strategies_agree_on_closed_point_families():
+    # the closing leg back to the start is part of every order's cost, so the
+    # frozen-position DP and branch and bound must find the exhaustive optimum;
+    # a cycle and its reversal are equally long up to rounding
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        inst = _points_instance(rng.uniform(-1, 1, (int(rng.integers(4, 8)), 2)),
+                                mode="escape_closed")
+        se = exhaustive(inst, OPTS)
+        assert held_karp(inst, OPTS).length == pytest.approx(se.length, abs=1e-12)
+        assert mtz_branch_and_bound(inst, OPTS)[0].length == pytest.approx(se.length, abs=1e-12)
+
+
 def test_two_opt_keeps_optimal_and_repairs_reversed():
     collinear = [(1, 0), (2, 0), (3, 0)]
     inst = _points_instance(collinear)
@@ -224,11 +237,11 @@ def _frozen(pts, anchored=True):
     return dmat, anchor
 
 
-def _held_karp_reference(dmat, anchor, free_start):
+def _held_karp_reference(dmat, anchor, closed):
     """Subset DP over a dict keyed by (mask, end), masks in increasing order."""
     k = dmat.shape[0]
     full = (1 << k) - 1
-    C = {(1 << j, j): (0.0 if free_start else float(anchor[j]), None) for j in range(k)}
+    C = {(1 << j, j): (float(anchor[j]), None) for j in range(k)}
     for mask in range(1, full + 1):
         for j in range(k):
             if (mask, j) not in C:
@@ -240,12 +253,13 @@ def _held_karp_reference(dmat, anchor, free_start):
                 nm, cand = mask | (1 << v), base + dmat[j, v]
                 if (nm, v) not in C or cand < C[(nm, v)][0] - 1e-15:
                     C[(nm, v)] = (cand, j)
-    end = min(range(k), key=lambda j: C[(full, j)][0])
+    total = {j: C[(full, j)][0] + (anchor[j] if closed else 0.0) for j in range(k)}
+    end = min(range(k), key=total.__getitem__)
     order, mask = [end], full
     while (prev := C[(mask, order[-1])][1]) is not None:
         mask ^= 1 << order[-1]
         order.append(prev)
-    return tuple(reversed(order)), float(C[(full, end)][0])
+    return tuple(reversed(order)), float(total[end])
 
 
 def _two_opt_reference(order, dmat, anchor, closed):
@@ -257,17 +271,17 @@ def _two_opt_reference(order, dmat, anchor, closed):
             cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
             if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
                 return cand
-    return None
+    return order
 
 
-@given(pts=_point_sets(1, 7), free_start=st.booleans())
-def test_held_karp_order_is_the_brute_force_minimum(pts, free_start):
-    dmat, anchor = _frozen(pts)
-    order, cost = _held_karp_order(dmat, anchor, free_start)
-    assert (order, cost) == _held_karp_reference(dmat, anchor, free_start)
-    start = np.zeros(len(pts)) if free_start else anchor
-    assert cost == _order_cost(order, dmat, start)
-    brute = min(_order_cost(p, dmat, start) for p in itertools.permutations(range(len(pts))))
+@given(pts=_point_sets(1, 7), anchored=st.booleans(), closed=st.booleans())
+def test_held_karp_order_is_the_brute_force_minimum(pts, anchored, closed):
+    dmat, anchor = _frozen(pts, anchored)
+    order, cost = _held_karp_order(dmat, anchor, closed)
+    assert (order, cost) == _held_karp_reference(dmat, anchor, closed)
+    assert cost == _order_cost(order, dmat, anchor, closed)
+    brute = min(_order_cost(p, dmat, anchor, closed)
+                for p in itertools.permutations(range(len(pts))))
     # the 1e-15 tie rule may keep a path up to 1e-15 longer per step
     assert brute <= cost <= brute + len(pts) * 1e-15
 
@@ -279,17 +293,16 @@ def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
     dmat = np.array([[0.0, 0.25, 0.5], [0.25, 0.0, d12], [0.5, d12, 0.0]])
     anchor = np.array([0.25, 0.25, 5.0])
     assert _order_cost((0, 1, 2), dmat, anchor) == 1.0 - 2.0 ** -53
-    assert _held_karp_order(dmat, anchor, free_start=False) == ((1, 0, 2), 1.0)
+    assert _held_karp_order(dmat, anchor, closed=False) == ((1, 0, 2), 1.0)
 
 
 @given(pts=_point_sets(2, 40), data=st.data(), anchored=st.booleans(), closed=st.booleans())
 def test_two_opt_move_matches_the_full_cost_scan(pts, data, anchored, closed):
     dmat, anchor = _frozen(pts, anchored)
-    order = tuple(data.draw(st.permutations(range(len(pts)))))
-    while order is not None:    # each step of a descent, down to its local optimum
-        move = _two_opt_move(order, dmat, anchor, closed)
+    order, move = None, tuple(data.draw(st.permutations(range(len(pts)))))
+    while move != order:    # each step of a descent, down to its local optimum
+        order, move = move, _two_opt_move(move, dmat, anchor, closed)
         assert move == _two_opt_reference(order, dmat, anchor, closed)
-        order = move
 
 
 @given(pts=_point_sets(1, 12, coords=(_UNIFORM,)))

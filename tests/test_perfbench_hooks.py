@@ -54,3 +54,25 @@ def test_benchmark_hooks_see_the_polish(run):
     layers = tracer.layer_totals(tracer.run)
     assert layers["nlp_solver.lbfgs"][0] > 0 and layers["nlp_solver.splu"][0] == 0
     assert tracer.counts[tracer.run]["nlp_solver.lbfgs_nfev"] > 0
+
+
+def test_benchmark_hooks_see_the_order_layer(run):
+    """The DP-state count reads the node count off the DP's first positional
+    argument, and every re-solve must go through the module attribute
+    `order_search.solve_fixed_order` to show up as an `nlp_solver` span."""
+    k = 6
+    inst = run.make_instance(("points", k), 101)
+    opts = nlp_solver.SolveOptions(multistart=1)
+    tracer = run.Tracer()
+    try:
+        run.install(tracer)
+        tracer.wrap_count(order_search, "_held_karp_order", "dp_calls")
+        sols = [order_search.held_karp(inst, opts), order_search.solve_alternating(inst, opts)]
+    finally:
+        tracer.unpatch()
+    counts = tracer.counts[tracer.run]
+    assert counts["dp_calls"] >= 2
+    assert counts["order_search.dp_states"] == counts["dp_calls"] * k * 2 ** k
+    # each strategy's first solve and every re-solve is one span
+    assert all(sol.iterations >= 2 for sol in sols)
+    assert tracer.layer_totals(tracer.run)["nlp_solver"][0] == sum(s.iterations for s in sols)
