@@ -549,9 +549,9 @@ def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
 def _coincident_runs(P) -> list:
     """Index arrays of the runs of more than one consecutive point joined by
     legs shorter than COINCIDENT; a NaN leg ends a run."""
-    legs = np.linalg.norm(np.diff(P, axis=0), axis=1)
-    runs = np.split(np.arange(len(P)), np.flatnonzero(~(legs < COINCIDENT)) + 1)
-    return [run for run in runs if len(run) > 1]
+    tiny = np.flatnonzero(np.linalg.norm(np.diff(P, axis=0), axis=1) < COINCIDENT)
+    legs = np.split(tiny, np.flatnonzero(np.diff(tiny) != 1) + 1)
+    return [np.arange(run[0], run[-1] + 2) for run in legs if run.size]
 
 
 def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveOptions):
