@@ -69,8 +69,8 @@ def _parse_formats(text: str) -> frozenset:
 
 def _load_spec(args, **override):
     """The scenario spec the command line names; `override` replaces some of its
-    settings (n, m, theta) by name.  A start count below 1 or a non-finite
-    angle raises ValueError."""
+    settings (n, m, theta) by name.  A start count below 1, a non-finite
+    angle or an angle the scenario does not take raises ValueError."""
     args = argparse.Namespace(**{**vars(args), **override})
     if args.m < 1:
         raise ValueError(f"the start count M must be at least 1, not {args.m}")
@@ -87,6 +87,8 @@ def _load_spec(args, **override):
         if args.scenario not in CATALOG:
             raise ValueError(f"unknown scenario {args.scenario!r}")
         spec = make_scenario(args.scenario, args.n, args.m, **params)
+    if args.theta is not None and spec.params.get("theta") != args.theta:
+        raise ValueError(f"{args.scenario} takes no --theta")
     return spec
 
 
@@ -136,7 +138,7 @@ def _artifacts(sol, inst, spec, formats, seed: int, outdir: Path, stem: str):
         written.append(f"{stem}.mtz")
     meta = {"scenario": spec.name, "n": spec.n_orientations, "m": spec.n_starts,
             "seed": seed, "length": sol.length, "max_residual": sol.max_residual,
-            "converged": sol.converged, "order": list(sol.order)}
+            "gap": sol.gap, "converged": sol.converged, "order": list(sol.order)}
     (outdir / f"{stem}.meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
     return written
 

@@ -4,14 +4,15 @@ Pipeline per start: seed each escape point at the nearest point of its
 boundary, run quadratic-penalty continuation while a product branch is still
 undecided, project exactly, then polish in reduced on-boundary coordinates
 (one parameter per point on a line/circle/segment, two on a plane).  When every
-chart is affine (lines, planes, points) the polish objective is convex and the
-polish is damped Newton on the smoothed length, continued down to the exact
-one; curved and bounded charts keep L-BFGS followed by damped Newton on the
-exact block-tridiagonal Hessian.  Coincident consecutive
-points are genuine corners of many optima; such clusters get pinned to the
-common point of their boundaries so the corner nonsmoothness cannot cap the
-final accuracy.  The best feasible start wins; ties break to the
-lexicographically smallest point sequence so reruns are bitwise stable.
+chart is affine (lines, planes, points) the polish objective is convex: the
+polish is damped Newton on the smoothed length, its smoothing radius cut down
+to SMOOTH_FLOOR times the length, and the solution carries a duality gap that
+bounds how far it is above the minimum.  Curved and bounded charts keep L-BFGS
+followed by damped Newton on the exact block-tridiagonal Hessian.  Coincident
+consecutive points are genuine corners of many optima; such clusters get
+pinned to the common point of their boundaries so the corner nonsmoothness
+cannot cap the final accuracy.  The best feasible start wins; ties break to
+the lexicographically smallest point sequence so reruns are bitwise stable.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ class NonConvergenceError(RuntimeError):
 
 
 POLISH_MAXITER = 30000    # L-BFGS iterations of a cold polish
-SMOOTH_FLOOR = 1e-13      # last smoothing radius of an affine polish, times the length
+SMOOTH_FLOOR = 1e-14      # last smoothing radius of an affine polish, times the length
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
 PENALTY_MAX_STAGES = 200
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
+SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class Solution:
     instance_name: str = ""
     seed: int = 0
     iterations: int = 0
+    gap: float | None = None    # see _duality_gap
 
     def points(self) -> np.ndarray:
         return self.polyline.as_array()
@@ -245,6 +248,14 @@ class _Reduced:
             P[rows] = kind.chart_points(prm, t[cols])
         return P
 
+    def push(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Per-point displacement of a reduced step z (the transpose of `chain`)."""
+        D = np.zeros((self.n, self.dim))
+        for kind, prm, rows, cols in self.blocks:
+            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+                D[rows] += z[cols[:, k], None] * e
+        return D
+
     def chain(self, t: np.ndarray, Gp: np.ndarray) -> np.ndarray:
         """Pull a per-point gradient back to the reduced variables."""
         if len(self.blocks) == 1:
@@ -304,7 +315,7 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
         P = red.points(t0)
         return P, leg_chain(P, anchored, closed).total
     if red.affine:
-        t = _newton_refine(red, _smoothed_newton(red, t0, anchored, closed), anchored, closed)
+        t = _smoothed_newton(red, t0, anchored, closed)
         P = red.points(t)
         return P, leg_chain(P, anchored, closed).total
 
@@ -334,8 +345,10 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool)
     charts, convex, so every start reaches its one minimum.  eps starts at the
     mean leg length and is cut tenfold per stage down to SMOOTH_FLOOR times
     the length; a stage stops when the Newton decrement no longer exceeds
-    1e-3 eps or no Armijo step is found.  A chain without legs, or of zero
-    or non-finite length, is returned unchanged.
+    1e-3 eps or no Armijo step is found.  The last stage is the whole polish:
+    no exact-length Newton follows, since `_duality_gap` finds the result
+    within about 1e-13 of the length of the minimum.  A chain without legs, or
+    of zero or non-finite length, is returned unchanged.
     """
     legs = leg_chain(red.points(t), anchored, closed)
     if not 0.0 < legs.total < math.inf:
@@ -489,6 +502,76 @@ def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     return t
 
 
+def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None:
+    """Certified bound on how far the length at P is above the minimum of the
+    program's fixed-order problem; None unless every chart is affine.
+
+    On affine charts the length is sum_l |v_l(t)| with v_l(t) = A_l t + b_l the
+    leg vectors, and every y with sum_l A_l^T y_l = 0 and |y_l| <= 1 is
+    feasible for the dual max sum_l b_l . y_l (Andersen, Christiansen, Conn &
+    Overton, SIAM J. Sci. Comput. 2000), so L - L* <= sum_l |v_l| - y_l . v_l.
+
+    Long legs start at y_l = u_l, and legs shorter than SHORT_LEG times the
+    length at 0.  A correction y_l += W_l A_l z then solves A^T y = 0, with
+    W_l = (I - u_l u_l^T) / d_l on a long leg (its exact-length Hessian, so
+    y_l moves along its sphere) and W_l = I / (1e-12 L) on a short one, which
+    so takes up nearly all of it.  A short leg that leaves its ball is put
+    back on its sphere, moves along it only from then on, and the correction
+    is solved again.  Last, y is scaled into the balls, which keeps
+    A^T y = 0.  With no variables or no length the bound is 0.
+    """
+    if not any(b.ndof for b in program.boundaries):
+        return 0.0
+    if not all(_affine(b) for b in program.boundaries):
+        return None
+    red = _Reduced(program)
+    t = red.init_vars(P)
+    P = red.points(t)
+    legs = leg_chain(P, anchored, closed)
+    if legs.total == 0.0:
+        return 0.0
+    v = _leg_vectors(P, legs)
+    short = legs.d <= SHORT_LEG * legs.total
+    y = np.where(short[:, None], 0.0, legs.u)
+    d = np.where(short, 1e-12 * legs.total, legs.d)   # W_l = (I - u_l u_l^T) / d_l
+    u = np.where(short[:, None], 0.0, legs.u)
+
+    over = np.zeros_like(short)
+    for _ in range(8):
+        # a short leg outside its ball is put back on the sphere, and from
+        # then on it moves along the sphere only
+        y[over] /= np.linalg.norm(y[over], axis=1)[:, None]
+        u[over] = y[over]
+        H = _assemble_hessian(red, t, legs._replace(d=d, u=u), floor=0.0)
+        for _ in range(2):   # once more for the rounding of the solve
+            z = _semidefinite_solve(red, H, -red.chain(t, _leg_sums(y, legs, red.n)))
+            if z is None:
+                return None
+            step = _leg_vectors(red.push(t, z), legs)
+            y = y + (step - u * np.einsum("lx,lx->l", u, step)[:, None]) / d[:, None]
+        # a few ulps over is the rounding of the normalization; scaling takes it
+        over = short & (np.linalg.norm(y, axis=1) > 1.0 + 4 * np.finfo(float).eps)
+        if not over.any():
+            break
+    y /= max(1.0, float(np.linalg.norm(y, axis=1).max(initial=0.0)))
+    return float(np.sum(legs.d - np.einsum("lx,lx->l", y, v)))
+
+
+def _leg_vectors(X, legs) -> np.ndarray:
+    """Per leg, X at its end minus X at its start, the origin's X being 0."""
+    ext = np.vstack([X, np.zeros((1, X.shape[1]))])   # row -1: the origin
+    return ext[legs.b] - ext[legs.a]
+
+
+def _leg_sums(y, legs, n: int) -> np.ndarray:
+    """Per point, y summed over the legs ending there minus those starting
+    there: the transpose of `_leg_vectors`."""
+    G = np.zeros((n + 1, y.shape[1]))
+    np.add.at(G, legs.b, y)
+    np.add.at(G, legs.a, -y)
+    return G[:n]
+
+
 def _common_point(boundaries, p0, tol=1e-13, iters=60):
     """Gauss-Newton for a point on every listed boundary, started at p0."""
     p = np.asarray(p0, dtype=float).copy()
@@ -612,25 +695,28 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
             P_pre, L_pre = P, L
             merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
-            P, L = _polish(merged, P, inst.anchored, inst.closed)
+            if all(_affine(b) for b in merged.boundaries):  # _merge_kinks' polish is final
+                L = leg_chain(P, inst.anchored, inst.closed).total
+            else:
+                P, L = _polish(merged, P, inst.anchored, inst.closed)
             if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
                 P, L = P_pre, L_pre
         resid = float(program.scaled(P).max())
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
-        return P, L, resid, feasible, assign
+        return P, L, resid, feasible, assign, target
 
     # on affine charts the polish is convex: every start reaches the same minimum
     convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
     best = None
     best_key = None
     for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
-        P, L, resid, feasible, assign = run_start(k)
+        P, L, resid, feasible, assign, target = run_start(k)
         key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
         if best_key is None or key < best_key:
             best_key = key
-            best = (P, L, resid, feasible, assign)
+            best = (P, L, resid, feasible, assign, target)
 
-    P, L, resid, feasible, assign = best
+    P, L, resid, feasible, assign, target = best
     per_point = tuple(float(r) for r in program.scaled(P))
     poly = Polyline(tuple(map(tuple, P)), anchored=inst.anchored, closed=inst.closed)
     sol = Solution(
@@ -638,6 +724,7 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         max_residual=resid, converged=bool(feasible),
         branch_assignment=assign if assign and any(a is not None for a in assign) else None,
         residuals=per_point, instance_name=inst.name, seed=opts.seed,
+        gap=_duality_gap(target, P, inst.anchored, inst.closed),
     )
     if not feasible:
         raise NonConvergenceError(

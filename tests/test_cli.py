@@ -255,3 +255,23 @@ def test_sweep_n_refuses_a_non_finite_theta(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--multistart", "1"])
     assert rc == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "halfplane_unit", "--theta", "0.5"],
+    ["solve", "circle_wf2", "--theta", "0.5"],
+    ["sweep", "halfplane_unit", "--param", "theta", "--values", "0.5"],
+    ["sweep", "halfplane_unit", "--param", "N", "--values", "4", "--theta", "0.5"]])
+def test_a_theta_for_a_family_without_one_exits_2(tmp_path, capsys, command):
+    rc = main([*command, "--n", "4", "--out", str(tmp_path / "out"), "--multistart", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "invalid configuration" in captured.err and "takes no --theta" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_meta_records_the_duality_gap(tmp_path, capsys):
+    assert main(["solve", "halfplane_unit", "--n", "12", "--out", str(tmp_path),
+                 "--multistart", "1", "--format", "csv"]) == 0
+    meta = json.loads((tmp_path / "halfplane_unit_n12_m1.meta.json").read_text())
+    assert 0.0 <= meta["gap"] <= 1e-9 * meta["length"]

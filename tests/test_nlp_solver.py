@@ -9,13 +9,14 @@ from scipy.linalg.lapack import dpbsv
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
-                                      _coincident_runs, _polish, _Reduced, _ResidualProgram,
-                                      _semidefinite_solve, _shifted_solve,
-                                      solve_branch_strategies, solve_fixed_order,
-                                      solve_self_referential)
+                                      _coincident_runs, _duality_gap, _Ordered, _polish,
+                                      _Reduced, _ResidualProgram, _semidefinite_solve,
+                                      _shifted_solve, solve_branch_strategies,
+                                      solve_fixed_order, solve_self_referential)
 from escape_solver.order_search import STEP_TOL
-from escape_solver.path import leg_chain, min_width
-from escape_solver.scenario import Instance, build, build_zalgaller, make_scenario
+from escape_solver.path import Polyline, leg_chain, length, min_width
+from escape_solver.scenario import (Instance, build, build_zalgaller, make_scenario,
+                                    scale_spec)
 
 OPTS = SolveOptions(multistart=2)
 
@@ -96,6 +97,83 @@ def test_affine_polish_without_length_returns_its_start(lines, P0):
     red = _Reduced(program)
     assert L == 0.0
     assert P.tobytes() == red.points(red.init_vars(np.array(P0))).tobytes()
+
+
+def _solve_hint(name, n, m=1):
+    inst = build(make_scenario(name, n, m))
+    return inst, solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size)), OPTS)
+
+
+def _resolved_program(inst, sol):
+    """The branch-resolved, unmerged program of a solution's order."""
+    program = _ResidualProgram(_Ordered(inst, sol.order).boundaries, inst.dimension)
+    return program.resolved(sol.branch_assignment) if sol.branch_assignment else program
+
+
+# the bench's convex instances, then further line and plane families
+CONVEX_BENCH = [("halfplane_unit", 90, 1), ("strip_middle", 60, 1),
+                ("opaque_circle_tangent", 45, 1), ("plane3d", 3, 3)]
+
+
+@pytest.mark.parametrize("name,n,m", CONVEX_BENCH + [
+    ("strip_wf2", 6, 4), ("perp_lines_half", 60, 1), ("plane3d", 2, 2),
+    ("halfplane_unit", 720, 1), ("strip_wf2", 12, 26)])
+def test_affine_solves_are_certified_by_their_duality_gap(name, n, m):
+    _, sol = _solve_hint(name, n, m)
+    assert -1e-14 * sol.length <= sol.gap <= 1e-9 * max(sol.length, 1.0)
+
+
+@pytest.mark.parametrize("name,n,m", [("halfplane_unit", 90, 1), ("plane3d", 3, 3),
+                                      ("strip_wf2", 6, 4), ("strip_wf2", 12, 26)])
+def test_duality_gap_bounds_the_excess_of_any_point(name, n, m):
+    """At points moved off the solution along their charts the certificate
+    still bounds the excess over the minimum, so it is at least the excess
+    over the solved length."""
+    inst, sol = _solve_hint(name, n, m)
+    program = _resolved_program(inst, sol)
+    red = _Reduced(program)
+    t = red.init_vars(sol.points())
+    rng = np.random.default_rng(5)
+    for scale in (1e-9, 1e-6, 1e-3, 1e-1):
+        P = red.points(t + scale * rng.normal(size=t.shape))
+        excess = leg_chain(P, inst.anchored, inst.closed).total - sol.length
+        assert excess > 0.0
+        assert _duality_gap(program, P, inst.anchored, inst.closed) >= excess - 1e-14 * sol.length
+
+
+def test_duality_gap_is_zero_without_variables_and_none_on_curved_charts():
+    points = _instance([geo.PointTarget((1.0, 0.0)), geo.PointTarget((1.0, 1.0))])
+    assert solve_fixed_order(points, (0, 1), OPTS).gap == 0.0
+    assert _solve_hint("circle_exterior", 12)[1].gap is None
+    assert _solve_hint("circle_plus_segment", 12)[1].gap is None
+
+
+@pytest.mark.parametrize("name,n,m", CONVEX_BENCH + [("perp_lines_half", 60, 1)])
+def test_an_affine_solve_is_one_smoothed_newton_polish(monkeypatch, name, n, m):
+    """No L-BFGS-B and no exact-length Newton; polishing the answer once more
+    gains no more than its certified gap."""
+    calls = []
+    for fn in ("minimize", "_newton_refine"):
+        real = getattr(nlp_solver, fn)
+        monkeypatch.setattr(nlp_solver, fn,
+                            lambda *a, _real=real, _fn=fn, **k: calls.append(_fn) or _real(*a, **k))
+    inst, sol = _solve_hint(name, n, m)
+    assert calls == []
+    P, _ = _polish(_resolved_program(inst, sol), sol.points(), inst.anchored, inst.closed)
+    again = length(Polyline(tuple(map(tuple, P)), inst.anchored, inst.closed)).total
+    assert sol.length - again <= sol.gap
+
+
+@pytest.mark.parametrize("name,n", [("halfplane_unit", 90), ("strip_middle", 60),
+                                    ("perp_lines_half", 60)])
+def test_affine_solves_are_scale_covariant(name, n):
+    """The smoothing floor is relative to the length, so no absolute radius
+    (such as COINCIDENT) moves the answer at other scales."""
+    spec = make_scenario(name, n)
+    base = solve_fixed_order(build(spec), spec.order_hint, OPTS).length
+    for s in (1e-3, 1e3):
+        scaled = solve_fixed_order(build(scale_spec(spec, s)), spec.order_hint, OPTS).length
+        assert abs(scaled / s - base) <= 1e-12 * base
 
 
 def test_feasibility_of_catalog_solutions():
