@@ -11,8 +11,11 @@ bounds how far it is above the minimum.  Curved and bounded charts keep L-BFGS
 followed by damped Newton on the exact block-tridiagonal Hessian.  Coincident
 consecutive points are genuine corners of many optima; such clusters get
 pinned to the common point of their boundaries so the corner nonsmoothness
-cannot cap the final accuracy.  The best feasible start wins; ties break to
-the lexicographically smallest point sequence so reruns are bitwise stable.
+cannot cap the final accuracy.  After that merge, a start on unbounded curved
+charts ends with the same smoothed Newton, its radius starting at FINISH_EPS
+times the length and its step shifted where the curvature makes the Hessian
+indefinite.  The best feasible start wins; ties break to the lexicographically
+smallest point sequence so reruns are bitwise stable.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class NonConvergenceError(RuntimeError):
 
 
 POLISH_MAXITER = 30000    # L-BFGS iterations of a cold polish
-SMOOTH_FLOOR = 1e-14      # last smoothing radius of an affine polish, times the length
+SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times the length
+FINISH_EPS = 1e-4         # first smoothing radius of a curved start's finish, times the length
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
 PENALTY_MAX_STAGES = 200
@@ -329,36 +333,68 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
                        maxcor=40)
         t = res.x
     else:
-        # warm path (post-merge): quasi-Newton briefly, then damped Newton with
-        # the exact Hessian (the chain objective is too ill-conditioned
-        # for a limited-memory method alone)
+        # warm path (re-polish after a merge or a branch change): quasi-Newton
+        # briefly, then damped Newton with the exact Hessian (the chain
+        # objective is too ill-conditioned for a limited-memory method alone)
         res = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40)
         t = _newton_refine(red, res.x, anchored, closed)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
 
 
-def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool) -> np.ndarray:
-    """Minimize the length over affine charts by smoothed continuation.
+def _finish(program: _ResidualProgram, P, anchored, closed):
+    """The last polish of a start, from the points `_merge_kinks` returns.
+
+    On affine charts `_merge_kinks`' own polish is final.  On unbounded curved
+    charts it is smoothed continuation from eps = FINISH_EPS times the length,
+    which walks legs that have nearly collapsed into their kinks, where warm
+    L-BFGS crawls; the input points stay if their exact length is not above
+    the result's.  Bounded charts (segments) take the warm `_polish`.
+    """
+    L = leg_chain(P, anchored, closed).total
+    if all(_affine(b) for b in program.boundaries):
+        return P, L
+    red = _Reduced(program)
+    if any(b != (None, None) for b in red.bounds):
+        return _polish(program, P, anchored, closed)
+    Q = red.points(_smoothed_newton(red, red.init_vars(P), anchored, closed, FINISH_EPS))
+    L_Q = leg_chain(Q, anchored, closed).total
+    return (Q, L_Q) if L_Q < L else (P, L)
+
+
+def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
+                     eps0: float | None = None) -> np.ndarray:
+    """Minimize the length by smoothed continuation.
 
     Damped Newton on sum_l sqrt(d_l^2 + eps^2), which is smooth and, on affine
-    charts, convex, so every start reaches its one minimum.  eps starts at the
-    mean leg length and is cut tenfold per stage down to SMOOTH_FLOOR times
-    the length; a stage stops when the Newton decrement no longer exceeds
-    1e-3 eps or no Armijo step is found.  The last stage is the whole polish:
-    no exact-length Newton follows, since `_duality_gap` finds the result
-    within about 1e-13 of the length of the minimum.  A chain without legs, or
-    of zero or non-finite length, is returned unchanged.
+    charts, convex, so every start reaches its one minimum.  eps starts at
+    `eps0` times the length (default: the mean leg length) and is cut tenfold
+    per stage down to SMOOTH_FLOOR times the length; a stage stops when the
+    Newton decrement no longer exceeds 1e-3 eps or no Armijo step is found.
+    On affine charts the last stage is the whole polish: no exact-length
+    Newton follows, since `_duality_gap` finds the result within about 1e-13
+    of the length of the minimum.  On curved charts the Hessian can be
+    indefinite; where the banded Cholesky fails or its step does not descend,
+    the step solves H + lam I instead, lam rising tenfold from 1e-10 to 100
+    times the largest diagonal entry.  A chain without legs, or of zero or
+    non-finite length, is returned unchanged.
     """
     legs = leg_chain(red.points(t), anchored, closed)
     if not 0.0 < legs.total < math.inf:
         return t
-    eps, floor = legs.total / legs.d.size, SMOOTH_FLOOR * legs.total
+    eps = legs.total / legs.d.size if eps0 is None else eps0 * legs.total
+    floor = SMOOTH_FLOOR * legs.total
     while eps >= floor:
         legs = leg_chain(red.points(t), anchored, closed, eps)
         for _ in range(50):
             g = red.chain(t, legs.grad)
-            step = _semidefinite_solve(red, _assemble_hessian(red, t, legs, floor=0.0), -g)
+            H = _assemble_hessian(red, t, legs, floor=0.0)
+            step = _semidefinite_solve(red, H, -g)
+            lam = 1e-10 * np.abs(H[0, red.slots]).max()
+            for _ in range(13):     # lam up to 100 times the largest diagonal entry
+                if step is not None and g @ step < 0.0:
+                    break
+                step, lam = _shifted_solve(red, H, -g, lam), 10.0 * lam
             if step is None:
                 break
             decrement = -float(g @ step)
@@ -695,10 +731,7 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
             P_pre, L_pre = P, L
             merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
-            if all(_affine(b) for b in merged.boundaries):  # _merge_kinks' polish is final
-                L = leg_chain(P, inst.anchored, inst.closed).total
-            else:
-                P, L = _polish(merged, P, inst.anchored, inst.closed)
+            P, L = _finish(merged, P, inst.anchored, inst.closed)
             if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
                 P, L = P_pre, L_pre
         resid = float(program.scaled(P).max())

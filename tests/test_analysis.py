@@ -74,7 +74,7 @@ def test_detect_nonuniqueness_mirror_twin():
     twin = mirrored_solution(inst, sol)
     # reflection maps the family onto itself, so the twin ties the length
     assert twin.converged
-    assert twin.length == pytest.approx(sol.length, abs=1e-6)
+    assert twin.length == pytest.approx(sol.length, abs=1e-12)
     out = detect_nonuniqueness([sol, twin], tol=1e-2)
     assert out["count"] == 2
 

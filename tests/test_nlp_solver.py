@@ -8,12 +8,13 @@ from scipy.linalg.lapack import dpbsv
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions, _assemble_hessian,
-                                      _coincident_runs, _duality_gap, _Ordered, _polish,
-                                      _Reduced, _ResidualProgram, _semidefinite_solve,
-                                      _shifted_solve, solve_branch_strategies,
-                                      solve_fixed_order, solve_self_referential)
-from escape_solver.order_search import STEP_TOL
+from escape_solver.nlp_solver import (FINISH_EPS, NonConvergenceError, SolveOptions,
+                                      _assemble_hessian, _coincident_runs, _duality_gap,
+                                      _Ordered, _polish, _Reduced, _ResidualProgram,
+                                      _semidefinite_solve, _shifted_solve, _smoothed_newton,
+                                      solve_branch_strategies, solve_fixed_order,
+                                      solve_self_referential)
+from escape_solver.order_search import STEP_TOL, solve_alternating
 from escape_solver.path import Polyline, leg_chain, length, min_width
 from escape_solver.scenario import (Instance, build, build_zalgaller, make_scenario,
                                     scale_spec)
@@ -162,6 +163,73 @@ def test_an_affine_solve_is_one_smoothed_newton_polish(monkeypatch, name, n, m):
     P, _ = _polish(_resolved_program(inst, sol), sol.points(), inst.anchored, inst.closed)
     again = length(Polyline(tuple(map(tuple, P)), inst.anchored, inst.closed)).total
     assert sol.length - again <= sol.gap
+
+
+def test_a_curved_start_ends_without_lbfgs(monkeypatch):
+    """The finish after the kink merge walks legs that L-BFGS-B left just
+    above COINCIDENT into their kinks; a warm L-BFGS-B stopped on its
+    iteration cap at 2.994717525, above what it reaches when run to
+    convergence."""
+    finishing, finished, late = [], [], []
+    real_minimize, real_finish = nlp_solver.minimize, nlp_solver._finish
+
+    def minimize(*a, **k):
+        if finishing:
+            late.append(k)
+        return real_minimize(*a, **k)
+
+    def finish(*a):
+        finishing.append(True)
+        try:
+            return real_finish(*a)
+        finally:
+            finishing.pop()
+            finished.append(True)
+
+    monkeypatch.setattr(nlp_solver, "minimize", minimize)
+    monkeypatch.setattr(nlp_solver, "_finish", finish)
+    sol = _solve_hint("circle_interior_nonunique", 30)[1]
+    assert sol.length <= 2.9947050781
+    assert len(finished) == 2 and late == []
+
+
+def test_curved_answers_stay_at_or_below_their_values():
+    inst = build(make_scenario("circle_wf2", 7, 2))
+    sol = solve_alternating(inst, OPTS)
+    assert sol.length <= 2.172125600690016
+    assert sol.order == (13, 12, 11, 10, 9, 8, 7, 2, 1, 0, 6, 5, 4, 3)
+    inst = build(make_scenario("circle_wf2", 8, 2))
+    sol = solve_fixed_order(inst, tuple(reversed(range(inst.size))), SolveOptions(multistart=1))
+    assert sol.length <= 2.2716098644467433
+    assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136836
+
+
+def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
+    """Where the banded Cholesky fails or gives no descent, the step solves
+    H + lam I; the continuation still never raises the length."""
+    last, lams = [], []
+    real_semidefinite, real_shifted = nlp_solver._semidefinite_solve, nlp_solver._shifted_solve
+
+    def semidefinite(red, H, rhs):
+        last[:] = [rhs, real_semidefinite(red, H, rhs)]
+        return last[1]
+
+    def shifted(red, H, rhs, lam):
+        rhs0, x0 = last
+        assert np.array_equal(rhs, rhs0) and (x0 is None or rhs @ x0 <= 0.0)
+        lams.append(lam)
+        return real_shifted(red, H, rhs, lam)
+
+    monkeypatch.setattr(nlp_solver, "_semidefinite_solve", semidefinite)
+    monkeypatch.setattr(nlp_solver, "_shifted_solve", shifted)
+    program = _ResidualProgram(build(make_scenario("circle_interior_nonunique", 8)).boundaries, 2)
+    red = _Reduced(program)
+    for seed in range(4):
+        t = red.init_vars(program.nearest(np.random.default_rng(seed).uniform(-2, 2, (8, 2))))
+        before = leg_chain(red.points(t)).total
+        after = leg_chain(red.points(_smoothed_newton(red, t, True, False, FINISH_EPS))).total
+        assert after < before
+    assert lams
 
 
 @pytest.mark.parametrize("name,n", [("halfplane_unit", 90), ("strip_middle", 60),
