@@ -7,15 +7,17 @@ undecided, project exactly, then polish in reduced on-boundary coordinates
 chart is affine (lines, planes, points) the polish objective is convex: the
 polish is damped Newton on the smoothed length, its smoothing radius cut down
 to SMOOTH_FLOOR times the length, and the solution carries a duality gap that
-bounds how far it is above the minimum.  Curved and bounded charts keep L-BFGS
-followed by damped Newton on the exact block-tridiagonal Hessian.  Coincident
+bounds how far it is above the minimum.  Curved and bounded charts are
+polished by L-BFGS; a warm re-polish on unbounded curved charts ends with one
+stage of the same smoothed Newton at the floor radius.  Coincident
 consecutive points are genuine corners of many optima; such clusters get
 pinned to the common point of their boundaries so the corner nonsmoothness
 cannot cap the final accuracy.  After that merge, a start on unbounded curved
 charts ends with the same smoothed Newton, its radius starting at FINISH_EPS
-times the length and its step shifted where the curvature makes the Hessian
-indefinite.  The best feasible start wins; ties break to the lexicographically
-smallest point sequence so reruns are bitwise stable.
+times the length.  Every Newton step is a banded Cholesky solve of the exact
+block-tridiagonal Hessian, shifted where it is singular or indefinite.  The
+best feasible start wins; ties break to the lexicographically smallest point
+sequence so reruns are bitwise stable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpbsv
+from scipy.linalg.lapack import dpbsv
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lbfgsb import setulb
 
@@ -49,6 +51,7 @@ PENALTY_GROWTH = 5.0      # factor between penalty stages
 PENALTY_MAX_STAGES = 200
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
+NEWTON_SHIFTS = (0.0, 1e-12) + tuple(10.0 ** k for k in range(-10, 3))  # lam / max diag of H
 
 
 @dataclass(frozen=True)
@@ -328,16 +331,16 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
         return legs.total, red.chain(t, legs.grad)
 
     bounds = red.bounds if any(b != (None, None) for b in red.bounds) else None
-    if t0.size and (not newton or bounds is not None or P0.shape[0] < 2):
-        res = minimize(obj, t0, bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
-                       maxcor=40)
-        t = res.x
+    if not newton or bounds is not None:
+        t = minimize(obj, t0, bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
+                     maxcor=40).x
     else:
         # warm path (re-polish after a merge or a branch change): quasi-Newton
-        # briefly, then damped Newton with the exact Hessian (the chain
-        # objective is too ill-conditioned for a limited-memory method alone)
-        res = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40)
-        t = _newton_refine(red, res.x, anchored, closed)
+        # briefly, then one smoothed Newton stage at the floor radius (the
+        # chain objective is too ill-conditioned for a limited-memory method
+        # alone)
+        t = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40).x
+        t = _smoothed_newton(red, t, anchored, closed, SMOOTH_FLOOR)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
 
@@ -345,18 +348,16 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
 def _finish(program: _ResidualProgram, P, anchored, closed):
     """The last polish of a start, from the points `_merge_kinks` returns.
 
-    On affine charts `_merge_kinks`' own polish is final.  On unbounded curved
-    charts it is smoothed continuation from eps = FINISH_EPS times the length,
-    which walks legs that have nearly collapsed into their kinks, where warm
-    L-BFGS crawls; the input points stay if their exact length is not above
-    the result's.  Bounded charts (segments) take the warm `_polish`.
+    On affine and bounded charts (segments) `_merge_kinks`' own polish is
+    final.  On unbounded curved charts it is smoothed continuation from eps =
+    FINISH_EPS times the length, which walks legs that have nearly collapsed
+    into their kinks, where warm L-BFGS crawls; the input points stay if their
+    exact length is not above the result's.
     """
     L = leg_chain(P, anchored, closed).total
-    if all(_affine(b) for b in program.boundaries):
-        return P, L
     red = _Reduced(program)
-    if any(b != (None, None) for b in red.bounds):
-        return _polish(program, P, anchored, closed)
+    if red.affine or any(b != (None, None) for b in red.bounds):
+        return P, L
     Q = red.points(_smoothed_newton(red, red.init_vars(P), anchored, closed, FINISH_EPS))
     L_Q = leg_chain(Q, anchored, closed).total
     return (Q, L_Q) if L_Q < L else (P, L)
@@ -373,11 +374,14 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     Newton decrement no longer exceeds 1e-3 eps or no Armijo step is found.
     On affine charts the last stage is the whole polish: no exact-length
     Newton follows, since `_duality_gap` finds the result within about 1e-13
-    of the length of the minimum.  On curved charts the Hessian can be
-    indefinite; where the banded Cholesky fails or its step does not descend,
-    the step solves H + lam I instead, lam rising tenfold from 1e-10 to 100
-    times the largest diagonal entry.  A chain without legs, or of zero or
-    non-finite length, is returned unchanged.
+    of the length of the minimum.  The step solves H + lam I by banded
+    Cholesky, lam the first of NEWTON_SHIFTS (times H's largest diagonal
+    entry) whose step descends (Nocedal & Wright, Numerical Optimization,
+    2006, Alg. 3.3): H is singular to rounding where both legs at a point run
+    along its line (halfplane_unit N=5 under exhaustive order search), and
+    indefinite where a curved chart bends against the path; with no such lam
+    the stage ends.  A chain without legs, or of zero or non-finite length, is
+    returned unchanged.
     """
     legs = leg_chain(red.points(t), anchored, closed)
     if not 0.0 < legs.total < math.inf:
@@ -388,14 +392,13 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
         legs = leg_chain(red.points(t), anchored, closed, eps)
         for _ in range(50):
             g = red.chain(t, legs.grad)
-            H = _assemble_hessian(red, t, legs, floor=0.0)
-            step = _semidefinite_solve(red, H, -g)
-            lam = 1e-10 * np.abs(H[0, red.slots]).max()
-            for _ in range(13):     # lam up to 100 times the largest diagonal entry
+            H = _assemble_hessian(red, t, legs)
+            scale = np.abs(H[0, red.slots]).max()
+            for lam in NEWTON_SHIFTS:
+                step = _banded_solve(red, H, -g, lam * scale)
                 if step is not None and g @ step < 0.0:
                     break
-                step, lam = _shifted_solve(red, H, -g, lam), 10.0 * lam
-            if step is None:
+            else:
                 break
             decrement = -float(g @ step)
             if not decrement > 1e-3 * eps:
@@ -413,40 +416,19 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     return t
 
 
-def _semidefinite_solve(red: _Reduced, H, rhs):
-    """x with H x = rhs for a positive semidefinite H in `_assemble_hessian`'s
-    band storage, by banded Cholesky.  The diagonal is shifted by 1e-12 of its
-    largest entry when H is singular, as it is to rounding where both legs at
-    a point run along its line (halfplane_unit N=5 under exhaustive order
-    search); None when that does not give a finite x either."""
-    b = np.zeros(H.shape[1])
-    b[red.slots] = rhs
-    for shift in (0.0, 1e-12 * H[0, red.slots].max()):
-        A = H.copy()
-        A[0] += shift
-        _, x, info = dpbsv(A, b, lower=1)
-        if info == 0 and np.all(np.isfinite(x)):
-            return x[red.slots]
-    return None
-
-
-def _shifted_solve(red: _Reduced, H, rhs, lam: float):
+def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
     """x with (H + lam I) x = rhs for a symmetric H in `_assemble_hessian`'s
-    band storage, by banded LU, since H is indefinite on curved charts; None
-    when H + lam I is singular or x is not finite."""
-    kd = H.shape[0] - 1
-    G = np.zeros((3 * kd + 1, H.shape[1]))   # dgbsv's storage: kd rows of fill, then the band
-    G[2 * kd:] = H
-    G[2 * kd] += lam
-    for r in range(1, kd + 1):
-        G[2 * kd - r, r:] = H[r, :-r]
+    band storage, by banded Cholesky; None unless H + lam I factors (it is
+    positive definite to rounding) and x is finite."""
+    A = H.copy()
+    A[0] += lam
     b = np.zeros(H.shape[1])
     b[red.slots] = rhs
-    _, _, x, info = dgbsv(kd, kd, G, b)
+    _, x, info = dpbsv(A, b, lower=1)
     return x[red.slots] if info == 0 and np.all(np.isfinite(x)) else None
 
 
-def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14) -> np.ndarray:
+def _assemble_hessian(red: _Reduced, t, legs) -> np.ndarray:
     """Exact Hessian of the reduced objective in LAPACK lower band storage.
 
     A leg joins two consecutive points or a point and the fixed origin, so in
@@ -458,9 +440,9 @@ def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14) -> np.ndarra
     (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
     tangent of a's k-th coordinate; the aa and bb blocks take the same form,
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
-    length, u = v / d) gives the Hessian of the smoothed objective.  Legs no
-    longer than `floor` add nothing.  The chart curvature adds the diagonal
-    terms Gp . d2p/dt2.
+    length, u = v / d) gives the Hessian of the smoothed objective.  Legs of
+    length zero add nothing.  The chart curvature adds the diagonal terms
+    Gp . d2p/dt2.
     """
     n, w = red.n, red.width
     # per row of leg_chain's [origin, p_0, ..., p_{n-1}, origin]: tangents (the
@@ -475,7 +457,7 @@ def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14) -> np.ndarra
                                        kind.chart_curvature(prm, t[cols]))
     first = legs.a[0] + 1 if legs.d.size else 0   # leg_chain's slices of those rows
     last = first + legs.d.size
-    ok = legs.d > floor
+    ok = legs.d > 0.0
     d = np.where(ok, legs.d, 1.0)[:, None, None]
     Ta, Tb = T[first:last], T[first + 1:last + 1]
     ua, ub = np.einsum("lxk,lx->lk", Ta, legs.u), np.einsum("lxk,lx->lk", Tb, legs.u)
@@ -499,43 +481,6 @@ def _assemble_hessian(red: _Reduced, t, legs, floor: float = 1e-14) -> np.ndarra
             H[w + k - m, m::w][:n - 1] = below[1:n, k, m]
     H[0, red.dead] = 1.0
     return H
-
-
-def _newton_refine(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
-                   maxiter: int = 40) -> np.ndarray:
-    """Damped Newton on the reduced coordinates with the exact Hessian, shifted
-    by lam I while a step fails."""
-    lam = 0.0
-    L_cur = None
-    for _ in range(maxiter):
-        legs = leg_chain(red.points(t), anchored, closed)
-        L_cur = legs.total
-        g = red.chain(t, legs.grad)
-        if np.max(np.abs(g)) < 1e-13:
-            break
-        H = _assemble_hessian(red, t, legs)
-        step = None
-        for _ in range(8):
-            step = _shifted_solve(red, H, -g, lam)
-            if step is not None:
-                break
-            lam = max(lam * 10.0, 1e-10)
-        if step is None:
-            break
-        alpha = 1.0
-        improved = False
-        for _ in range(25):
-            t_new = t + alpha * step
-            if leg_chain(red.points(t_new), anchored, closed).total <= L_cur + 1e-15:
-                t, improved = t_new, True
-                lam = lam / 4.0 if lam > 1e-12 else 0.0
-                break
-            alpha *= 0.5
-        if not improved:
-            lam = max(lam * 10.0, 1e-8)
-            if lam > 1e4:
-                break
-    return t
 
 
 def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None:
@@ -578,9 +523,12 @@ def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None
         # then on it moves along the sphere only
         y[over] /= np.linalg.norm(y[over], axis=1)[:, None]
         u[over] = y[over]
-        H = _assemble_hessian(red, t, legs._replace(d=d, u=u), floor=0.0)
+        H = _assemble_hessian(red, t, legs._replace(d=d, u=u))
         for _ in range(2):   # once more for the rounding of the solve
-            z = _semidefinite_solve(red, H, -red.chain(t, _leg_sums(y, legs, red.n)))
+            rhs = -red.chain(t, _leg_sums(y, legs, red.n))
+            z = _banded_solve(red, H, rhs)
+            if z is None:    # singular to rounding
+                z = _banded_solve(red, H, rhs, 1e-12 * H[0, red.slots].max())
             if z is None:
                 return None
             step = _leg_vectors(red.push(t, z), legs)

@@ -564,6 +564,10 @@ def _inside_equilateral_third(x: float, y: float) -> bool:
 
 
 def _sc_triangle_general(n, m, p):
+    missing = [f"{q}{j}" for j in (1, 2, 3) for q in ("phi", "delta") if f"{q}{j}" not in p]
+    if missing:
+        raise ValueError(f"triangle_general needs the edge parameters {', '.join(missing)}; "
+                         "give them in the params of a JSON config")
     edges = tuple(
         (float(p[f"phi{j}"]), float(p[f"delta{j}"])) for j in (1, 2, 3))
     starts = p.get("starts")

@@ -275,3 +275,11 @@ def test_meta_records_the_duality_gap(tmp_path, capsys):
                  "--multistart", "1", "--format", "csv"]) == 0
     meta = json.loads((tmp_path / "halfplane_unit_n12_m1.meta.json").read_text())
     assert 0.0 <= meta["gap"] <= 1e-9 * meta["length"]
+
+
+def test_triangle_general_without_its_edges_exits_2(tmp_path, capsys):
+    assert main(["solve", "triangle_general", "--n", "3", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: triangle_general needs the edge parameters")
+    assert "phi1, delta1, phi2, delta2, phi3, delta3" in err and "JSON config" in err
+    assert not (tmp_path / "out").exists()

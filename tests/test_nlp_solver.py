@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
-from scipy.linalg.lapack import dpbsv
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (FINISH_EPS, NonConvergenceError, SolveOptions,
-                                      _assemble_hessian, _coincident_runs, _duality_gap,
-                                      _Ordered, _polish, _Reduced, _ResidualProgram,
-                                      _semidefinite_solve, _shifted_solve, _smoothed_newton,
+                                      _assemble_hessian, _banded_solve, _coincident_runs,
+                                      _duality_gap, _Ordered, _polish, _Reduced,
+                                      _ResidualProgram, _smoothed_newton,
                                       solve_branch_strategies, solve_fixed_order,
                                       solve_self_referential)
 from escape_solver.order_search import STEP_TOL, solve_alternating
@@ -43,6 +42,38 @@ def test_point_targets_have_fixed_positions():
     assert sol.length == pytest.approx(2.0, abs=1e-12)
     assert sol.max_residual == 0.0
 
+
+
+_ONE_BOUNDARY = [  # (boundary, its distance from the start at the origin)
+    (geo.Line(0.3, 1.2), 1.2),
+    (geo.Circle((1.5, 0.5), 0.4), math.hypot(1.5, 0.5) - 0.4),
+    (geo.Circle((0.2, -0.1), 1.0), 1.0 - math.hypot(0.2, -0.1)),    # around the start
+    (geo.Segment((1.0, -0.5), (1.0, 0.5)), 1.0),
+    (geo.Segment((0.5, 1.0), (2.0, 1.5)), math.hypot(0.5, 1.0)),     # nearest at an end
+    (geo.PointTarget((0.6, -0.8)), 1.0),
+    (geo.Plane3((1 / 3, 2 / 3, 2 / 3), -0.9), 0.9),
+    (geo.Product((geo.Line(1.0, 2.0), geo.Circle((0.5, 0.0), 0.3))), 0.2),
+]
+
+
+@pytest.mark.parametrize("mode,legs", [("escape_open", 1), ("escape_closed", 2), ("opaque", 0)])
+@pytest.mark.parametrize("boundary,dist", _ONE_BOUNDARY)
+def test_one_boundary_is_its_distance_from_the_start(boundary, dist, mode, legs):
+    """K = 1: one leg out to the nearest boundary point, out and back when
+    closed, and no leg at all when opaque."""
+    dim = 3 if isinstance(boundary, geo.Plane3) else 2
+    inst = Instance(name="one", boundaries=(boundary,), mode=mode, dimension=dim,
+                    start_anchor=(0.0,) * dim, angles=(0.0,), start_index=(0,),
+                    orient_index=(0,))
+    sol = solve_fixed_order(inst, (0,), OPTS)
+    assert sol.converged
+    assert sol.length == pytest.approx(legs * dist, abs=1e-9)
+    if legs and isinstance(boundary, geo.Circle):
+        # the warm polish of one point (Newton) ends where the cold one does
+        program = _ResidualProgram((boundary,), dim)
+        P0 = program.nearest(np.array([[0.3, 0.9]]))
+        warm, cold = (_polish(program, P0, True, legs == 2, newton=nt)[1] for nt in (True, False))
+        assert warm == pytest.approx(cold, abs=1e-9) and warm == pytest.approx(legs * dist)
 
 def _affine_families():
     rng = np.random.default_rng(3)
@@ -151,13 +182,11 @@ def test_duality_gap_is_zero_without_variables_and_none_on_curved_charts():
 
 @pytest.mark.parametrize("name,n,m", CONVEX_BENCH + [("perp_lines_half", 60, 1)])
 def test_an_affine_solve_is_one_smoothed_newton_polish(monkeypatch, name, n, m):
-    """No L-BFGS-B and no exact-length Newton; polishing the answer once more
-    gains no more than its certified gap."""
+    """No L-BFGS-B; polishing the answer once more gains no more than its
+    certified gap."""
     calls = []
-    for fn in ("minimize", "_newton_refine"):
-        real = getattr(nlp_solver, fn)
-        monkeypatch.setattr(nlp_solver, fn,
-                            lambda *a, _real=real, _fn=fn, **k: calls.append(_fn) or _real(*a, **k))
+    real = nlp_solver.minimize
+    monkeypatch.setattr(nlp_solver, "minimize", lambda *a, **k: calls.append(k) or real(*a, **k))
     inst, sol = _solve_hint(name, n, m)
     assert calls == []
     P, _ = _polish(_resolved_program(inst, sol), sol.points(), inst.anchored, inst.closed)
@@ -204,24 +233,23 @@ def test_curved_answers_stay_at_or_below_their_values():
     assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136836
 
 
+def _record_banded_solves(monkeypatch):
+    """The (red, H, rhs, lam, x) of every `_banded_solve` call from here on."""
+    calls = []
+
+    def record(red, H, rhs, lam=0.0):
+        calls.append((red, H, rhs, lam, _banded_solve(red, H, rhs, lam)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(nlp_solver, "_banded_solve", record)
+    return calls
+
+
 def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
-    """Where the banded Cholesky fails or gives no descent, the step solves
-    H + lam I; the continuation still never raises the length."""
-    last, lams = [], []
-    real_semidefinite, real_shifted = nlp_solver._semidefinite_solve, nlp_solver._shifted_solve
-
-    def semidefinite(red, H, rhs):
-        last[:] = [rhs, real_semidefinite(red, H, rhs)]
-        return last[1]
-
-    def shifted(red, H, rhs, lam):
-        rhs0, x0 = last
-        assert np.array_equal(rhs, rhs0) and (x0 is None or rhs @ x0 <= 0.0)
-        lams.append(lam)
-        return real_shifted(red, H, rhs, lam)
-
-    monkeypatch.setattr(nlp_solver, "_semidefinite_solve", semidefinite)
-    monkeypatch.setattr(nlp_solver, "_shifted_solve", shifted)
+    """Where the banded Cholesky of H fails or gives no descent, the step
+    solves H + lam I for a larger lam, and only a step that descends is
+    taken; the continuation still never raises the length."""
+    calls = _record_banded_solves(monkeypatch)
     program = _ResidualProgram(build(make_scenario("circle_interior_nonunique", 8)).boundaries, 2)
     red = _Reduced(program)
     for seed in range(4):
@@ -229,7 +257,11 @@ def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
         before = leg_chain(red.points(t)).total
         after = leg_chain(red.points(_smoothed_newton(red, t, True, False, FINISH_EPS))).total
         assert after < before
-    assert lams
+    assert any(lam > 0.0 for *_, lam, _ in calls)
+    for prev, (_, H, rhs, lam, _) in zip(calls, calls[1:]):
+        if lam > 0.0:   # a shift follows a failed or ascending step on the same system
+            assert prev[1] is H and prev[3] < lam
+            assert prev[4] is None or rhs @ prev[4] <= 0.0
 
 
 @pytest.mark.parametrize("name,n", [("halfplane_unit", 90), ("strip_middle", 60),
@@ -480,9 +512,9 @@ def _check_hessian(case, eps):
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
-def _reference_hessian(red, t, legs, floor):
+def _reference_hessian(red, t, legs):
     """The Hessian of the reduced objective entry by entry: a leg from point a
-    to point b with d > floor adds s_j s_k D_j.(I - u u^T) D_k / d to entry
+    to point b with d > 0 adds s_j s_k D_j.(I - u u^T) D_k / d to entry
     (j, k), where D_j is variable j's tangent and s_j is -1 at a, +1 at b and
     0 elsewhere; a curved chart adds Gp . d2p/dt2 to its diagonal."""
     tangent, H = {}, np.zeros((red.nvar, red.nvar))
@@ -494,7 +526,7 @@ def _reference_hessian(red, t, legs, floor):
             for r, (i, c) in enumerate(zip(rows, kind.chart_curvature(prm, t[cols]))):
                 H[cols[r, 0], cols[r, 0]] += legs.grad[i] @ c
     for a, b, d, u in zip(legs.a, legs.b, legs.d, legs.u):
-        if not d > floor:
+        if not d > 0.0:
             continue
         M = (np.eye(u.size) - np.outer(u, u)) / d
         for j, (pj, ej) in tangent.items():
@@ -536,11 +568,11 @@ def _hessian_chains(draw):
 
 
 @given(chain=_hessian_chains(), ends=st.sampled_from([(True, False), (True, True), (False, False)]),
-       eps=st.sampled_from([0.0, 1e-3, 0.05, 1.0]), floor=st.sampled_from([None, 0.0, 1e-14]))
-def test_banded_hessian_is_the_dense_reference(chain, ends, eps, floor):
+       eps=st.sampled_from([0.0, 1e-3, 0.05, 1.0]))
+def test_banded_hessian_is_the_dense_reference(chain, ends, eps):
     """The banded Hessian, expanded, against the entry-by-entry reference, with
-    unit rows on the dead slots; a floor of None puts it at the first leg's
-    length (if any), so that leg, and every one as short, adds nothing."""
+    unit rows on the dead slots; an unsmoothed leg of length zero adds
+    nothing."""
     bnds, raw, dim = chain
     program = _ResidualProgram(bnds, dim)
     red = _Reduced(program)
@@ -548,38 +580,44 @@ def test_banded_hessian_is_the_dense_reference(chain, ends, eps, floor):
         return
     t = red.init_vars(program.nearest(raw))
     legs = leg_chain(red.points(t), *ends, eps)
-    floor = legs.d[:1].max(initial=0.0) if floor is None else floor
-    H, dead = _dense(red, _assemble_hessian(red, t, legs, floor))
-    ref = _reference_hessian(red, t, legs, floor)
+    H, dead = _dense(red, _assemble_hessian(red, t, legs))
+    ref = _reference_hessian(red, t, legs)
     assert np.abs(H - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     assert np.array_equal(dead, np.eye(red.n * red.width)[red.dead])
 
 
-def test_semidefinite_solve_shifts_a_singular_hessian(monkeypatch):
+def test_banded_solve_shifts_a_singular_hessian(monkeypatch):
     """On the order (2, 0, 1, 4, 3) of halfplane_unit N=5, one of those an
     exhaustive search solves, both legs at a point run along its line, so the
-    smoothed Hessian has a zero diagonal and no Cholesky factor.  The shifted
-    solve still gives a finite step of the shifted system."""
-    seen = []
+    smoothed Hessian has a zero diagonal and no Cholesky factor.  A shifted
+    solve still gives a finite step of the shifted system, and no smoothed
+    polish raises the length."""
+    calls = _record_banded_solves(monkeypatch)
+    rises = []
+    real_newton = nlp_solver._smoothed_newton
 
-    def record(red, H, rhs):
-        seen.append((red, H, rhs, _semidefinite_solve(red, H, rhs)))
-        return seen[-1][-1]
+    def newton(red, t, anchored, closed, *a):
+        out = real_newton(red, t, anchored, closed, *a)
+        before, after = (leg_chain(red.points(x), anchored, closed).total for x in (t, out))
+        rises.append(after - before)
+        return out
 
-    monkeypatch.setattr(nlp_solver, "_semidefinite_solve", record)
+    monkeypatch.setattr(nlp_solver, "_smoothed_newton", newton)
     solve_fixed_order(build(make_scenario("halfplane_unit", 5)), (2, 0, 1, 4, 3), OPTS)
-    singular = [c for c in seen if dpbsv(c[1], np.zeros(c[1].shape[1]), lower=1)[2] > 0]
+    assert rises and max(rises) <= 0.0
+    singular = [c for c in calls if c[3] == 0.0 and c[4] is None]
     assert singular
-    for red, H, rhs, x in singular:
+    for _, H0, *_ in singular:
+        red, H, rhs, lam, x = next(c for c in calls if c[1] is H0 and c[3] > 0.0)
         assert x is not None and np.all(np.isfinite(x))
-        A, _ = _dense(red, H)
-        A = A + 1e-12 * np.diag(A).max() * np.eye(red.nvar)
+        A = _dense(red, H)[0] + lam * np.eye(red.nvar)
         assert np.abs(A @ x - rhs).max() <= 1e-6 * np.abs(A).max() * np.abs(x).max()
 
 
-def test_shifted_solve_is_the_dense_solve_on_an_indefinite_hessian():
-    """_newton_refine's banded LU of H + lam I on a circle chain with a point
-    target's dead slot, where the curvature makes H + lam I indefinite."""
+def test_banded_solve_is_the_dense_solve_where_positive_definite():
+    """On a circle chain with a point target's dead slot, where the curvature
+    makes H indefinite, the banded Cholesky of H + lam I is the dense solve
+    where H + lam I is positive definite and None where it is not."""
     bnds = build(make_scenario("circle_interior_nonunique", 8)).boundaries
     bnds = bnds[:4] + (geo.PointTarget((0.3, -0.2)),) + bnds[4:]
     program = _ResidualProgram(bnds, 2)
@@ -589,10 +627,16 @@ def test_shifted_solve_is_the_dense_solve_on_an_indefinite_hessian():
     H = _assemble_hessian(red, t, legs)
     rhs = -red.chain(t, legs.grad)
     A, _ = _dense(red, H)
-    for lam in (0.0, 1e-3, 0.1):
-        assert np.linalg.eigvalsh(A + lam * np.eye(red.nvar)).min() < 0.0
-        ref = np.linalg.solve(A + lam * np.eye(red.nvar), rhs)
-        assert np.abs(_shifted_solve(red, H, rhs, lam) - ref).max() <= 1e-12 * np.abs(ref).max()
+    low = np.linalg.eigvalsh(A).min()
+    assert low < 0.0
+    for lam in (0.0, 0.5 * -low, 2.0 * -low, 10.0 * np.abs(A).max()):
+        x = _banded_solve(red, H, rhs, lam)
+        shifted = A + lam * np.eye(red.nvar)
+        if np.linalg.eigvalsh(shifted).min() < 0.0:
+            assert x is None
+        else:
+            ref = np.linalg.solve(shifted, rhs)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 LBFGS = nlp_solver.minimize

@@ -205,6 +205,16 @@ def test_triangle_catalog_products():
     assert inst.size == len(set(inst.start_index)) * 3
 
 
+def test_triangle_general_names_its_missing_edge_parameters():
+    with pytest.raises(ValueError, match=r"parameters phi2, delta3; .* JSON config"):
+        make_scenario("triangle_general", 3, phi1=0.0, delta1=0.3, delta2=0.3, phi3=4.0)
+    edges = {"phi1": -math.pi / 2, "delta1": 0.3, "phi2": math.pi / 6, "delta2": 0.3,
+             "phi3": 5 * math.pi / 6, "delta3": 0.3}
+    spec = load_config({"name": "triangle_general", "N": 3, "params": edges})
+    assert spec.params["edge_lines"] == tuple((edges[f"phi{j}"], edges[f"delta{j}"])
+                                              for j in (1, 2, 3))
+
+
 def test_interleaved_hints_are_permutations():
     from escape_solver.order_search import OrderPlan
 
