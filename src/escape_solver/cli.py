@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     try:
         ok = run_checks(only=args.only)
     except KeyError as e:
-        print(str(e), file=sys.stderr)
+        print(e.args[0], file=sys.stderr)   # str() of a KeyError is its repr
         return 2
     return 0 if ok else 1
 

@@ -48,7 +48,6 @@ SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times th
 FINISH_EPS = 1e-4         # first smoothing radius of a curved start's finish, times the length
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
-PENALTY_MAX_STAGES = 200
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
 NEWTON_SHIFTS = (0.0, 1e-12) + tuple(10.0 ** k for k in range(-10, 3))  # lam / max diag of H
@@ -622,11 +621,15 @@ def _coincident_runs(P) -> list:
 
 
 def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveOptions):
-    """Quadratic penalty continuation on raw coordinates until near-feasible."""
+    """Quadratic penalty continuation on raw coordinates that picks each
+    point's product factor.  It ends on the first stage that leaves the
+    nearest factors where the stage before left them, or once the points are
+    near-feasible or mu passes 1e9; the exact projection and the polish of
+    the chosen branches do the rest."""
     P = P0.copy()
     mu = PENALTY_INIT
-    stages = 0
-    while stages < PENALTY_MAX_STAGES:
+    settled = None
+    while True:
         scale = np.maximum(np.linalg.norm(program.residuals(P)[1], axis=1), geo.GRAD_FLOOR)
         w = mu / scale**2
 
@@ -640,11 +643,11 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
 
         res = minimize(obj, P.ravel(), maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20)
         P = res.x.reshape(P.shape)
-        stages += 1
-        if program.scaled(P).max() <= math.sqrt(opts.feas_tol) or mu > 1e9:
-            break
+        assign = program.branches(P)
+        if assign == settled or program.scaled(P).max() <= math.sqrt(opts.feas_tol) or mu > 1e9:
+            return P
+        settled = assign
         mu *= PENALTY_GROWTH
-    return P
 
 
 def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *,

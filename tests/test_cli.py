@@ -116,6 +116,7 @@ def test_verify_only_subset(capsys):
 
 def test_verify_unknown_filter_exits_2(capsys):
     assert main(["verify", "--only", "no_such_check"]) == 2
+    assert capsys.readouterr().err == "no checks match 'no_such_check'\n"
 
 
 def test_verify_detects_corrupted_catalog(monkeypatch, capsys):

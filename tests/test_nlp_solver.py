@@ -322,6 +322,40 @@ def test_strip_product_interleaved_branches_alternate():
     assert all(a != b for a, b in pairs)
 
 
+def test_penalty_phase_stops_once_branches_settle(monkeypatch):
+    """A start's continuation ends on the first stage that leaves every product
+    branch where the stage before left it; running on to near-feasibility
+    takes 6 stages a start here."""
+    stages = []
+    real_minimize, real_phase = nlp_solver.minimize, nlp_solver._penalty_phase
+
+    def minimize(*a, **k):
+        if k.get("maxcor") == 20:
+            stages[-1] += 1
+        return real_minimize(*a, **k)
+
+    def phase(*a):
+        stages.append(0)
+        return real_phase(*a)
+
+    monkeypatch.setattr(nlp_solver, "minimize", minimize)
+    monkeypatch.setattr(nlp_solver, "_penalty_phase", phase)
+    _solve_hint("strip_middle_product", 20)
+    assert len(stages) == OPTS.multistart
+    assert all(1 <= s <= 2 for s in stages)
+
+
+@pytest.mark.parametrize("name, n, L, branches", [
+    ("strip_middle_product", 20, 2.125412809709614, "01010101010100101010"),
+    ("perp_lines_product", 20, 2.262717157782102, "11010101010000000000"),
+    ("perp_lines_product", 40, 2.391945491537554, "01" * 10 + "0" * 20),
+])
+def test_product_answers_keep_their_branches(name, n, L, branches):
+    sol = _solve_hint(name, n)[1]
+    assert sol.length == pytest.approx(L, abs=1e-12)
+    assert sol.branch_assignment == tuple(map(int, branches))
+
+
 def test_branch_strategies_for_union_boundary():
     inst = build(make_scenario("circle_plus_segment", 48))
     arc, seg = solve_branch_strategies(inst, SolveOptions(multistart=1))
