@@ -7,17 +7,19 @@ undecided, project exactly, then polish in reduced on-boundary coordinates
 chart is affine (lines, planes, points) the polish objective is convex: the
 polish is damped Newton on the smoothed length, its smoothing radius cut down
 to SMOOTH_FLOOR times the length, and the solution carries a duality gap that
-bounds how far it is above the minimum.  Curved and bounded charts are
-polished by L-BFGS; a warm re-polish on unbounded curved charts ends with one
-stage of the same smoothed Newton at the floor radius.  Coincident
-consecutive points are genuine corners of many optima; such clusters get
-pinned to the common point of their boundaries so the corner nonsmoothness
-cannot cap the final accuracy.  After that merge, a start on unbounded curved
-charts ends with the same smoothed Newton, its radius starting at FINISH_EPS
-times the length.  Every Newton step is a banded Cholesky solve of the exact
-block-tridiagonal Hessian, shifted where it is singular or indefinite.  The
-best feasible start wins; ties break to the lexicographically smallest point
-sequence so reruns are bitwise stable.
+bounds how far it is above the minimum.  On unbounded curved charts (circles)
+a start's first polish is the same smoothed Newton, its radius starting at
+COLD_EPS times the length; a warm re-polish there is a brief L-BFGS that ends
+with one stage of the smoothed Newton at the floor radius.  Charts with a box
+(segments) are polished by L-BFGS-B.  Coincident consecutive points are
+genuine corners of many optima; such clusters get pinned to the common point
+of their boundaries so the corner nonsmoothness cannot cap the final
+accuracy.  After that merge, a start on unbounded curved charts ends with the
+same smoothed Newton, its radius starting at FINISH_EPS times the length.
+Every Newton step is a banded Cholesky solve of the exact block-tridiagonal
+Hessian, shifted where it is singular or indefinite.  The best feasible start
+wins; ties break to the lexicographically smallest point sequence so reruns
+are bitwise stable.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
-POLISH_MAXITER = 30000    # L-BFGS iterations of a cold polish
+POLISH_MAXITER = 30000    # L-BFGS iterations of a polish on segment boxes
 SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times the length
 FINISH_EPS = 1e-4         # first smoothing radius of a curved start's finish, times the length
+COLD_EPS = (1e-1, 1e-3)   # first smoothing radius of start k's curved polish, [k % 2] times L
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
@@ -314,7 +317,16 @@ class _Ordered:
                                 geo.translate(inst.boundaries[h], shift) for h in perm)
 
 
-def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True):
+def _polish(program: _ResidualProgram, P0, anchored, closed, cold: int | None = None):
+    """Points on the program's boundaries from P0, and their length.
+
+    `cold` is the index of the start whose first polish this is, None for a
+    warm re-polish (after a merge or a branch change).  Affine charts take the
+    smoothed Newton, and charts with a box (segments) L-BFGS-B.  On other
+    charts a cold polish is the smoothed Newton from the radius
+    COLD_EPS[cold % 2] times the length: the starts alternate between the two
+    radii because each alone sends some starts to worse minima.
+    """
     red = _Reduced(program)
     t0 = red.init_vars(P0)
     if red.nvar == 0:
@@ -329,10 +341,11 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, newton: bool = True
         legs = leg_chain(red.points(t), anchored, closed)
         return legs.total, red.chain(t, legs.grad)
 
-    bounds = red.bounds if any(b != (None, None) for b in red.bounds) else None
-    if not newton or bounds is not None:
-        t = minimize(obj, t0, bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
+    if any(b != (None, None) for b in red.bounds):
+        t = minimize(obj, t0, red.bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
                      maxcor=40).x
+    elif cold is not None:
+        t = _smoothed_newton(red, t0, anchored, closed, COLD_EPS[cold % 2])
     else:
         # warm path (re-polish after a merge or a branch change): quasi-Newton
         # briefly, then one smoothed Newton stage at the floor radius (the
@@ -669,7 +682,7 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
                 P = _penalty_phase(program, P, inst.anchored, inst.closed, opts)
             assign = program.branches(P)
             target = program.resolved(assign)
-        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, newton=False)
+        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, cold=k)
         if has_products and branch_assignment is None:
             # branch stabilisation: re-pick nearest factors, re-polish if changed
             for _ in range(3):

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (FINISH_EPS, NonConvergenceError, SolveOptions,
-                                      _assemble_hessian, _banded_solve, _coincident_runs,
+from escape_solver.nlp_solver import (FINISH_EPS, POLISH_MAXITER, NonConvergenceError,
+                                      SolveOptions, _assemble_hessian, _banded_solve,
+                                      _build_seeds, _coincident_runs,
                                       _duality_gap, _Ordered, _polish, _Reduced,
                                       _ResidualProgram, _smoothed_newton,
                                       solve_branch_strategies, solve_fixed_order,
@@ -69,11 +70,12 @@ def test_one_boundary_is_its_distance_from_the_start(boundary, dist, mode, legs)
     assert sol.converged
     assert sol.length == pytest.approx(legs * dist, abs=1e-9)
     if legs and isinstance(boundary, geo.Circle):
-        # the warm polish of one point (Newton) ends where the cold one does
+        # the warm polish of one point ends where the cold ones of both radii do
         program = _ResidualProgram((boundary,), dim)
         P0 = program.nearest(np.array([[0.3, 0.9]]))
-        warm, cold = (_polish(program, P0, True, legs == 2, newton=nt)[1] for nt in (True, False))
-        assert warm == pytest.approx(cold, abs=1e-9) and warm == pytest.approx(legs * dist)
+        warm, *cold = (_polish(program, P0, True, legs == 2, cold=k)[1] for k in (None, 0, 1))
+        assert warm == pytest.approx(legs * dist)
+        assert cold == pytest.approx([warm] * 2, abs=1e-9)
 
 def _affine_families():
     rng = np.random.default_rng(3)
@@ -195,7 +197,7 @@ def test_an_affine_solve_is_one_smoothed_newton_polish(monkeypatch, name, n, m):
 
 
 def test_a_curved_start_ends_without_lbfgs(monkeypatch):
-    """The finish after the kink merge walks legs that L-BFGS-B left just
+    """The finish after the kink merge walks legs that the polish left just
     above COINCIDENT into their kinks; a warm L-BFGS-B stopped on its
     iteration cap at 2.994717525, above what it reaches when run to
     convergence."""
@@ -225,12 +227,12 @@ def test_a_curved_start_ends_without_lbfgs(monkeypatch):
 def test_curved_answers_stay_at_or_below_their_values():
     inst = build(make_scenario("circle_wf2", 7, 2))
     sol = solve_alternating(inst, OPTS)
-    assert sol.length <= 2.172125600690016
-    assert sol.order == (13, 12, 11, 10, 9, 8, 7, 2, 1, 0, 6, 5, 4, 3)
+    assert sol.length <= 1.9541634565979922
+    assert sol.order == (13, 12, 11, 10, 9, 8, 7, 4, 5, 3, 1, 6, 2, 0)
     inst = build(make_scenario("circle_wf2", 8, 2))
     sol = solve_fixed_order(inst, tuple(reversed(range(inst.size))), SolveOptions(multistart=1))
     assert sol.length <= 2.2716098644467433
-    assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136836
+    assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136838
 
 
 def _record_banded_solves(monkeypatch):
@@ -264,15 +266,23 @@ def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
             assert prev[4] is None or rhs @ prev[4] <= 0.0
 
 
-@pytest.mark.parametrize("name,n", [("halfplane_unit", 90), ("strip_middle", 60),
-                                    ("perp_lines_half", 60)])
-def test_affine_solves_are_scale_covariant(name, n):
-    """The smoothing floor is relative to the length, so no absolute radius
-    (such as COINCIDENT) moves the answer at other scales."""
-    spec = make_scenario(name, n)
-    base = solve_fixed_order(build(spec), spec.order_hint, OPTS).length
+_SCALED = [("halfplane_unit", 90, 1, 2), ("strip_middle", 60, 1, 2), ("perp_lines_half", 60, 1, 2),
+           ("circle_wf2", 12, 4, 1), ("circle_interior_nonunique", 30, 1, 1)]
+
+
+@pytest.mark.parametrize("name,n,m,multistart", _SCALED, ids=[f"{c[0]}-{c[1]}" for c in _SCALED])
+def test_affine_solves_are_scale_covariant(name, n, m, multistart):
+    """The smoothing radii are relative to the length, so no absolute radius
+    (such as COINCIDENT) moves the answer at other scales; on the curved
+    families the cold polish is the smoothed Newton from COLD_EPS times the
+    length, where a cold L-BFGS-B (absolute tolerances) ended at a different
+    minimum at each scale."""
+    spec = make_scenario(name, n, m)
+    order = spec.order_hint or tuple(range(build(spec).size))
+    opts = SolveOptions(multistart=multistart)
+    base = solve_fixed_order(build(spec), order, opts).length
     for s in (1e-3, 1e3):
-        scaled = solve_fixed_order(build(scale_spec(spec, s)), spec.order_hint, OPTS).length
+        scaled = solve_fixed_order(build(scale_spec(spec, s)), order, opts).length
         assert abs(scaled / s - base) <= 1e-12 * base
 
 
@@ -676,7 +686,25 @@ def test_banded_solve_is_the_dense_solve_where_positive_definite():
 LBFGS = nlp_solver.minimize
 
 
-def _lbfgs_calls(monkeypatch, name, n, multistart=1):
+def _cold_objective(name, n):
+    """(objective, start, bounds, options) of a cold, unbounded L-BFGS-B
+    polish of a circle family: the reduced length from start 0's seeds, with
+    the options of the segment polish."""
+    inst = build(make_scenario(name, n))
+    ordered = _Ordered(inst, inst.order_hint)
+    program = _ResidualProgram(ordered.boundaries, inst.dimension)
+    seeds = _build_seeds(inst, ordered, program, SolveOptions(multistart=1), None)
+    red = _Reduced(program)
+
+    def fun(t):
+        legs = leg_chain(red.points(t), inst.anchored, inst.closed)
+        return legs.total, red.chain(t, legs.grad)
+
+    options = {"maxiter": POLISH_MAXITER, "ftol": 1e-18, "gtol": 1e-13, "maxcor": 40}
+    return fun, red.init_vars(program.nearest(seeds[0])), None, options
+
+
+def _lbfgs_calls(monkeypatch, name, n, m=1, multistart=1):
     """(objective, start, bounds, options) of every L-BFGS-B call of one solve."""
     calls = []
 
@@ -685,10 +713,23 @@ def _lbfgs_calls(monkeypatch, name, n, multistart=1):
         return LBFGS(fun, x0, bounds, **options)
 
     monkeypatch.setattr(nlp_solver, "minimize", record)
-    inst = build(make_scenario(name, n))
-    solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=multistart))
+    inst = build(make_scenario(name, n, m))
+    solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size)),
+                      SolveOptions(multistart=multistart))
     monkeypatch.undo()
     return calls
+
+
+@pytest.mark.parametrize("name,n,m,boxed", [("circle_interior_nonunique", 30, 1, False),
+                                            ("circle_wf2", 12, 4, False),
+                                            ("circle_plus_segment", 12, 1, True)])
+def test_only_segment_boxes_take_the_cold_lbfgs(monkeypatch, name, n, m, boxed):
+    """A cold polish on circles is the smoothed Newton from COLD_EPS; only a
+    chart with a box (a segment) still runs L-BFGS-B to POLISH_MAXITER."""
+    cold = [c for c in _lbfgs_calls(monkeypatch, name, n, m, multistart=2)
+            if c[3]["maxiter"] == POLISH_MAXITER]
+    assert bool(cold) == boxed
+    assert all(bounds is not None for _, _, bounds, _ in cold)
 
 
 def _same_as_scipy(fun, x0, bounds, options):
@@ -703,9 +744,8 @@ def _same_as_scipy(fun, x0, bounds, options):
     return ref
 
 
-def test_lbfgs_driver_matches_scipy_on_a_circle_polish(monkeypatch):
-    fun, x0, bounds, options = _lbfgs_calls(monkeypatch, "circle_interior_02", 8)[0]
-    assert bounds is None
+def test_lbfgs_driver_matches_scipy_on_a_circle_polish():
+    fun, x0, bounds, options = _cold_objective("circle_interior_02", 8)
     assert _same_as_scipy(fun, x0, bounds, options).status == 0
     # maxfun is checked once an iteration ends, so the stop comes after 50
     capped = _same_as_scipy(fun, x0, bounds, {**options, "maxfun": 50})
@@ -730,9 +770,9 @@ def test_lbfgs_driver_matches_scipy_on_segment_boxes_and_penalty_stages(monkeypa
     assert np.allclose(ref.x, [1.0, 1.0, 2.0, 2.0])
 
 
-def test_lbfgs_driver_matches_scipy_on_a_failed_line_search(monkeypatch):
-    # the cold polish of this family ends at a kink where no step decreases
-    fun, x0, bounds, options = _lbfgs_calls(monkeypatch, "circle_interior_nonunique", 8)[0]
+def test_lbfgs_driver_matches_scipy_on_a_failed_line_search():
+    # the cold L-BFGS-B of this family ends at a kink where no step decreases
+    fun, x0, bounds, options = _cold_objective("circle_interior_nonunique", 8)
     assert _same_as_scipy(fun, x0, bounds, options).message.startswith("ABNORMAL")
 
 
