@@ -468,6 +468,11 @@ class Product:
 BoundaryExpr = Line | Circle | PointTarget | Segment | Product | Plane3
 
 
+def _cast(prm, dtype):
+    """A kind's packed parameters (arrays, or tuples of them) cast to dtype."""
+    return tuple(_cast(a, dtype) if isinstance(a, tuple) else np.asarray(a, dtype) for a in prm)
+
+
 class Packed:
     """Boundaries of one shape (one kind, or products of the same factor kinds)
     with each factor's parameters stacked by its kind's record."""
@@ -477,9 +482,11 @@ class Packed:
         self.prms = tuple(kind.pack([b.factors[j] for b in boundaries])
                           for j, kind in enumerate(self.kinds))
 
-    def residual(self, P: np.ndarray):
-        """F (m,) and grad F (m, dim); a product's through the product rule."""
-        parts = [kind.residual(prm, P) for kind, prm in zip(self.kinds, self.prms)]
+    def residual(self, P: np.ndarray, dtype=None):
+        """F (m,) and grad F (m, dim); a product's through the product rule.
+        A dtype (np.longdouble) casts the parameters to it first."""
+        prms = self.prms if dtype is None else [_cast(prm, dtype) for prm in self.prms]
+        parts = [kind.residual(prm, P) for kind, prm in zip(self.kinds, prms)]
         if len(parts) == 1:
             return parts[0]
         # products in factor order, rounded as np.prod rounds them; the

@@ -9,17 +9,17 @@ polish is damped Newton on the smoothed length, its smoothing radius cut down
 to SMOOTH_FLOOR times the length, and the solution carries a duality gap that
 bounds how far it is above the minimum.  On unbounded curved charts (circles)
 a start's first polish is the same smoothed Newton, its radius starting at
-COLD_EPS times the length; a warm re-polish there is a brief L-BFGS that ends
-with one stage of the smoothed Newton at the floor radius.  Charts with a box
-(segments) are polished by L-BFGS-B.  Coincident consecutive points are
-genuine corners of many optima; such clusters get pinned to the common point
-of their boundaries so the corner nonsmoothness cannot cap the final
-accuracy.  After that merge, a start on unbounded curved charts ends with the
-same smoothed Newton, its radius starting at FINISH_EPS times the length.
-Every Newton step is a banded Cholesky solve of the exact block-tridiagonal
-Hessian, shifted where it is singular or indefinite.  The best feasible start
-wins; ties break to the lexicographically smallest point sequence so reruns
-are bitwise stable.
+COLD_EPS times the length; a warm re-polish there is one stage of it at the
+floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
+Coincident consecutive points are genuine corners of many optima; such
+clusters get pinned to the common point of their boundaries, found to
+rounding, so the corner nonsmoothness cannot cap the final accuracy.  After
+that merge, a start on unbounded curved charts ends with the same smoothed
+Newton, its radius starting at FINISH_EPS times the length.  Every Newton
+step is a banded Cholesky solve of the exact block-tridiagonal Hessian,
+shifted where it is singular or indefinite.  The best feasible start wins;
+ties break to the lexicographically smallest point sequence so reruns are
+bitwise stable.
 """
 
 from __future__ import annotations
@@ -317,15 +317,15 @@ class _Ordered:
                                 geo.translate(inst.boundaries[h], shift) for h in perm)
 
 
-def _polish(program: _ResidualProgram, P0, anchored, closed, cold: int | None = None):
+def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOTH_FLOOR):
     """Points on the program's boundaries from P0, and their length.
 
-    `cold` is the index of the start whose first polish this is, None for a
-    warm re-polish (after a merge or a branch change).  Affine charts take the
-    smoothed Newton, and charts with a box (segments) L-BFGS-B.  On other
-    charts a cold polish is the smoothed Newton from the radius
-    COLD_EPS[cold % 2] times the length: the starts alternate between the two
-    radii because each alone sends some starts to worse minima.
+    Affine charts take the smoothed Newton, and charts with a box (segments)
+    L-BFGS-B.  On other charts the polish is the smoothed Newton from the
+    radius `eps0` times the length: a start's first polish passes its entry
+    of COLD_EPS, and a warm re-polish (after a merge or a branch change),
+    which starts next to its minimum, keeps the default of one stage at the
+    floor radius.
     """
     red = _Reduced(program)
     t0 = red.init_vars(P0)
@@ -336,23 +336,15 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, cold: int | None = 
         t = _smoothed_newton(red, t0, anchored, closed)
         P = red.points(t)
         return P, leg_chain(P, anchored, closed).total
-
-    def obj(t):
-        legs = leg_chain(red.points(t), anchored, closed)
-        return legs.total, red.chain(t, legs.grad)
-
     if any(b != (None, None) for b in red.bounds):
+        def obj(t):
+            legs = leg_chain(red.points(t), anchored, closed)
+            return legs.total, red.chain(t, legs.grad)
+
         t = minimize(obj, t0, red.bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
                      maxcor=40).x
-    elif cold is not None:
-        t = _smoothed_newton(red, t0, anchored, closed, COLD_EPS[cold % 2])
     else:
-        # warm path (re-polish after a merge or a branch change): quasi-Newton
-        # briefly, then one smoothed Newton stage at the floor radius (the
-        # chain objective is too ill-conditioned for a limited-memory method
-        # alone)
-        t = minimize(obj, t0, maxiter=2000, ftol=1e-18, gtol=1e-11, maxcor=40).x
-        t = _smoothed_newton(red, t, anchored, closed, SMOOTH_FLOOR)
+        t = _smoothed_newton(red, t0, anchored, closed, eps0)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
 
@@ -363,8 +355,8 @@ def _finish(program: _ResidualProgram, P, anchored, closed):
     On affine and bounded charts (segments) `_merge_kinks`' own polish is
     final.  On unbounded curved charts it is smoothed continuation from eps =
     FINISH_EPS times the length, which walks legs that have nearly collapsed
-    into their kinks, where warm L-BFGS crawls; the input points stay if their
-    exact length is not above the result's.
+    into their kinks (one stage at the floor radius does not); the input
+    points stay if their exact length is not above the result's.
     """
     L = leg_chain(P, anchored, closed).total
     red = _Reduced(program)
@@ -569,21 +561,39 @@ def _leg_sums(y, legs, n: int) -> np.ndarray:
 
 
 def _common_point(boundaries, p0, tol=1e-13, iters=60):
-    """Gauss-Newton for a point on every listed boundary, started at p0."""
+    """Gauss-Newton for a point on every listed boundary, started at p0.
+
+    Rounding in the float64 residuals stops the iteration some ulps from a
+    crossing at a small angle (up to 1.4e-15 on circle_interior_02 N=30).
+    Where a boundary is curved, one last step with the residuals in long
+    double puts the point at the crossing to rounding (where long double is
+    float64, it is one more float64 step).  Crossings of flat boundaries keep
+    the float64 point, so the convex answers and their time stay as they
+    were."""
     p = np.asarray(p0, dtype=float).copy()
     program = _ResidualProgram(boundaries, len(p))
-    for _ in range(iters):
-        R, J = program.residuals(np.tile(p, (len(boundaries), 1)))
+
+    def step(R, J):
         JtJ = J.T @ J
         if np.linalg.det(JtJ) < 1e-18:
             JtJ = JtJ + 1e-12 * np.eye(len(p))
-        step = np.linalg.solve(JtJ, J.T @ R)
-        p = p - step
-        if np.linalg.norm(step) < tol:
+        return np.linalg.solve(JtJ, J.T @ R)
+
+    for _ in range(iters):
+        s = step(*program.residuals(np.tile(p, (len(boundaries), 1))))
+        p = p - s
+        if np.linalg.norm(s) < tol:
             break
     if program.scaled(np.tile(p, (len(boundaries), 1))).max() > 1e-10:
         return None
-    return p
+    if all(b.chart_curvature is None for b in boundaries):
+        return p
+    q = p.astype(np.longdouble)
+    R = np.concatenate([packed.residual(np.tile(q, (len(idx), 1)), np.longdouble)[0]
+                        for idx, packed in program.groups])
+    J = np.concatenate([packed.residual(np.tile(p, (len(idx), 1)))[1]
+                        for idx, packed in program.groups])
+    return (q - step(R.astype(float), J)).astype(float)
 
 
 def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
@@ -682,7 +692,9 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
                 P = _penalty_phase(program, P, inst.anchored, inst.closed, opts)
             assign = program.branches(P)
             target = program.resolved(assign)
-        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, cold=k)
+        # the starts alternate between the radii: each alone sends some
+        # starts to worse minima
+        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, COLD_EPS[k % 2])
         if has_products and branch_assignment is None:
             # branch stabilisation: re-pick nearest factors, re-polish if changed
             for _ in range(3):

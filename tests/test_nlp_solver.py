@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (FINISH_EPS, POLISH_MAXITER, NonConvergenceError,
+from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, POLISH_MAXITER, NonConvergenceError,
                                       SolveOptions, _assemble_hessian, _banded_solve,
-                                      _build_seeds, _coincident_runs,
+                                      _build_seeds, _coincident_runs, _common_point,
                                       _duality_gap, _Ordered, _polish, _Reduced,
                                       _ResidualProgram, _smoothed_newton,
                                       solve_branch_strategies, solve_fixed_order,
@@ -73,7 +74,8 @@ def test_one_boundary_is_its_distance_from_the_start(boundary, dist, mode, legs)
         # the warm polish of one point ends where the cold ones of both radii do
         program = _ResidualProgram((boundary,), dim)
         P0 = program.nearest(np.array([[0.3, 0.9]]))
-        warm, *cold = (_polish(program, P0, True, legs == 2, cold=k)[1] for k in (None, 0, 1))
+        warm = _polish(program, P0, True, legs == 2)[1]
+        cold = [_polish(program, P0, True, legs == 2, eps0)[1] for eps0 in COLD_EPS]
         assert warm == pytest.approx(legs * dist)
         assert cold == pytest.approx([warm] * 2, abs=1e-9)
 
@@ -228,11 +230,54 @@ def test_curved_answers_stay_at_or_below_their_values():
     inst = build(make_scenario("circle_wf2", 7, 2))
     sol = solve_alternating(inst, OPTS)
     assert sol.length <= 1.9541634565979922
-    assert sol.order == (13, 12, 11, 10, 9, 8, 7, 4, 5, 3, 1, 6, 2, 0)
+    assert sol.order == (13, 12, 11, 10, 9, 8, 7, 1, 6, 2, 0, 4, 5, 3)
     inst = build(make_scenario("circle_wf2", 8, 2))
     sol = solve_fixed_order(inst, tuple(reversed(range(inst.size))), SolveOptions(multistart=1))
     assert sol.length <= 2.2716098644467433
-    assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136838
+    assert _solve_hint("circle_interior_02", 30)[1].length <= 1.2458198548136836
+
+
+@pytest.mark.parametrize("n,multistart,bound", [(30, 1, 3.6781609283476993),
+                                                (30, 2, 3.677521199114972),
+                                                (90, 2, 3.684097325589203)])
+def test_closed_curved_answers_stay_at_or_below_their_values(n, multistart, bound):
+    """Out and back through circle_interior_nonunique.  A cold L-BFGS-B polish
+    reached 3.677521199114972 at N=30 from one start and 3.68409593190819 at
+    N=90; the smoothed Newton from either first radius ends N=90 in another
+    local minimum, and from 1e-1 L (start 0) N=30 as well."""
+    inst = build(make_scenario("circle_interior_nonunique", n, mode="escape_closed"))
+    sol = solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=multistart))
+    assert sol.length <= bound
+
+
+def _crossing(c1, c2, r, near):
+    """The crossing of two circles of radius r nearest `near`, from the float
+    centres in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        (x1, y1), (x2, y2) = ([decimal.Decimal(v) for v in c] for c in (c1, c2))
+        dx, dy = x2 - x1, y2 - y1
+        d = (dx * dx + dy * dy).sqrt()
+        h = (decimal.Decimal(r) ** 2 - d * d / 4).sqrt()
+        mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+        both = [(mx - h * dy / d, my + h * dx / d), (mx + h * dy / d, my - h * dx / d)]
+        return np.array(min(both, key=lambda q: (float(q[0]) - near[0]) ** 2
+                            + (float(q[1]) - near[1]) ** 2), dtype=float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is float64 here")
+@pytest.mark.parametrize("angle", [2 * math.pi / 30, 0.05, 1e-2, 1e-3])
+def test_common_point_of_circles_crossing_at_a_small_angle_is_rounded(angle):
+    """circle_interior_02's merged corners: the crossing of two circles of
+    radius 1.2 whose centres sit `angle` apart on the unit circle, within one
+    ulp of its largest coordinate.  float64 Gauss-Newton alone stops 7 to 230
+    ulps away at these angles."""
+    c1, c2 = (1.0, 0.0), (math.cos(angle), math.sin(angle))
+    p0 = np.array([-0.2, 0.1])
+    q = _common_point([geo.Circle(c1, 1.2), geo.Circle(c2, 1.2)], p0)
+    exact = _crossing(c1, c2, 1.2, p0)
+    assert np.abs(q - exact).max() <= np.spacing(np.abs(exact).max())
 
 
 def _record_banded_solves(monkeypatch):
@@ -723,12 +768,12 @@ def _lbfgs_calls(monkeypatch, name, n, m=1, multistart=1):
 @pytest.mark.parametrize("name,n,m,boxed", [("circle_interior_nonunique", 30, 1, False),
                                             ("circle_wf2", 12, 4, False),
                                             ("circle_plus_segment", 12, 1, True)])
-def test_only_segment_boxes_take_the_cold_lbfgs(monkeypatch, name, n, m, boxed):
-    """A cold polish on circles is the smoothed Newton from COLD_EPS; only a
+def test_only_segment_boxes_take_lbfgs(monkeypatch, name, n, m, boxed):
+    """Every polish on circles, cold or warm, is the smoothed Newton; only a
     chart with a box (a segment) still runs L-BFGS-B to POLISH_MAXITER."""
-    cold = [c for c in _lbfgs_calls(monkeypatch, name, n, m, multistart=2)
-            if c[3]["maxiter"] == POLISH_MAXITER]
-    assert bool(cold) == boxed
+    calls = _lbfgs_calls(monkeypatch, name, n, m, multistart=2)
+    cold = [c for c in calls if c[3]["maxiter"] == POLISH_MAXITER]
+    assert bool(cold) == boxed and (boxed or calls == [])
     assert all(bounds is not None for _, _, bounds, _ in cold)
 
 
