@@ -675,14 +675,22 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
 
 def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *,
                       branch_assignment=None, initial_points=None) -> Solution:
-    """Best-of-multistart local minimum with every point on its assigned boundary."""
+    """Best-of-multistart local minimum with every point on its assigned boundary.
+
+    When every boundary is a PointTarget nothing can move, so the solution is
+    built from the points themselves: no seeds, starts or polish, gap 0.
+    """
     opts = opts or SolveOptions()
     ordered = _Ordered(inst, order)
     perm = ordered.indices
     program = _ResidualProgram(ordered.boundaries, inst.dimension)
     has_products = any(isinstance(b, geo.Product) for b in ordered.boundaries)
     given = program.resolved(branch_assignment) if branch_assignment else program
-    seeds = _build_seeds(inst, ordered, program, opts, initial_points)
+
+    def record(P, L, assign, target):
+        resid = float(program.scaled(P).max())
+        feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
+        return P, L, resid, feasible, assign, target
 
     def run_start(k: int):
         P = seeds[k]
@@ -710,22 +718,26 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
             P, L = _finish(merged, P, inst.anchored, inst.closed)
             if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
                 P, L = P_pre, L_pre
-        resid = float(program.scaled(P).max())
-        feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
-        return P, L, resid, feasible, assign, target
+        return record(P, L, assign, target)
 
-    # on affine charts the polish is convex: every start reaches the same minimum
-    convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
-    best = None
-    best_key = None
-    for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
-        P, L, resid, feasible, assign, target = run_start(k)
-        key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (P, L, resid, feasible, assign, target)
+    if all(isinstance(b, geo.PointTarget) for b in ordered.boundaries):
+        # no variables: the projected points are the solution, with no seeds
+        # or polish
+        best = record(program.nearest(np.zeros((inst.size, inst.dimension))), None,
+                      branch_assignment, given)
+    else:
+        seeds = _build_seeds(inst, ordered, program, opts, initial_points)
+        # on affine charts the polish is convex: every start reaches the same minimum
+        convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
+        best_key = None
+        for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
+            P, L, resid, feasible, assign, target = run_start(k)
+            key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (P, L, resid, feasible, assign, target)
 
-    P, L, resid, feasible, assign, target = best
+    P, _, resid, feasible, assign, target = best
     per_point = tuple(float(r) for r in program.scaled(P))
     poly = Polyline(tuple(map(tuple, P)), anchored=inst.anchored, closed=inst.closed)
     sol = Solution(

@@ -7,15 +7,23 @@ distances between the frozen points, their distances to the start (zero on an
 unanchored family) and whether the path closes back to the start.  The oracles
 are Held-Karp subset DP (exact, closing leg included), depth-first branch and
 bound with a spanning-tree bound, one first-improvement 2-opt move and a 2-opt
-descent.  `_improve` is the one re-solve loop, with two gates: it re-solves an
-order only if that is shorter at the frozen points by more than 1e-12, and it
-keeps the re-solve only if that is shorter by more than max(STEP_TOL * L,
-1e-14).  `exhaustive` solves every order; it is the reference for the oracles.
+descent.  The exact oracles keep one tie rule, a later candidate replacing an
+earlier one only if it is shorter by more than 1e-15, and are vectorized
+around it: Held-Karp takes the minimum over predecessors of a whole block of
+subsets at once and replays the rule only where a candidate lies within 1e-15
+of the minimum, and branch and bound computes one spanning-tree bound per
+expanded node.  `_improve` is the one re-solve loop, with two gates: it
+re-solves an order only if that is shorter at the frozen points by more than
+1e-12, and it keeps the re-solve only if that is shorter by more than
+max(STEP_TOL * L, 1e-14).  `exhaustive` solves every order; it is the
+reference for the oracles.  On a family of points the re-solve is only the
+order's cost, since `solve_fixed_order` builds such a solution from the points.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,44 +150,74 @@ def exhaustive(inst: Instance, opts: SolveOptions | None = None) -> Solution:
 def _held_karp_order(dmat, anchor, closed: bool):
     """Exact order and its cost for fixed positions via subset DP.
 
-    C[S, v] is the shortest path from the start through the node set S (a
-    bitmask) that ends at v, and P[S, v] its predecessor (-1 at the start).
-    The table is filled one popcount layer at a time; predecessors j are swept
-    upward and a later one wins only if it is shorter by more than 1e-15, so
-    near-ties keep the lowest index.  A closed path ends with its leg back to
-    the start.  The tables take K * 2^K * 9 bytes (see HELD_KARP_MAX_K).
+    C[v, S] is the shortest path from the start through the node set S (a
+    bitmask) that ends at v, and P[v, S] its predecessor (-1 at the start).
+    The table is filled one popcount layer at a time, a block of every S of
+    the layer that holds v at once, with the candidates (j, S) in columns.
+    The tie rule is that of a sweep over predecessors j upward in which a
+    later one wins only if it is shorter by more than 1e-15, so near-ties
+    keep the lowest index.  That sweep ends at the column's minimum m and its
+    lowest index, unless some candidate c > m has c - 1e-15 <= m; only such
+    near-tie columns are swept, by `_sweep_near_ties`, in chunks no larger
+    than the largest block.  A layer is read only by the next, so the sweep
+    can wait until near ties fill a chunk or the layer ends.  A closed path
+    ends with its leg back to the start.  The tables take K * 2^K * 9 bytes
+    (see HELD_KARP_MAX_K).
     """
     k = dmat.shape[0]
     full = (1 << k) - 1
-    C = np.full((1 << k, k), np.inf)
-    P = np.full((1 << k, k), -1, dtype=np.int8)
+    C = np.full((k, 1 << k), np.inf)
+    P = np.full((k, 1 << k), -1, dtype=np.int8)
     nodes = np.arange(k)
-    C[1 << nodes, nodes] = anchor
+    C[nodes, 1 << nodes] = anchor
     popcount = np.zeros(1 << k, dtype=np.int8)
     for b in range(k):
         popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    chunk = math.comb(k - 1, (k - 1) // 2)    # columns of the largest (r, v) block
     for r in range(2, k + 1):
         masks = np.flatnonzero(popcount == r)
+        near, pending = [], 0
         for v in range(k):
             S = masks[masks & (1 << v) != 0]
-            cand = C[S ^ (1 << v)]        # (S, j); inf unless j is in S - {v}
-            cand += dmat[:, v]
-            best = np.full(len(S), np.inf)
-            pred = np.full(len(S), -1, dtype=np.int8)
-            for j in range(k):
-                take = cand[:, j] < best - 1e-15
-                best[take] = cand[take, j]
-                pred[take] = j
-            C[S, v] = best
-            P[S, v] = pred
-    total = C[full] + anchor if closed else C[full]
+            cand = C.take(S ^ (1 << v), axis=1)   # (j, S); inf unless j is in S - {v}
+            cand += dmat[:, v, None]
+            best = cand.min(axis=0)
+            low = cand == best
+            C[v, S] = best
+            P[v, S] = low.argmax(axis=0)         # the lowest j at the minimum
+            cand -= 1e-15                        # near ties: some c > m has c - 1e-15 <= m
+            S = S[((cand <= best) != low).any(axis=0)]
+            near.append((S, np.full(S.size, v)))
+            pending += S.size
+            if pending and (pending >= chunk or v == k - 1):
+                Sn, Vn = (np.concatenate(a) for a in zip(*near))
+                for lo in range(0, pending, chunk):
+                    _sweep_near_ties(C, P, dmat, Sn[lo:lo + chunk], Vn[lo:lo + chunk])
+                near, pending = [], 0
+    total = C[:, full] + anchor if closed else C[:, full]
     end = int(np.argmin(total))
     order = [end]
     mask = full
-    while (prev := int(P[mask, order[-1]])) >= 0:
+    while (prev := int(P[order[-1], mask])) >= 0:
         mask ^= 1 << order[-1]
         order.append(prev)
     return tuple(reversed(order)), float(total[end])
+
+
+def _sweep_near_ties(C, P, dmat, S, V):
+    """Fill C[V, S] and P[V, S] column by column by the sequential rule of
+    `_held_karp_order`: predecessors j upward, a later one winning only if it
+    is shorter by more than 1e-15."""
+    prev = C.take(S ^ (1 << V), axis=1)
+    best = np.full(S.size, np.inf)
+    pred = np.full(S.size, -1, dtype=np.int8)
+    for j in range(dmat.shape[0]):
+        cand = prev[j] + dmat[j, V]
+        take = cand < best - 1e-15
+        best[take] = cand[take]
+        pred[take] = j
+    C[V, S] = best
+    P[V, S] = pred
 
 
 def _dp_order(order, dmat, anchor, closed):
@@ -208,31 +246,38 @@ def _mst_weight(dmat, nodes) -> float:
 def _branch_and_bound_order(order, dmat, anchor, closed):
     """Depth-first order search with a spanning-tree bound; `order` is the
     first incumbent, and a later order replaces it only if it is shorter by
-    more than 1e-15."""
+    more than 1e-15.
+
+    A node is pruned once its cost plus the spanning-tree weight over its
+    unvisited nodes and its last one reaches the incumbent's cost less 1e-12.
+    That node set is its parent's unvisited set (all nodes at the root), so
+    each expanded node computes one bound and hands it to its children,
+    most of which it prunes.
+    """
     k = len(order)
     best_order = tuple(order)
     best_cost = _order_cost(best_order, dmat, anchor, closed)
 
-    def dfs(prefix, used, cost):
+    def dfs(prefix, used, cost, bound):
         nonlocal best_order, best_cost
         if len(prefix) == k:
             total = cost + (anchor[prefix[-1]] if closed else 0.0)
             if total < best_cost - 1e-15:
                 best_cost, best_order = total, tuple(prefix)
             return
-        remaining = [v for v in range(k) if v not in used]
-        bound_nodes = remaining + ([prefix[-1]] if prefix else [])
-        if cost + _mst_weight(dmat, bound_nodes) >= best_cost - 1e-12:
+        if cost + bound >= best_cost - 1e-12:
             return
+        remaining = [v for v in range(k) if v not in used]
+        bound = _mst_weight(dmat, remaining) if prefix else bound
         for v in remaining:
             step = dmat[prefix[-1], v] if prefix else anchor[v]
             prefix.append(v)
             used.add(v)
-            dfs(prefix, used, cost + step)
+            dfs(prefix, used, cost + step, bound)
             prefix.pop()
             used.remove(v)
 
-    dfs([], set(), 0.0)
+    dfs([], set(), 0.0, _mst_weight(dmat, range(k)))
     return best_order
 
 

@@ -1,5 +1,6 @@
 import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
 from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, POLISH_MAXITER, NonConvergenceError,
-                                      SolveOptions, _assemble_hessian, _banded_solve,
+                                      Solution, SolveOptions, _assemble_hessian, _banded_solve,
                                       _build_seeds, _coincident_runs, _common_point,
                                       _duality_gap, _Ordered, _polish, _Reduced,
                                       _ResidualProgram, _smoothed_newton,
@@ -43,6 +44,37 @@ def test_point_targets_have_fixed_positions():
     sol = solve_fixed_order(inst, (0, 1), OPTS)
     assert sol.length == pytest.approx(2.0, abs=1e-12)
     assert sol.max_residual == 0.0
+
+
+@pytest.mark.parametrize("mode, start", [("escape_open", (0.0, 0.0)),
+                                         ("escape_closed", (0.0, 0.0)),
+                                         ("escape_open", (0.5, -0.25)),
+                                         ("opaque", None)])
+def test_a_point_family_is_its_points_without_seeds(monkeypatch, mode, start):
+    def seeds(*args):
+        raise AssertionError("a program with no variables was seeded")
+
+    monkeypatch.setattr(nlp_solver, "_build_seeds", seeds)
+    pts = np.random.default_rng(21).uniform(-1, 1, (6, 2))
+    inst = replace(_instance([geo.PointTarget(tuple(p)) for p in pts], mode=mode),
+                   start_anchor=start)
+    order = (3, 0, 5, 1, 4, 2)
+    sol = solve_fixed_order(inst, order, SolveOptions(multistart=3, seed=4))
+    bnds = _Ordered(inst, order).boundaries
+    poly = Polyline(tuple(b.point for b in bnds), anchored=inst.anchored, closed=inst.closed)
+    residuals = tuple(geo.scaled_residual(b, b.point) for b in bnds)
+    assert sol == Solution(polyline=poly, order=order, length=float(length(poly).total),
+                           max_residual=max(residuals), converged=True, residuals=residuals,
+                           instance_name=inst.name, seed=4, gap=0.0)
+
+
+def test_a_line_family_is_still_seeded(monkeypatch):
+    calls = []
+    real = nlp_solver._build_seeds
+    monkeypatch.setattr(nlp_solver, "_build_seeds", lambda *a: calls.append(a) or real(*a))
+    inst = _instance([geo.Line(0.0, 1.0), geo.PointTarget((0.0, 1.0))])
+    solve_fixed_order(inst, (0, 1), OPTS)
+    assert len(calls) == 1
 
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from escape_solver import geometry as geo
 from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
 from escape_solver.order_search import (HELD_KARP_MAX_K, MtzModel, OrderPlan,
-                                        PartitionPlan, SizeGuardError, _held_karp_order,
+                                        PartitionPlan, SizeGuardError,
+                                        _branch_and_bound_order, _held_karp_order,
                                         _mst_weight, _order_cost, _two_opt_move,
                                         build_mtz_model, exhaustive, held_karp,
                                         mtz_branch_and_bound, partition_search,
@@ -230,6 +231,12 @@ def _point_sets(min_k, max_k, coords=(_UNIFORM, _GRID)):
         lambda ck: st.lists(st.tuples(ck[0], ck[0]), min_size=ck[1], max_size=ck[1]))
 
 
+def _duplicated_point_sets(min_k, max_k):
+    """Lists of 2D points that repeat at most three grid points."""
+    return st.tuples(_point_sets(1, 3, coords=(_GRID,)), st.integers(min_k, max_k)).flatmap(
+        lambda bk: st.lists(st.sampled_from(bk[0]), min_size=bk[1], max_size=bk[1]))
+
+
 def _frozen(pts, anchored=True):
     pts = np.asarray(pts, dtype=float)
     dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -286,6 +293,22 @@ def test_held_karp_order_is_the_brute_force_minimum(pts, anchored, closed):
     assert brute <= cost <= brute + len(pts) * 1e-15
 
 
+@given(pts=st.one_of(_point_sets(1, 9), _duplicated_point_sets(1, 9)),
+       seed=st.integers(0, 2 ** 32 - 1), anchored=st.booleans(), closed=st.booleans())
+def test_held_karp_order_matches_the_reference_on_ulp_ties(pts, seed, anchored, closed):
+    # grid and repeated points give exact ties, and moving each distance up
+    # by 0, 1 or 2 ulps turns many of them into near ties below the 1e-15 rule
+    dmat, anchor = _frozen(pts, anchored)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        up = np.triu(rng.integers(0, 2, dmat.shape), 1).astype(bool)
+        dmat = np.where(up | up.T, np.nextafter(dmat, np.inf), dmat)
+        anchor = np.where(rng.integers(0, 2, anchor.shape) == 1, np.nextafter(anchor, np.inf),
+                          anchor)
+    np.fill_diagonal(dmat, 0.0)
+    assert _held_karp_order(dmat, anchor, closed) == _held_karp_reference(dmat, anchor, closed)
+
+
 def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
     # into (all, 2): j=0 (path 1,0,2) costs 1.0 and the later j=1 (path 0,1,2)
     # is 2^-53 shorter, within the 1e-15 tie, so j=0 stays; argmin would take j=1
@@ -294,6 +317,45 @@ def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
     anchor = np.array([0.25, 0.25, 5.0])
     assert _order_cost((0, 1, 2), dmat, anchor) == 1.0 - 2.0 ** -53
     assert _held_karp_order(dmat, anchor, closed=False) == ((1, 0, 2), 1.0)
+
+
+def _branch_and_bound_reference(order, dmat, anchor, closed):
+    """Branch and bound that computes each node's spanning-tree bound itself,
+    over its unvisited nodes and its last one."""
+    k = len(order)
+    best_order = tuple(order)
+    best_cost = _order_cost(best_order, dmat, anchor, closed)
+
+    def dfs(prefix, used, cost):
+        nonlocal best_order, best_cost
+        if len(prefix) == k:
+            total = cost + (anchor[prefix[-1]] if closed else 0.0)
+            if total < best_cost - 1e-15:
+                best_cost, best_order = total, tuple(prefix)
+            return
+        remaining = [v for v in range(k) if v not in used]
+        bound_nodes = remaining + ([prefix[-1]] if prefix else [])
+        if cost + _mst_weight(dmat, bound_nodes) >= best_cost - 1e-12:
+            return
+        for v in remaining:
+            step = dmat[prefix[-1], v] if prefix else anchor[v]
+            prefix.append(v)
+            used.add(v)
+            dfs(prefix, used, cost + step)
+            prefix.pop()
+            used.remove(v)
+
+    dfs([], set(), 0.0)
+    return best_order
+
+
+@given(pts=st.one_of(_point_sets(1, 8), _duplicated_point_sets(1, 8)), data=st.data(),
+       anchored=st.booleans(), closed=st.booleans())
+def test_branch_and_bound_order_matches_the_per_node_bound(pts, data, anchored, closed):
+    dmat, anchor = _frozen(pts, anchored)
+    start = tuple(data.draw(st.permutations(range(len(pts)))))
+    assert _branch_and_bound_order(start, dmat, anchor, closed) == \
+        _branch_and_bound_reference(start, dmat, anchor, closed)
 
 
 @given(pts=_point_sets(2, 40), data=st.data(), anchored=st.booleans(), closed=st.booleans())
