@@ -88,6 +88,12 @@ class Primitive:
       arrays, and for a curved chart `chart_curvature(prm, T)` -> d2p/dt2;
       `residual` and `chart_points` return new arrays, never packed
       parameters, because the solver hands them on without a copy;
+    - `chart_eval(prm, T)` -> (points, frame), one evaluation of the chart.
+      A chart without `chart_curvature` has constant tangents and no frame
+      (None); a curved chart's frame is what its points came from, and
+      `chart_jet(prm, frame)` -> (tangents, curvature) gives the rest from
+      it, so a Newton iterate evaluates each curved chart once, bitwise as
+      the three functions above;
     - `moved(motion)` and `scaled(s)`: the boundary through the image points;
     - `svg_extent()`, points a drawing must include, and `svg_shape(reach)`,
       an (element, attributes, style) triple, lines `reach` long each way.
@@ -95,6 +101,10 @@ class Primitive:
 
     bound = (None, None)
     chart_curvature = None
+
+    @classmethod
+    def chart_eval(cls, prm, T):
+        return cls.chart_points(prm, T), None
 
     def svg_extent(self) -> list:
         return []
@@ -238,21 +248,32 @@ class Circle(Primitive):
         return np.arctan2(dv[:, 1], dv[:, 0])[:, None]
 
     @staticmethod
+    def chart_eval(prm, T):
+        """The points at angles T and their frame, the rows (cos a, sin a)."""
+        U = _cos_sin(T[:, 0])
+        return prm[0] + prm[1][:, None] * U, U
+
+    @staticmethod
+    def chart_jet(prm, U):
+        """Tangents r (-sin a, cos a) and curvature -r (cos a, sin a) at the
+        frame U of `chart_eval`."""
+        V = np.empty_like(U)
+        np.negative(U[:, 1], out=V[:, 0])
+        V[:, 1] = U[:, 0]
+        r = prm[1][:, None]
+        return (r * V,), -r * U
+
+    @staticmethod
     def chart_points(prm, T):
-        c, r = prm
-        return c + r[:, None] * _cos_sin(T[:, 0])
+        return Circle.chart_eval(prm, T)[0]
 
     @staticmethod
     def chart_tangents(prm, T):
-        a = T[:, 0]
-        U = np.empty((a.size, 2))    # rows (-sin a, cos a)
-        np.negative(np.sin(a, out=U[:, 0]), out=U[:, 0])
-        np.cos(a, out=U[:, 1])
-        return (prm[1][:, None] * U,)
+        return Circle.chart_jet(prm, _cos_sin(T[:, 0]))[0]
 
     @staticmethod
     def chart_curvature(prm, T):
-        return -prm[1][:, None] * _cos_sin(T[:, 0])
+        return Circle.chart_jet(prm, _cos_sin(T[:, 0]))[1]
 
     def moved(self, m: RigidMotion) -> "Circle":
         c = m.apply(self.center)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
@@ -33,7 +34,7 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._lbfgsb import setulb
 
 from . import geometry as geo
-from .path import Polyline, leg_chain, length
+from .path import Polyline, leg_chain, leg_lengths, leg_slopes, length
 from .scenario import Instance, build_zalgaller
 
 
@@ -209,6 +210,53 @@ def _affine(kind) -> bool:
     return kind.chart_curvature is None and kind.bound == (None, None)
 
 
+class _Jet(NamedTuple):
+    """What the Newton step needs of the charts at one iterate.
+
+    Leg r = 0..n runs from row r to row r + 1 of leg_chain's [origin, p_0,
+    ..., p_{n-1}, origin]; T[r] (dim, w) are row r's tangents, zero at the
+    origin.  `ends[:, r]` are (T[r], T[r + 1]) and `prods[:, r]` the products
+    (T[r]^T T[r], T[r + 1]^T T[r + 1], T[r + 1]^T T[r]), which do not depend
+    on the legs' directions.  `tangents` are each block's chart tangents (for
+    the chain rule) and `curvature` the (rows, leg_chain rows, d2p/dt2) of
+    each curved block."""
+
+    tangents: list
+    ends: np.ndarray      # (2, n + 1, dim, w)
+    prods: np.ndarray     # (3, n + 1, w, w)
+    curvature: list
+
+
+# the left and right factors of _Jet.prods (and of the Hessian's blocks): T[r]
+# is end 0 of leg r, T[r + 1] end 1
+_LEFT, _RIGHT = np.array([0, 1, 1]), np.array([0, 1, 0])
+
+
+def _run(idx: np.ndarray):
+    """An ascending index array as the slice it equals where it has no gaps."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _band_index(n: int, w: int, dead: np.ndarray) -> np.ndarray:
+    """Where each entry of the LAPACK lower band (2w, n w) of `_assemble_hessian`
+    comes from in its buffer [diag (n + 2, w, w), below (n + 1, w, w), 0, 1]:
+    entry (i, j) of slots i >= j is H[i - j, j]; a dead slot's diagonal is the
+    1 and an entry outside the matrix the 0.  F-ordered, as dpbsv reads it."""
+    D, B = (n + 2) * w * w, (n + 1) * w * w
+    band = np.full((2 * w, n * w), D + B, order="F")
+    i = np.arange(1, n + 1)
+    for k in range(w):
+        for m in range(w):
+            if k >= m:
+                band[k - m, m::w] = (i * w + k) * w + m
+            band[w + k - m, m::w][:n - 1] = D + (i[:-1] * w + k) * w + m
+    if w:   # no slots at all when every point is fixed
+        band[0, dead] = D + B + 1
+    return band
+
+
 class _Reduced:
     """One low-dimensional parameter block per point, exactly on its boundary.
 
@@ -217,7 +265,13 @@ class _Reduced:
     record, packed parameters, point rows, variable columns of shape (m, ndof)).
     The Hessian gives every point `width` slots in path order, the widest
     chart's dof count: variable j sits in slot `slots[j]`, point i's k-th
-    coordinate in slot i * width + k, and `dead` marks the slots of no variable.
+    coordinate in slot i * width + k, and `dead` marks the slots of no variable;
+    `packed` says that variable j sits in slot j, so no slot is dead.
+
+    Charts with constant tangents (all but circles) give their part of the
+    `_Jet` once, here (`still`): on affine charts the whole jet, tangent
+    products included, is built once per polish.  A curved chart's part is evaluated
+    once per Newton iterate, from the frame its points came from.
     """
 
     def __init__(self, program: _ResidualProgram):
@@ -241,6 +295,22 @@ class _Reduced:
             self.slots[cols] = rows[:, None] * self.width + np.arange(kind.ndof)
         self.dead = np.ones(self.n * self.width, dtype=bool)
         self.dead[self.slots] = False
+        self.packed = np.array_equal(self.slots, np.arange(self.n * self.width))
+        self.curved = [i for i, (kind, *_) in enumerate(self.blocks)
+                       if kind.chart_curvature is not None]
+        self._band = _band_index(self.n, self.width, self.dead)
+        self._ends = np.arange(self.n + 1) + np.arange(2)[:, None]   # rows (r, r + 1) of leg r
+        # each block's rows of the points and of leg_chain's [origin, p_0, ...,
+        # origin], as slices where they are consecutive
+        self._rows = [(_run(rows), _run(rows + 1)) for _, _, rows, _ in self.blocks]
+        tangents = [None] * len(self.blocks)
+        self._T = np.zeros((self.n + 2, self.dim, self.width))
+        for i, (kind, prm, _, cols) in enumerate(self.blocks):
+            if kind.chart_curvature is None:
+                tangents[i] = kind.chart_tangents(prm, np.zeros(cols.shape))
+                for k, e in enumerate(tangents[i]):
+                    self._T[self._rows[i][1], :, k] = e
+        self.still = self._jet(tangents, self._T, [])
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
         t = np.zeros(self.nvar)
@@ -248,14 +318,43 @@ class _Reduced:
             t[cols] = kind.chart_init(prm, P[rows])
         return t
 
-    def points(self, t: np.ndarray) -> np.ndarray:
+    def evaluate(self, t: np.ndarray):
+        """The points at t and each block's chart frame (see `geo.Primitive`)."""
         if len(self.blocks) == 1:   # one kind on every row, as in every circle family
             kind, prm, _, cols = self.blocks[0]
-            return kind.chart_points(prm, t.reshape(cols.shape))
+            P, frame = kind.chart_eval(prm, t.reshape(cols.shape))
+            return P, [frame]
         P = np.zeros((self.n, self.dim))
+        frames = []
         for kind, prm, rows, cols in self.blocks:
-            P[rows] = kind.chart_points(prm, t[cols])
-        return P
+            P[rows], frame = kind.chart_eval(prm, t[cols])
+            frames.append(frame)
+        return P, frames
+
+    def points(self, t: np.ndarray) -> np.ndarray:
+        return self.evaluate(t)[0]
+
+    def jet(self, t: np.ndarray, frames=None) -> _Jet:
+        """The `_Jet` at t: `still` where no chart is curved, else with each
+        curved block's tangents and curvature from its frame (`frames` from
+        `evaluate(t)`, or evaluated here)."""
+        if not self.curved:
+            return self.still
+        frames = frames or self.evaluate(t)[1]
+        tangents, T, curvature = list(self.still.tangents), self._T.copy(), []
+        for i in self.curved:
+            kind, prm, _, _ = self.blocks[i]
+            tangents[i], c = kind.chart_jet(prm, frames[i])
+            rows, ext = self._rows[i]
+            for k, e in enumerate(tangents[i]):
+                T[ext, :, k] = e
+            curvature.append((rows, ext, c))
+        return self._jet(tangents, T, curvature)
+
+    def _jet(self, tangents, T, curvature) -> _Jet:
+        ends = T[self._ends]
+        return _Jet(tangents, ends, np.einsum("slxk,slxm->slkm", ends[_LEFT], ends[_RIGHT]),
+                    curvature)
 
     def push(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Per-point displacement of a reduced step z (the transpose of `chain`)."""
@@ -265,17 +364,20 @@ class _Reduced:
                 D[rows] += z[cols[:, k], None] * e
         return D
 
-    def chain(self, t: np.ndarray, Gp: np.ndarray) -> np.ndarray:
-        """Pull a per-point gradient back to the reduced variables."""
+    def chain(self, t: np.ndarray, Gp: np.ndarray, tangents=None) -> np.ndarray:
+        """Pull a per-point gradient back to the reduced variables through the
+        blocks' tangents at t (`jet(t).tangents`, evaluated here unless given)."""
+        if tangents is None:
+            tangents = [kind.chart_tangents(prm, t[cols]) for kind, prm, _, cols in self.blocks]
         if len(self.blocks) == 1:
-            kind, prm, _, cols = self.blocks[0]
+            cols = self.blocks[0][3]
             g = np.empty(cols.shape)
-            for k, e in enumerate(kind.chart_tangents(prm, t.reshape(cols.shape))):
+            for k, e in enumerate(tangents[0]):
                 g[:, k] = np.einsum("ij,ij->i", Gp, e)
             return g.reshape(self.nvar)
         g = np.zeros(self.nvar)
-        for kind, prm, rows, cols in self.blocks:
-            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+        for (_, _, rows, cols), tan in zip(self.blocks, tangents):
+            for k, e in enumerate(tan):
                 g[cols[:, k]] = np.einsum("ij,ij->i", Gp[rows], e)
         return g
 
@@ -386,36 +488,52 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     indefinite where a curved chart bends against the path; with no such lam
     the stage ends.  A chain without legs, or of zero or non-finite length, is
     returned unchanged.
+
+    Each quantity is computed where it changes.  Once per polish (`_Reduced`):
+    the constant charts' tangents, and on affine charts their products.  Once
+    per accepted iterate: the curved charts' tangents and curvature, from the
+    frame the iterate's points came from (`_Reduced.jet`), the unit vectors
+    and the gradient from the leg vectors the trial priced (`leg_slopes`),
+    and the Hessian.  Once per trial: the points, the leg vectors, the
+    smoothed lengths and their total (`leg_lengths`), and nothing else.
     """
-    legs = leg_chain(red.points(t), anchored, closed)
-    if not 0.0 < legs.total < math.inf:
+    P, frames = red.evaluate(t)
+    lens = leg_lengths(P, anchored, closed)
+    if not 0.0 < lens.total < math.inf:
         return t
-    eps = legs.total / legs.d.size if eps0 is None else eps0 * legs.total
-    floor = SMOOTH_FLOOR * legs.total
+    eps = lens.total / lens.d.size if eps0 is None else eps0 * lens.total
+    floor = SMOOTH_FLOOR * lens.total
+    jet = red.jet(t, frames)
     while eps >= floor:
-        legs = leg_chain(red.points(t), anchored, closed, eps)
+        lens = leg_lengths(P, anchored, closed, eps)
         for _ in range(50):
-            g = red.chain(t, legs.grad)
-            H = _assemble_hessian(red, t, legs)
-            scale = np.abs(H[0, red.slots]).max()
+            legs = leg_slopes(lens, anchored, closed)
+            g = red.chain(t, legs.grad, jet.tangents)
+            H = _assemble_hessian(red, legs, jet)
+            scale = np.abs(H[0] if red.packed else H[0, red.slots]).max()
+            rhs = -g
             for lam in NEWTON_SHIFTS:
-                step = _banded_solve(red, H, -g, lam * scale)
-                if step is not None and g @ step < 0.0:
-                    break
+                step = _banded_solve(red, H, rhs, lam * scale)
+                if step is not None:
+                    slope = g @ step
+                    if slope < 0.0:
+                        break
             else:
                 break
-            decrement = -float(g @ step)
+            decrement = -float(slope)
             if not decrement > 1e-3 * eps:
                 break
             alpha = 1.0
             while alpha > 1e-6:
-                trial = leg_chain(red.points(t + alpha * step), anchored, closed, eps)
-                if trial.total <= legs.total - 1e-4 * alpha * decrement:
+                t_trial = t + alpha * step
+                P_trial, frames = red.evaluate(t_trial)
+                trial = leg_lengths(P_trial, anchored, closed, eps)
+                if trial.total <= lens.total - 1e-4 * alpha * decrement:
                     break
                 alpha *= 0.5
             else:
                 break
-            t, legs = t + alpha * step, trial
+            t, P, lens, jet = t_trial, P_trial, trial, red.jet(t_trial, frames)
         eps /= 10.0
     return t
 
@@ -423,16 +541,26 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
 def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
     """x with (H + lam I) x = rhs for a symmetric H in `_assemble_hessian`'s
     band storage, by banded Cholesky; None unless H + lam I factors (it is
-    positive definite to rounding) and x is finite."""
-    A = H.copy()
-    A[0] += lam
-    b = np.zeros(H.shape[1])
-    b[red.slots] = rhs
-    _, x, info = dpbsv(A, b, lower=1)
-    return x[red.slots] if info == 0 and np.all(np.isfinite(x)) else None
+    positive definite to rounding) and x is finite.  H and rhs are left as
+    they are; on a packed `_Reduced` rhs is the band's right-hand side as it
+    stands, with no scatter into slots or gather out of them."""
+    if lam:
+        A = H.copy(order="F")
+        A[0] += lam
+    else:   # H[0] holds no -0, so adding 0 would change no bit; dpbsv copies H
+        A = H
+    if red.packed:
+        b = rhs
+    else:
+        b = np.zeros(H.shape[1])
+        b[red.slots] = rhs
+    _, x, info = dpbsv(A, b, lower=1, overwrite_ab=A is not H)
+    if info != 0 or not np.isfinite(x).all():
+        return None
+    return x if red.packed else x[red.slots]
 
 
-def _assemble_hessian(red: _Reduced, t, legs) -> np.ndarray:
+def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     """Exact Hessian of the reduced objective in LAPACK lower band storage.
 
     A leg joins two consecutive points or a point and the fixed origin, so in
@@ -447,44 +575,40 @@ def _assemble_hessian(red: _Reduced, t, legs) -> np.ndarray:
     length, u = v / d) gives the Hessian of the smoothed objective.  Legs of
     length zero add nothing.  The chart curvature adds the diagonal terms
     Gp . d2p/dt2.
+
+    The tangents, the curvature and the products Da_k.Db_l come from `jet`
+    (`_Reduced.jet` at the iterate), so only the terms in u and d are formed
+    here.  In a smoothed stage, and in `_duality_gap`, every d is positive and
+    no leg is masked.  The diagonal blocks start at +0 and take each leg's
+    terms by an add, which turns a -0 term into +0, so the band's diagonal
+    holds no -0: adding the +0 curvature of a row on an affine chart would
+    change no bit, and only curved rows take that add.
     """
     n, w = red.n, red.width
-    # per row of leg_chain's [origin, p_0, ..., p_{n-1}, origin]: tangents (the
-    # origin's are zero), curvature terms and diagonal blocks
-    T = np.zeros((n + 2, red.dim, w))
-    curv = np.zeros(n + 2)
-    for kind, prm, rows, cols in red.blocks:
-        for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
-            T[rows + 1, :, k] = e
-        if kind.chart_curvature is not None:
-            curv[rows + 1] = np.einsum("ij,ij->i", legs.grad[rows],
-                                       kind.chart_curvature(prm, t[cols]))
-    first = legs.a[0] + 1 if legs.d.size else 0   # leg_chain's slices of those rows
+    first = legs.a[0] + 1 if legs.d.size else 0   # leg_chain's first leg is _Jet's leg `first`
     last = first + legs.d.size
-    ok = legs.d > 0.0
-    d = np.where(ok, legs.d, 1.0)[:, None, None]
-    Ta, Tb = T[first:last], T[first + 1:last + 1]
-    ua, ub = np.einsum("lxk,lx->lk", Ta, legs.u), np.einsum("lxk,lx->lk", Tb, legs.u)
-
-    def block(De, ue, Df, uf):
-        """The entries (e_k, f_m) leg by leg."""
-        h = (np.einsum("lxk,lxm->lkm", De, Df) - ue[:, :, None] * uf[:, None, :]) / d
-        return np.where(ok[:, None, None], h, 0.0)
-
-    diag = np.zeros((n + 2, w, w))
-    diag[first:last] += block(Ta, ua, Ta, ua)
-    diag[first + 1:last + 1] += block(Tb, ub, Tb, ub)
-    diag[:, 0, 0] += curv
-    below = np.zeros((n + 1, w, w))       # row r + 1 against row r, by the leg starting at r
-    below[first:last] = -block(Tb, ub, Ta, ua)
-    H = np.zeros((2 * w, n * w))
-    for k in range(w):
-        for m in range(w):
-            if k >= m:
-                H[k - m, m::w] = diag[1:n + 1, k, m]
-            H[w + k - m, m::w][:n - 1] = below[1:n, k, m]
-    H[0, red.dead] = 1.0
-    return H
+    masked = not legs.d.min(initial=math.inf) > 0.0
+    if masked:
+        ok = legs.d > 0.0
+        d = np.where(ok, legs.d, 1.0)[:, None, None]
+    else:
+        d = legs.d[:, None, None]
+    uab = np.einsum("slxk,lx->slk", jet.ends[:, first:last], legs.u)   # (Ta.u, Tb.u)
+    # the aa, bb and ba blocks leg by leg
+    h = (jet.prods[:, first:last] - uab[_LEFT, :, :, None] * uab[_RIGHT, :, None, :]) / d
+    if masked:
+        h[:, ~ok] = 0.0
+    D, B = (n + 2) * w * w, (n + 1) * w * w
+    buf = np.zeros(D + B + 2)
+    buf[-1] = 1.0
+    diag = buf[:D].reshape(n + 2, w, w)
+    below = buf[D:D + B].reshape(n + 1, w, w)   # row r + 1 against row r, by the leg starting at r
+    diag[first:last] += h[0]
+    diag[first + 1:last + 1] += h[1]
+    for rows, ext, c in jet.curvature:
+        diag[ext, 0, 0] += np.einsum("ij,ij->i", legs.grad[rows], c)
+    below[first:last] = -h[2]
+    return buf[red._band]
 
 
 def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None:
@@ -527,7 +651,7 @@ def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None
         # then on it moves along the sphere only
         y[over] /= np.linalg.norm(y[over], axis=1)[:, None]
         u[over] = y[over]
-        H = _assemble_hessian(red, t, legs._replace(d=d, u=u))
+        H = _assemble_hessian(red, legs._replace(d=d, u=u), red.jet(t))
         for _ in range(2):   # once more for the rounding of the solve
             rhs = -red.chain(t, _leg_sums(y, legs, red.n))
             z = _banded_solve(red, H, rhs)

@@ -53,6 +53,58 @@ class LegChain(NamedTuple):
     u: np.ndarray       # v / d, 0 on a zero-length leg
 
 
+class LegLengths(NamedTuple):
+    """The length part of `leg_chain`: what a line search prices a trial by."""
+
+    total: float        # d.sum()
+    v: np.ndarray       # leg vectors, end point minus start point
+    d: np.ndarray       # leg lengths, smoothed as in `leg_chain`
+
+
+def _span(n: int, anchored: bool, closed: bool) -> tuple:
+    """Rows first..last of [origin, p_0, ..., p_{n-1}, origin] are the chain."""
+    return (0 if anchored else 1), (n + 1 if closed else n)
+
+
+def leg_lengths(points: np.ndarray, anchored: bool = True, closed: bool = False,
+                eps: float = 0.0) -> LegLengths:
+    """The leg vectors, leg lengths and total of `leg_chain`, bitwise, without
+    the unit vectors and the gradient."""
+    P = np.asarray(points, dtype=float)
+    n = P.shape[0]
+    # slices of the extended rows keep this evaluation as cheap as the
+    # L-BFGS loop and the line searches need
+    first, last = _span(n, anchored, closed)
+    ext = np.zeros((n + 2, P.shape[1]))
+    ext[1:n + 1] = P
+    v = ext[first + 1:last + 1] - ext[first:last]
+    d = np.sqrt(np.add.reduce(v * v, axis=1))   # np.linalg.norm's own reduction
+    if eps:
+        d = np.hypot(d, eps)
+    return LegLengths(float(d.sum()), v, d)
+
+
+def leg_slopes(lengths: LegLengths, anchored: bool = True, closed: bool = False) -> LegChain:
+    """The rest of `leg_chain` from its length part: the unit vectors and the
+    gradient, from the same leg vectors and lengths."""
+    v, d = lengths.v, lengths.d
+    n = d.size + 1 - anchored - closed
+    first, last = _span(n, anchored, closed)
+    if np.count_nonzero(d > 0.0) == d.size:
+        u = v / d[:, None]
+    else:
+        u = v / np.where(d > 0.0, d, 1.0)[:, None]
+        u[d == 0.0] = 0.0
+    g = np.zeros((n + 2, v.shape[1]))
+    g[first + 1:last + 1] += u
+    g[first:last] -= u
+    a = np.arange(first - 1, last - 1)
+    b = a + 1
+    if closed:
+        b[-1] = -1
+    return LegChain(lengths.total, g[1:n + 1], a, b, d, u)
+
+
 def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
               eps: float = 0.0) -> LegChain:
     """Length of the polyline through an (n, dim) point array and its gradient.
@@ -66,32 +118,10 @@ def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
 
     Every value is rounded as `np.diff` and `np.linalg.norm` round it, and
     the gradient rows are 0 + u_in - u_out, so the sign of a zero survives;
-    the polish's iterates depend on these bits.
+    the polish's iterates depend on these bits.  It is `leg_slopes` of
+    `leg_lengths`.
     """
-    P = np.asarray(points, dtype=float)
-    n = P.shape[0]
-    # rows first..last of [origin, p_0, ..., p_{n-1}, origin] are the chain;
-    # slices of it keep this evaluation as cheap as the L-BFGS loop needs
-    first, last = (0 if anchored else 1), (n + 1 if closed else n)
-    ext = np.zeros((n + 2, P.shape[1]))
-    ext[1:n + 1] = P
-    legs = ext[first + 1:last + 1] - ext[first:last]
-    d = np.sqrt(np.add.reduce(legs * legs, axis=1))   # np.linalg.norm's own reduction
-    if eps:
-        d = np.hypot(d, eps)
-    if np.count_nonzero(d > 0.0) == d.size:
-        u = legs / d[:, None]
-    else:
-        u = legs / np.where(d > 0.0, d, 1.0)[:, None]
-        u[d == 0.0] = 0.0
-    g = np.zeros(ext.shape)
-    g[first + 1:last + 1] += u
-    g[first:last] -= u
-    a = np.arange(first - 1, last - 1)
-    b = a + 1
-    if closed:
-        b[-1] = -1
-    return LegChain(float(d.sum()), g[1:n + 1], a, b, d, u)
+    return leg_slopes(leg_lengths(points, anchored, closed, eps), anchored, closed)
 
 
 def length(poly: Polyline) -> LengthReport:

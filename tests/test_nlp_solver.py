@@ -4,15 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.optimize
 from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, POLISH_MAXITER, NonConvergenceError,
+from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, NEWTON_SHIFTS, POLISH_MAXITER,
+                                      SHORT_LEG, SMOOTH_FLOOR, NonConvergenceError,
                                       Solution, SolveOptions, _assemble_hessian, _banded_solve,
                                       _build_seeds, _coincident_runs, _common_point,
-                                      _duality_gap, _Ordered, _polish, _Reduced,
+                                      _duality_gap, _merge_kinks, _Ordered, _polish, _Reduced,
                                       _ResidualProgram, _smoothed_newton,
                                       solve_branch_strategies, solve_fixed_order,
                                       solve_self_referential)
@@ -626,7 +628,8 @@ def _check_hessian(case, eps):
     def gradient(t):
         return red.chain(t, leg_chain(red.points(t), anchored, closed, eps).grad)
 
-    H, _ = _dense(red, _assemble_hessian(red, t, leg_chain(red.points(t), anchored, closed, eps)))
+    legs = leg_chain(red.points(t), anchored, closed, eps)
+    H, _ = _dense(red, _assemble_hessian(red, legs, red.jet(t)))
     h = 1e-6
     fd = np.column_stack([(gradient(t + h * e) - gradient(t - h * e)) / (2 * h)
                           for e in np.eye(red.nvar)])
@@ -701,10 +704,21 @@ def test_banded_hessian_is_the_dense_reference(chain, ends, eps):
         return
     t = red.init_vars(program.nearest(raw))
     legs = leg_chain(red.points(t), *ends, eps)
-    H, dead = _dense(red, _assemble_hessian(red, t, legs))
+    band = _assemble_hessian(red, legs, red.jet(t))
+    H, dead = _dense(red, band)
     ref = _reference_hessian(red, t, legs)
     assert np.abs(H - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     assert np.array_equal(dead, np.eye(red.n * red.width)[red.dead])
+    # bitwise the pre-jet assembler, also in _duality_gap's call shape: short
+    # legs at 1e-12 L with u = 0 (the jet holds no product with u in it)
+    shapes = [legs]
+    if legs.total > 0.0:
+        short = legs.d <= SHORT_LEG * legs.total
+        shapes.append(legs._replace(d=np.where(short, 1e-12 * legs.total, legs.d),
+                                    u=np.where(short[:, None], 0.0, legs.u)))
+    for shape in shapes:
+        assert _assemble_hessian(red, shape, red.jet(t)).tobytes() == \
+            _pre_jet_hessian(red, t, shape).tobytes()
 
 
 def test_banded_solve_shifts_a_singular_hessian(monkeypatch):
@@ -745,7 +759,7 @@ def test_banded_solve_is_the_dense_solve_where_positive_definite():
     red = _Reduced(program)
     t = red.init_vars(program.nearest(np.random.default_rng(7).uniform(-2, 2, (len(bnds), 2))))
     legs = leg_chain(red.points(t))
-    H = _assemble_hessian(red, t, legs)
+    H = _assemble_hessian(red, legs, red.jet(t))
     rhs = -red.chain(t, legs.grad)
     A, _ = _dense(red, H)
     low = np.linalg.eigvalsh(A).min()
@@ -758,6 +772,138 @@ def test_banded_solve_is_the_dense_solve_where_positive_definite():
         else:
             ref = np.linalg.solve(shifted, rhs)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _pre_jet_hessian(red, t, legs):
+    """`_assemble_hessian` as it was before the jet: every chart evaluated and
+    every tangent product formed at each call, and every leg masked."""
+    n, w = red.n, red.width
+    T = np.zeros((n + 2, red.dim, w))
+    curv = np.zeros(n + 2)
+    for kind, prm, rows, cols in red.blocks:
+        for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+            T[rows + 1, :, k] = e
+        if kind.chart_curvature is not None:
+            curv[rows + 1] = np.einsum("ij,ij->i", legs.grad[rows],
+                                       kind.chart_curvature(prm, t[cols]))
+    first = legs.a[0] + 1 if legs.d.size else 0
+    last = first + legs.d.size
+    ok = legs.d > 0.0
+    d = np.where(ok, legs.d, 1.0)[:, None, None]
+    Ta, Tb = T[first:last], T[first + 1:last + 1]
+    ua, ub = np.einsum("lxk,lx->lk", Ta, legs.u), np.einsum("lxk,lx->lk", Tb, legs.u)
+
+    def block(De, ue, Df, uf):
+        h = (np.einsum("lxk,lxm->lkm", De, Df) - ue[:, :, None] * uf[:, None, :]) / d
+        return np.where(ok[:, None, None], h, 0.0)
+
+    diag = np.zeros((n + 2, w, w))
+    diag[first:last] += block(Ta, ua, Ta, ua)
+    diag[first + 1:last + 1] += block(Tb, ub, Tb, ub)
+    diag[:, 0, 0] += curv
+    below = np.zeros((n + 1, w, w))
+    below[first:last] = -block(Tb, ub, Ta, ua)
+    H = np.zeros((2 * w, n * w))
+    for k in range(w):
+        for m in range(w):
+            if k >= m:
+                H[k - m, m::w] = diag[1:n + 1, k, m]
+            H[w + k - m, m::w][:n - 1] = below[1:n, k, m]
+    H[0, red.dead] = 1.0
+    return H
+
+
+def _pre_jet_newton(red, t, anchored, closed, eps0=None):
+    """`_smoothed_newton` as it was before the jet, with its banded solve:
+    every trial a full `leg_chain`, the chain rule and the Hessian each
+    evaluating the charts.  Returns t and the shift of every solve."""
+    lams = []
+
+    def banded_solve(H, rhs, lam):
+        lams.append(lam)
+        A = H.copy()
+        A[0] += lam
+        b = np.zeros(H.shape[1])
+        b[red.slots] = rhs
+        _, x, info = scipy.linalg.lapack.dpbsv(A, b, lower=1)
+        return x[red.slots] if info == 0 and np.all(np.isfinite(x)) else None
+
+    legs = leg_chain(red.points(t), anchored, closed)
+    if not 0.0 < legs.total < math.inf:
+        return t, lams
+    eps = legs.total / legs.d.size if eps0 is None else eps0 * legs.total
+    floor = SMOOTH_FLOOR * legs.total
+    while eps >= floor:
+        legs = leg_chain(red.points(t), anchored, closed, eps)
+        for _ in range(50):
+            g = red.chain(t, legs.grad)
+            H = _pre_jet_hessian(red, t, legs)
+            scale = np.abs(H[0, red.slots]).max()
+            for lam in NEWTON_SHIFTS:
+                step = banded_solve(H, -g, lam * scale)
+                if step is not None and g @ step < 0.0:
+                    break
+            else:
+                break
+            decrement = -float(g @ step)
+            if not decrement > 1e-3 * eps:
+                break
+            alpha = 1.0
+            while alpha > 1e-6:
+                trial = leg_chain(red.points(t + alpha * step), anchored, closed, eps)
+                if trial.total <= legs.total - 1e-4 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            t, legs = t + alpha * step, trial
+        eps /= 10.0
+    return t, lams
+
+
+def _newton_start(name, n, m, mode=None, merged=False):
+    """(red, t, anchored, closed) from start 1's seeds of a family on its hint
+    order; `merged`: of the program and points `_merge_kinks` leaves after a
+    first polish, point targets and dead slots included."""
+    inst = build(make_scenario(name, n, m, **({"mode": mode} if mode else {})))
+    ordered = _Ordered(inst, inst.order_hint or range(inst.size))
+    program = _ResidualProgram(ordered.boundaries, inst.dimension)
+    P = _build_seeds(inst, ordered, program, OPTS, None)[1]
+    if merged:
+        P, _ = _polish(program, P, inst.anchored, inst.closed, COLD_EPS[0])
+        program, P = _merge_kinks(program, P.copy(), inst.anchored, inst.closed)
+    red = _Reduced(program)
+    return red, red.init_vars(P), inst.anchored, inst.closed
+
+
+_NEWTON_SWEEP = (
+    [(name, n, m, None, False, None) for name, n, m in CONVEX_BENCH]
+    + [(name, n, m, None, False, eps0) for name, n, m in (("circle_wf2", 7, 2),
+                                                         ("circle_interior_nonunique", 30, 1))
+       for eps0 in COLD_EPS + (FINISH_EPS, SMOOTH_FLOOR)]
+    + [("halfplane_unit", 45, 1, "escape_closed", False, None),
+       ("circle_interior_nonunique", 30, 1, "escape_closed", False, COLD_EPS[0]),
+       ("halfplane_unit", 90, 1, None, True, None),
+       ("circle_interior_nonunique", 30, 1, None, True, FINISH_EPS)])
+
+
+@pytest.mark.parametrize("name,n,m,mode,merged,eps0", _NEWTON_SWEEP,
+                         ids=[f"{c[0]}-{c[1]}x{c[2]}-{c[3] or 'default'}{'-merged' * c[4]}-{c[5]}"
+                              for c in _NEWTON_SWEEP])
+def test_smoothed_newton_is_bitwise_the_pre_jet_loop(monkeypatch, name, n, m, mode, merged, eps0):
+    """The loop, its charts evaluated once per iterate and its trials priced
+    by their lengths alone, ends at the pre-jet loop's t bit for bit, through
+    the same sequence of shifted solves: on the bench's convex instances, the
+    circle families at every first radius the solver uses, closed and
+    unanchored chains, and merged programs with dead slots."""
+    red, t, anchored, closed = _newton_start(name, n, m, mode, merged)
+    if merged:
+        assert red.dead.any() and not red.packed
+    ref, ref_lams = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
+    calls = _record_banded_solves(monkeypatch)
+    got = _smoothed_newton(red, t.copy(), anchored, closed, eps0)
+    assert got.tobytes() == ref.tobytes()
+    assert [c[3] for c in calls] == ref_lams and len(ref_lams) > 10
 
 
 LBFGS = nlp_solver.minimize

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from escape_solver.geometry import RigidMotion
-from escape_solver.path import Polyline, grad_length, leg_chain, length
+from escape_solver.path import Polyline, grad_length, leg_chain, leg_lengths, length
 
 
 def test_single_anchored_point():
@@ -159,7 +159,14 @@ def _chains(draw):
 def test_leg_chain_is_bitwise_the_reference(P, anchored, closed, eps):
     with np.errstate(invalid="ignore"):
         got = leg_chain(P, anchored, closed, eps)
+        lens = leg_lengths(P, anchored, closed, eps)
         ref = _reference_leg_chain(P, anchored, closed, eps)
+        ext = np.vstack([np.zeros((1, P.shape[1])), P, np.zeros((1, P.shape[1]))])
+        v = np.diff(ext[(0 if anchored else 1):(len(P) + 2 if closed else len(P) + 1)], axis=0)
     assert np.float64(got.total).tobytes() == np.float64(ref[0]).tobytes()
     for x, y in zip(got[1:], ref[1:]):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    # the length part alone, what a line-search trial computes
+    assert np.float64(lens.total).tobytes() == np.float64(ref[0]).tobytes()
+    for x, y in ((lens.v, v), (lens.d, ref[4])):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
