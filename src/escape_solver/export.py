@@ -2,6 +2,8 @@
 
 Every emitter is deterministic byte-for-byte for identical inputs; numbers are
 printed with 17 significant digits so binary64 values survive a round trip.
+Blocks of numbers are formatted from arrays by `_fmt_each`, which prints each
+distinct value once and gives the same text as `_fmt` on every entry.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from . import geometry as geo
 from .analysis import ConvergenceReport, WormBound
 from .nlp_solver import Solution
-from .order_search import MtzModel
+from .order_search import MtzModel, subtour_violations
 from .scenario import Instance
 
 _F = "{:.17g}"
@@ -25,11 +27,33 @@ def _fmt(x: float) -> str:
     return _F.format(float(x))
 
 
+def _fmt_each(values) -> list:
+    """`_fmt` of every entry of a float array, in C order.  Each distinct value
+    is formatted once, keyed on its bits: -0.0 equals 0.0 but prints as -0."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(_F.format, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _lines(head: str, sep: str, values, end: str = "") -> list:
+    """Per row of a 2-D block, the line `head`, its numbers joined by `sep`, `end`."""
+    values = np.asarray(values, dtype=np.float64)
+    if not len(values):
+        return []
+    text, m = _fmt_each(values), values.shape[1]
+    return [head + sep.join(text[i * m:(i + 1) * m]) + end for i in range(values.shape[0])]
+
+
 # --------------------------------------------------------------------------
 # CSV (RFC 4180)
 
 def _csv_field(v) -> str:
-    s = _fmt(v) if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return _fmt(v)  # digits, sign, point, exponent, nan or inf: nothing to quote
+    s = str(v)
+    if type(v) is int or isinstance(v, np.integer):
+        return s
     if any(ch in s for ch in ',"\r\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s
@@ -45,13 +69,12 @@ def to_csv(obj) -> str:
         dim3 = obj.polyline.dim == 3
         head = ["order_index", "boundary_index", "x", "y"] + (["z"] if dim3 else []) \
             + ["residual"]
-        rows = [head]
-        pts = obj.points()
-        res = obj.residuals if obj.residuals else (float(obj.max_residual),) * len(obj.order)
-        for pos, h in enumerate(obj.order):
-            coords = [float(c) for c in pts[pos]]
-            rows.append([pos, h, *coords, float(res[pos])])
-        return _csv_rows(rows)
+        n = len(obj.order)
+        res = obj.residuals if obj.residuals else (float(obj.max_residual),) * n
+        values = np.column_stack([obj.points()[:n], np.asarray(res[:n], dtype=np.float64)])
+        return _csv_rows([head]) + "".join(
+            f"{pos},{_csv_field(h)},{line}\r\n"
+            for pos, (h, line) in enumerate(zip(obj.order, _lines("", ",", values))))
     if isinstance(obj, ConvergenceReport):
         rows = [["n", "length", "max_residual", "seconds"]]
         rows += [[n, float(L), float(r), float(t)] for (n, L, r, t) in obj.entries]
@@ -118,8 +141,8 @@ _STYLE = {
 def _svg_bounds(inst: Instance, pts: np.ndarray, anchor: np.ndarray):
     xs, ys = [anchor[0]], [anchor[1]]
     if pts.size:
-        xs += list(pts[:, 0])
-        ys += list(pts[:, 1])
+        xs += pts[:, 0].tolist()
+        ys += pts[:, 1].tolist()
     extent = [q for b in inst.boundaries for f in b.factors for q in f.svg_extent()]
     xs += [x for x, _ in extent]
     ys += [y for _, y in extent]
@@ -146,19 +169,23 @@ def to_svg(solution: Solution | None, inst: Instance) -> str:
     # flip y so the geometry reads with y pointing up
     buf.write(f'<g transform="translate(0 {_fmt(2 * y0 + h)}) scale(1 -1)">\n')
     reach = math.hypot(w, h)  # lines are clipped against the canvas diagonal
-    shapes = [f.svg_shape(reach) for b in inst.boundaries for f in b.factors]
-    for element, attrs, style in filter(None, shapes):
-        fields = " ".join(f'{k}="{_fmt(v)}"' for k, v in attrs)
+    shapes = list(filter(None, (f.svg_shape(reach) for b in inst.boundaries for f in b.factors)))
+    attr_text = iter(_fmt_each([v for _, attrs, _ in shapes for _, v in attrs]))
+    for element, attrs, style in shapes:
+        fields = " ".join(f'{k}="{next(attr_text)}"' for k, _ in attrs)
         buf.write(f"<{element} {fields} {_STYLE[style]}/>\n")
     if pts2.shape[0]:
-        coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts2)
-        chain = (f"{_fmt(anchor[0])},{_fmt(anchor[1])} " if inst.anchored else "") + coords
+        text = _fmt_each(pts2)  # each point once, for the polyline and its dot
+        xy = list(zip(text[0::2], text[1::2]))
+        start = f"{_fmt(anchor[0])},{_fmt(anchor[1])}"
+        chain = [start] if inst.anchored else []
+        chain += [f"{x},{y}" for x, y in xy]
         if inst.closed:
-            chain += f" {_fmt(anchor[0])},{_fmt(anchor[1])}"
-        buf.write(f'<polyline points="{chain}" {_STYLE["path"]}/>\n')
-        for p in pts2:
-            buf.write(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="0.012" '
-                      f'{_STYLE["escape"]}/>\n')
+            chain.append(start)
+        points = " ".join(chain)
+        buf.write(f'<polyline points="{points}" {_STYLE["path"]}/>\n')
+        buf.write("".join(f'<circle cx="{x}" cy="{y}" r="0.012" {_STYLE["escape"]}/>\n'
+                          for x, y in xy))
     if inst.anchored:
         buf.write(f'<circle cx="{_fmt(anchor[0])}" cy="{_fmt(anchor[1])}" r="0.018" '
                   f'{_STYLE["start"]}/>\n')
@@ -174,6 +201,12 @@ def _boundary_text(b) -> str:
     return "product " + text if isinstance(b, geo.Product) else text
 
 
+def _declarations(name: str, tail: str, k: int) -> str:
+    """The K^2 lines `name[i][j]tail`, row i as one join over the K tails."""
+    tails = [f"[{j}]{tail}\n" for j in range(k)]
+    return "".join(f"{name}[{i}]" + f"{name}[{i}]".join(tails) for i in range(k))
+
+
 def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     """Emit the populated order model; refuses structurally invalid models."""
     model.validate()
@@ -181,12 +214,12 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     buf = io.StringIO()
     buf.write(f"MTZ K={k} anchored={int(model.anchored)}\n")
     buf.write("VARS\n")
-    buf.write("".join(f"b[{i}][{j}] binary\n" for i in range(k) for j in range(k)))
+    buf.write(_declarations("b", " binary", k))
     for i in range(k):
         buf.write(f"u[{i}] in [0,{k - 1}]\n")
     for i in range(k):
         buf.write(f"x[{i}] free\ny[{i}] free\n")
-    buf.write("".join(f"c[{i}][{j}] >= 0\n" for i in range(k) for j in range(k)))
+    buf.write(_declarations("c", " >= 0", k))
     buf.write("OBJ\n")
     buf.write("c[0][0] + sum_ij b[i][j]*c[i][j]\n")
     buf.write("QCONS\n")
@@ -199,13 +232,11 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     buf.write("b[i][i] = 0 for all i\n")
     buf.write(f"u[i] - u[j] + 1 <= {k}*(1 - b[i][j]) for i,j >= 1\n")
     buf.write("SOLUTION\n")
-    for i, row in enumerate(model.b):
-        buf.write("b " + " ".join(str(int(v)) for v in row) + "\n")
-    buf.write("u " + " ".join(_fmt(v) for v in model.u) + "\n")
-    for i, p in enumerate(model.points):
-        buf.write("p " + " ".join(_fmt(c) for c in p) + "\n")
-    for row in model.c:
-        buf.write("c " + " ".join(_fmt(v) for v in row) + "\n")
+    # validate() leaves one 1 in each row of b and 0 everywhere else
+    ones = [list(row).index(1) for row in model.b]
+    buf.write("".join(f"b {'0 ' * j}1{' 0' * (k - 1 - j)}\n" for j in ones))
+    for head, block in (("u ", [model.u]), ("p ", model.points), ("c ", model.c)):
+        buf.writelines(_lines(head, " ", block, "\n"))
     buf.write(f"OBJVALUE {_fmt(model.objective)}\n")
     return buf.getvalue()
 
@@ -263,10 +294,7 @@ def check_mtz_solution(text: str, feas_tol: float = 1e-6, obj_tol: float = 1e-9)
         problems.append("self loop present")
     if (u < -1e-9).any() or (u > k - 1 + 1e-9).any():
         problems.append("auxiliaries out of range")
-    for i in range(1, k):
-        for j in range(1, k):
-            if i != j and u[i] - u[j] + 1 > k * (1 - B[i, j]) + 1e-9:
-                problems.append(f"subtour inequality broken at ({i},{j})")
+    problems += [f"subtour inequality broken at ({i},{j})" for i, j in subtour_violations(B, u, k)]
     diff = pts[:, None, :] - pts[None, :, :]
     dmat = np.linalg.norm(diff, axis=2)
     if np.max(np.abs(dmat - C)) > feas_tol:

@@ -191,12 +191,14 @@ class Line(_Hyperplane):
         return cls(v[0], v[1])
 
     def svg_extent(self) -> list:
-        return [tuple(self.offset * self.normal())]
+        return [(self.offset * math.cos(self.angle), self.offset * math.sin(self.angle))]
 
     def svg_shape(self, reach: float):
-        mid, v = self.offset * self.normal(), self.tangent()
-        a, b = mid - reach * v, mid + reach * v
-        return "line", (("x1", a[0]), ("y1", a[1]), ("x2", b[0]), ("y2", b[1])), "boundary"
+        # the ends mid - reach * t and mid + reach * t, with t = (-sin, cos)
+        mx, my = self.svg_extent()[0]
+        dx, dy = reach * math.sin(self.angle), reach * math.cos(self.angle)
+        return "line", (("x1", mx + dx), ("y1", my - dy), ("x2", mx - dx), ("y2", my + dy)), \
+            "boundary"
 
 
 def _cos_sin(a: np.ndarray) -> np.ndarray:

@@ -85,13 +85,19 @@ class MtzModel:
         u = np.asarray(self.u)
         if (u < -1e-9).any() or (u > k - 1 + 1e-9).any():
             raise ValueError("u out of [0, K-1]")
-        # subtour elimination over the non-depot nodes, coefficient = node count;
-        # the first violation in row-major order is reported
-        bad = u[1:, None] - u[None, 1:] + 1 > k * (1 - B[1:, 1:]) + 1e-9
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            i, j = np.argwhere(bad)[0] + 1
+        bad = subtour_violations(B, u, k)
+        if len(bad):  # the first violation in row-major order is reported
+            i, j = bad[0]
             raise ValueError(f"subtour constraint violated at ({i},{j})")
+
+
+def subtour_violations(B: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """Every (i, j), i != j >= 1, whose subtour inequality u[i] - u[j] + 1 <=
+    k * (1 - B[i, j]) fails by more than 1e-9, in row-major order.  The depot
+    0 is exempt and the coefficient is the node count k."""
+    bad = u[1:k, None] - u[None, 1:k] + 1 > k * (1 - B[1:k, 1:k]) + 1e-9
+    np.fill_diagonal(bad, False)
+    return np.argwhere(bad) + 1
 
 
 @dataclass(frozen=True)
@@ -370,20 +376,18 @@ def build_mtz_model(inst: Instance, sol: Solution) -> MtzModel:
     """Populate the cycle model (successor matrix, positions, distances) from a solution."""
     k = inst.size
     pts, dmat, anchor = _frozen_geometry(inst, sol)
+    cycle = np.asarray(sol.order)
+    succ = np.roll(cycle, -1)
     B = np.zeros((k, k), dtype=int)
-    cycle = list(sol.order)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        B[a, b] = 1
+    B[cycle, succ] = 1
     # positions measured along the cycle starting from node 0 (the depot)
-    start = cycle.index(0)
-    rotated = cycle[start:] + cycle[:start]
     u = np.zeros(k)
-    for pos, node in enumerate(rotated):
-        u[node] = pos
-    objective = float(anchor[0] + sum(dmat[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
+    u[np.roll(cycle, -int(np.flatnonzero(cycle == 0)[0]))] = np.arange(k)
+    # the legs added one after another, never a compensated or pairwise sum
+    objective = float(anchor[0] + np.cumsum(dmat[cycle, succ])[-1])
     return MtzModel(
-        b=tuple(map(tuple, B)), u=tuple(map(float, u)), c=tuple(map(tuple, dmat)),
-        points=tuple(map(tuple, pts)), boundaries=inst.boundaries,
+        b=tuple(map(tuple, B.tolist())), u=tuple(u.tolist()), c=tuple(map(tuple, dmat.tolist())),
+        points=tuple(map(tuple, pts.tolist())), boundaries=inst.boundaries,
         objective=objective, anchored=inst.anchored)
 
 

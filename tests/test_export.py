@@ -1,14 +1,18 @@
+import io
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
-from escape_solver.analysis import convergence_study
-from escape_solver.export import (check_mtz_solution, parse_csv, parse_mtz_text,
-                                  to_csv, to_mtz_text, to_svg)
-from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
+from escape_solver.analysis import ConvergenceReport, WormBound, convergence_study, worm_upper_bound
+from escape_solver.export import (_boundary_text, _fmt, check_mtz_solution, parse_csv,
+                                  parse_mtz_text, to_csv, to_mtz_text, to_svg)
+from escape_solver.nlp_solver import Solution, SolveOptions, solve_fixed_order
 from escape_solver.order_search import MtzModel, build_mtz_model, exhaustive
+from escape_solver.path import Polyline
 from escape_solver.scenario import Instance, build, make_scenario
 
 OPTS = SolveOptions(multistart=1)
@@ -157,12 +161,23 @@ def test_mtz_refuses_invalid_model():
         to_mtz_text(broken, inst)
 
 
+@pytest.fixture(scope="module")
+def solved():
+    """(instance, solution) on the benchmark's convex instances (halfplane_unit
+    90, strip_middle 60, the unanchored opaque_circle_tangent 45, plane3d
+    3x3 in 3D), a closed family, a product family and a family of points."""
+    cases = [("halfplane_unit", 90, 1, {}), ("strip_middle", 60, 1, {}),
+             ("opaque_circle_tangent", 45, 1, {}), ("plane3d", 3, 3, {}),
+             ("circle_exterior", 12, 1, {"mode": "escape_closed"}),
+             ("strip_middle_product", 20, 1, {})]
+    insts = [build(make_scenario(name, n, m, **kw)) for name, n, m, kw in cases]
+    insts.append(_points_instance(np.random.default_rng(5).uniform(-1, 1, (12, 2))))
+    return [(inst, solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size)), OPTS))
+            for inst in insts]
+
+
 def _reference_mtz_text(model, inst=None):
     """The order-model writer as it was, one write per line."""
-    import io
-
-    from escape_solver.export import _boundary_text, _fmt
-
     model.validate()
     k = model.size
     buf = io.StringIO()
@@ -201,14 +216,137 @@ def _reference_mtz_text(model, inst=None):
     return buf.getvalue()
 
 
-def test_mtz_text_is_the_reference_writers_byte_for_byte():
+def test_mtz_text_is_the_reference_writers_byte_for_byte(solved):
     rng = np.random.default_rng(4)
     insts = [_points_instance(rng.uniform(-1, 1, (k, 2))) for k in (2, 5, 8)]
     insts += [build(make_scenario("circle_exterior", 4)), build(make_scenario("plane3d", 2, 2))]
-    for inst in insts:
-        sol = solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size))[::-1], OPTS)
+    cases = [(inst, solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size))[::-1],
+                                      OPTS)) for inst in insts]
+    for inst, sol in cases + solved:
         model = build_mtz_model(inst, sol)
         assert to_mtz_text(model, inst).encode() == _reference_mtz_text(model, inst).encode()
+
+
+def test_mtz_text_prints_each_bit_pattern_as_the_reference_does():
+    """Signed zeros, infinities, NaNs, subnormals and repeats, as numpy scalars,
+    Python floats and ints: -0.0 == 0.0, so a writer that formatted each
+    distinct float value once would print one of them wrongly."""
+    nan, inf = float("nan"), float("inf")
+    c = ((0.0, -0.0, np.float64(-0.0), inf),
+         (np.float64(5e-324), -5e-324, 2.2250738585072014e-308, nan),
+         (np.float64(0.1), 0.1, -np.inf, np.copysign(np.nan, -1.0)),
+         (1, np.float32(0.1), 1e16, np.float64(0.0)))
+    b = np.zeros((4, 4), dtype=int)
+    b[[0, 1, 2, 3], [1, 2, 3, 0]] = 1
+    model = MtzModel(b=tuple(map(tuple, b)), u=(np.float64(-0.0), 1.0, np.float64(2.0), 3),
+                     c=c, points=((-0.0, 0.0), (np.float64(-0.0), 1e-310), (inf, -inf), (nan, 1.5)),
+                     boundaries=(), objective=np.float64(-0.0), anchored=False)
+    text = to_mtz_text(model)
+    assert text.encode() == _reference_mtz_text(model).encode()
+    assert "\nc 0 -0 -0 inf\n" in text and "\nc 1 0.10000000149011612 10000000000000000 0\n" in text
+    assert "\nu -0 1 2 3\n" in text and text.endswith("\nOBJVALUE -0\n")
+
+
+def _reference_csv_field(v) -> str:
+    s = _fmt(v) if isinstance(v, float) else str(v)
+    if any(ch in s for ch in ',"\r\n'):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _reference_csv(obj) -> str:
+    """The CSV writer as it was, one field at a time."""
+    if isinstance(obj, Solution):
+        dim3 = obj.polyline.dim == 3
+        rows = [["order_index", "boundary_index", "x", "y"] + (["z"] if dim3 else [])
+                + ["residual"]]
+        pts = obj.points()
+        res = obj.residuals if obj.residuals else (float(obj.max_residual),) * len(obj.order)
+        for pos, h in enumerate(obj.order):
+            rows.append([pos, h, *[float(c) for c in pts[pos]], float(res[pos])])
+    elif isinstance(obj, ConvergenceReport):
+        rows = [["n", "length", "max_residual", "seconds"]]
+        rows += [[n, float(L), float(r), float(t)] for (n, L, r, t) in obj.entries]
+    elif isinstance(obj, WormBound):
+        rows = [["scenario", "area", "escape_length", "ratio"],
+                [obj.scenario, obj.area, obj.escape_length, obj.ratio]]
+    else:
+        rows = [["value", "length"]] + [[float(a), float(b)] for a, b in obj]
+    return "\r\n".join(",".join(_reference_csv_field(v) for v in row) for row in rows) + "\r\n"
+
+
+def _reference_svg(solution, inst) -> str:
+    """The SVG writer as it was: every number formatted where it is written,
+    and lines drawn from numpy vectors."""
+    def extent(f):
+        return [tuple(f.offset * f.normal())] if isinstance(f, geo.Line) else f.svg_extent()
+
+    def shape(f, reach):
+        if not isinstance(f, geo.Line):
+            return f.svg_shape(reach)
+        mid, v = f.offset * f.normal(), f.tangent()
+        a, b = mid - reach * v, mid + reach * v
+        return "line", (("x1", a[0]), ("y1", a[1]), ("x2", b[0]), ("y2", b[1])), "boundary"
+
+    style = {"boundary": 'fill="none" stroke="#cc0000" stroke-width="0.01"',
+             "path": 'fill="none" stroke="#000000" stroke-width="0.015"',
+             "start": 'fill="#000000"', "escape": 'fill="#cc0000"'}
+    anchor = np.asarray(inst.start_anchor[:2] if inst.start_anchor else (0.0, 0.0))
+    pts = solution.points() if solution is not None else np.zeros((0, 2))
+    pts2 = pts[:, :2] + anchor if pts.size else pts.reshape(0, 2)
+    xs, ys = [anchor[0]], [anchor[1]]
+    if pts2.size:
+        xs += list(pts2[:, 0])
+        ys += list(pts2[:, 1])
+    ext = [q for b in inst.boundaries for f in b.factors for q in extent(f)]
+    xs += [x for x, _ in ext]
+    ys += [y for _, y in ext]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
+    pad = 0.05 * span
+    x0, y0 = min(xs) - pad, min(ys) - pad
+    w, h = (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad
+    buf = io.StringIO()
+    buf.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    buf.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+              f'width="600" height="{_fmt(600 * h / w)}" '
+              f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">\n')
+    buf.write(f'<g transform="translate(0 {_fmt(2 * y0 + h)}) scale(1 -1)">\n')
+    reach = math.hypot(w, h)
+    shapes = [shape(f, reach) for b in inst.boundaries for f in b.factors]
+    for element, attrs, kind in filter(None, shapes):
+        fields = " ".join(f'{k}="{_fmt(v)}"' for k, v in attrs)
+        buf.write(f"<{element} {fields} {style[kind]}/>\n")
+    if pts2.shape[0]:
+        coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts2)
+        chain = (f"{_fmt(anchor[0])},{_fmt(anchor[1])} " if inst.anchored else "") + coords
+        if inst.closed:
+            chain += f" {_fmt(anchor[0])},{_fmt(anchor[1])}"
+        buf.write(f'<polyline points="{chain}" {style["path"]}/>\n')
+        for p in pts2:
+            buf.write(f'<circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="0.012" '
+                      f'{style["escape"]}/>\n')
+    if inst.anchored:
+        buf.write(f'<circle cx="{_fmt(anchor[0])}" cy="{_fmt(anchor[1])}" r="0.018" '
+                  f'{style["start"]}/>\n')
+    buf.write("</g>\n</svg>\n")
+    return buf.getvalue()
+
+
+def test_csv_is_the_reference_writers_byte_for_byte(solved):
+    for inst, sol in solved:
+        assert to_csv(sol).encode() == _reference_csv(sol).encode()
+    _, sol = solved[-1]
+    tables = [convergence_study("point_unit", [2, 4], opts=OPTS), worm_upper_bound(3.14159, sol),
+              WormBound(0.5, 2.0, 0.125, 'a "quoted",\r\nname'),
+              [(0.1, -0.0), (np.float64(2.5), 1)]]
+    for table in tables:
+        assert to_csv(table).encode() == _reference_csv(table).encode()
+
+
+def test_svg_is_the_reference_writers_byte_for_byte(solved):
+    for inst, sol in solved:
+        assert to_svg(sol, inst).encode() == _reference_svg(sol, inst).encode()
+        assert to_svg(None, inst).encode() == _reference_svg(None, inst).encode()
 
 
 def _reference_subtour_check(model):
@@ -252,3 +390,95 @@ def test_mtz_validate_reports_the_first_subtour_violation():
             with pytest.raises(ValueError) as err:
                 model.validate()
             assert str(err.value) == expected
+
+
+def test_mtz_checker_reports_every_subtour_violation_in_row_major_order():
+    """Against the checker's double loop over (i, j), on files whose b rows and
+    u line are replaced by random successor matrices and positions."""
+    def reference(k, B, u):
+        return [f"subtour inequality broken at ({i},{j})" for i in range(1, k)
+                for j in range(1, k) if i != j and u[i] - u[j] + 1 > k * (1 - B[i, j]) + 1e-9]
+
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        k = int(rng.integers(2, 8))
+        b = np.roll(np.eye(k, dtype=int), 1, axis=1)
+        model = MtzModel(b=tuple(map(tuple, b)), u=tuple(map(float, range(k))),
+                         c=((0.0,) * k,) * k, points=((0.0, 0.0),) * k, boundaries=(),
+                         objective=0.0, anchored=False)
+        perm = rng.permutation(k)
+        u = np.clip(rng.integers(0, k, k) + rng.choice([0.0, 5e-10, -5e-10, 2e-9], k), 0, k - 1)
+        rows = iter(np.eye(k, dtype=int)[perm])
+        lines = ["b " + " ".join(map(str, next(rows))) if ln.startswith("b ") else
+                 "u " + " ".join(map(repr, u.tolist())) if ln.startswith("u ") else ln
+                 for ln in to_mtz_text(model).splitlines()]
+        text = "\n".join(lines) + "\n"
+        data = parse_mtz_text(text)
+        found = [p for p in check_mtz_solution(text)["problems"] if p.startswith("subtour")]
+        assert found == reference(k, data["b"], data["u"])
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit, but any NaN for a NaN: a NaN prints as "nan", which
+    keeps neither its sign nor its payload."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@st.composite
+def _mtz_models(draw):
+    """A valid order model: a drawn cycle, positions along it from the depot
+    moved by under half the 1e-9 slack (so a signed zero can start it), and
+    any floats for the distances, points and objective."""
+    k, dim = draw(st.integers(2, 7)), draw(st.sampled_from([2, 3]))
+    cycle = draw(st.permutations(range(k)))
+    b = np.zeros((k, k), dtype=int)
+    b[cycle, np.roll(cycle, -1)] = 1
+    jitter = draw(st.lists(st.floats(-4e-10, 4e-10), min_size=k, max_size=k))
+    start = cycle.index(0)
+    u = [0.0] * k
+    for pos, node in enumerate(cycle[start:] + cycle[:start]):
+        u[node] = pos + jitter[pos] if pos else jitter[pos]
+    block = st.lists(st.tuples(*[_FLOATS] * k), min_size=k, max_size=k)
+    points = st.lists(st.tuples(*[_FLOATS] * dim), min_size=k, max_size=k)
+    return MtzModel(b=tuple(map(tuple, b.tolist())), u=tuple(u), c=tuple(draw(block)),
+                    points=tuple(draw(points)), boundaries=(), objective=draw(_FLOATS),
+                    anchored=draw(st.booleans()))
+
+
+@given(model=_mtz_models())
+def test_mtz_text_round_trips_bitwise(model):
+    data = parse_mtz_text(to_mtz_text(model))
+    assert (data["k"], data["anchored"]) == (model.size, model.anchored)
+    assert np.array_equal(data["b"], model.b)
+    for key in ("u", "points", "c"):
+        assert _same_bits(data[key], getattr(model, key)), key
+    assert _same_bits(data["objective"], model.objective)
+
+
+@st.composite
+def _solutions(draw):
+    """A solution on drawn finite points (a polyline refuses others), with
+    any floats as residuals or, without residuals, as the maximum one."""
+    n, dim = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+    pts = draw(st.lists(st.tuples(*[_FINITE] * dim), min_size=n, max_size=n))
+    residuals = draw(st.one_of(st.just(()), st.lists(_FLOATS, min_size=n, max_size=n).map(tuple)))
+    return Solution(polyline=Polyline(tuple(pts)), order=tuple(draw(st.permutations(range(n)))),
+                    length=0.0, max_residual=draw(_FLOATS), converged=True, residuals=residuals)
+
+
+@given(sol=_solutions())
+def test_csv_round_trips_bitwise(sol):
+    rows = parse_csv(to_csv(sol))
+    pts, n = sol.points(), len(sol.order)
+    res = sol.residuals or (sol.max_residual,) * n
+    assert len(rows) == n + 1
+    assert [[int(r[0]), int(r[1])] for r in rows[1:]] == [[pos, h] for pos, h in enumerate(sol.order)]
+    assert _same_bits([[float(v) for v in r[2:-1]] for r in rows[1:]], pts)
+    assert _same_bits([float(r[-1]) for r in rows[1:]], res)

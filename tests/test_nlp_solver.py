@@ -640,8 +640,11 @@ def _reference_hessian(red, t, legs):
     """The Hessian of the reduced objective entry by entry: a leg from point a
     to point b with d > 0 adds s_j s_k D_j.(I - u u^T) D_k / d to entry
     (j, k), where D_j is variable j's tangent and s_j is -1 at a, +1 at b and
-    0 elsewhere; a curved chart adds Gp . d2p/dt2 to its diagonal."""
+    0 elsewhere; a curved chart adds Gp . d2p/dt2 to its diagonal.  Also
+    returns the scale of each entry's rounding: the sum over its terms of
+    |D_j| |D_k| / d, and of |Gp| |d2p/dt2|."""
     tangent, H = {}, np.zeros((red.nvar, red.nvar))
+    scale = np.zeros_like(H)
     for kind, prm, rows, cols in red.blocks:
         for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
             for r, i in enumerate(rows):
@@ -649,6 +652,7 @@ def _reference_hessian(red, t, legs):
         if kind.chart_curvature is not None:
             for r, (i, c) in enumerate(zip(rows, kind.chart_curvature(prm, t[cols]))):
                 H[cols[r, 0], cols[r, 0]] += legs.grad[i] @ c
+                scale[cols[r, 0], cols[r, 0]] += np.linalg.norm(legs.grad[i]) * np.linalg.norm(c)
     for a, b, d, u in zip(legs.a, legs.b, legs.d, legs.u):
         if not d > 0.0:
             continue
@@ -657,7 +661,8 @@ def _reference_hessian(red, t, legs):
             for k, (pk, ek) in tangent.items():
                 sj, sk = int(pj == b) - int(pj == a), int(pk == b) - int(pk == a)
                 H[j, k] += sj * sk * (ej @ M @ ek)
-    return H
+                scale[j, k] += abs(sj * sk) * np.linalg.norm(ej) * np.linalg.norm(ek) / d
+    return H, scale
 
 
 _UNIT = st.floats(-1, 1)
@@ -696,7 +701,9 @@ def _hessian_chains(draw):
 def test_banded_hessian_is_the_dense_reference(chain, ends, eps):
     """The banded Hessian, expanded, against the entry-by-entry reference, with
     unit rows on the dead slots; an unsmoothed leg of length zero adds
-    nothing."""
+    nothing.  Each entry may differ by a few roundings of its terms: on a
+    short leg along a segment, D.D - (D.u)^2 cancels to rounding of |D|^2,
+    which the division by d enlarges."""
     bnds, raw, dim = chain
     program = _ResidualProgram(bnds, dim)
     red = _Reduced(program)
@@ -706,8 +713,8 @@ def test_banded_hessian_is_the_dense_reference(chain, ends, eps):
     legs = leg_chain(red.points(t), *ends, eps)
     band = _assemble_hessian(red, legs, red.jet(t))
     H, dead = _dense(red, band)
-    ref = _reference_hessian(red, t, legs)
-    assert np.abs(H - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    ref, scale = _reference_hessian(red, t, legs)
+    assert np.all(np.abs(H - ref) <= 16 * np.finfo(float).eps * scale)
     assert np.array_equal(dead, np.eye(red.n * red.width)[red.dead])
     # bitwise the pre-jet assembler, also in _duality_gap's call shape: short
     # legs at 1e-12 L with u = 0 (the jet holds no product with u in it)

@@ -9,7 +9,8 @@ from escape_solver import geometry as geo
 from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
 from escape_solver.order_search import (HELD_KARP_MAX_K, MtzModel, OrderPlan,
                                         PartitionPlan, SizeGuardError,
-                                        _branch_and_bound_order, _held_karp_order,
+                                        _branch_and_bound_order, _frozen_geometry,
+                                        _held_karp_order,
                                         _mst_weight, _order_cost, _two_opt_move,
                                         build_mtz_model, exhaustive, held_karp,
                                         mtz_branch_and_bound, partition_search,
@@ -143,6 +144,65 @@ def test_model_invariants_rejected_when_broken():
                       objective=model.objective)
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _reference_mtz_model(inst, sol):
+    """`build_mtz_model` as it was: one Python step per successor and
+    position, numpy scalars in the fields, and builtin sum() over numpy floats."""
+    k = inst.size
+    pts, dmat, anchor = _frozen_geometry(inst, sol)
+    B = np.zeros((k, k), dtype=int)
+    cycle = list(sol.order)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        B[a, b] = 1
+    start = cycle.index(0)
+    u = np.zeros(k)
+    for pos, node in enumerate(cycle[start:] + cycle[:start]):
+        u[node] = pos
+    objective = float(anchor[0] + sum(dmat[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
+    return MtzModel(b=tuple(map(tuple, B)), u=tuple(map(float, u)), c=tuple(map(tuple, dmat)),
+                    points=tuple(map(tuple, pts)), boundaries=inst.boundaries,
+                    objective=objective, anchored=inst.anchored)
+
+
+def _mtz_cases():
+    """(instance, solution): far-apart points, where a compensated sum of the
+    legs differs from the sequential one, and anchored, unanchored, closed
+    and 3D families."""
+    far = _points_instance([(1.0, 0.0), (1e16, 0.0), (1e16, 1.0), (1e16, 2.0), (1.0, 1.0)])
+    insts = [far, _points_instance(np.random.default_rng(14).uniform(-1, 1, (9, 2)))]
+    insts += [build(make_scenario(name, n, m, **kw)) for name, n, m, kw in (
+        ("halfplane_unit", 90, 1, {}), ("opaque_circle_tangent", 45, 1, {}),
+        ("circle_exterior", 12, 1, {"mode": "escape_closed"}), ("plane3d", 3, 3, {}))]
+    return [(inst, solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size))[::-1],
+                                     OPTS)) for inst in insts]
+
+
+def test_mtz_model_fields_are_bitwise_the_reference():
+    for inst, sol in _mtz_cases():
+        model, ref = build_mtz_model(inst, sol), _reference_mtz_model(inst, sol)
+        assert np.array_equal(model.b, ref.b) and np.asarray(model.b).dtype == np.asarray(ref.b).dtype
+        for key in ("u", "c", "points", "objective"):
+            assert np.asarray(getattr(model, key)).tobytes() == \
+                np.asarray(getattr(ref, key)).tobytes(), key
+        assert (model.boundaries, model.anchored) == (ref.boundaries, ref.anchored)
+
+
+def test_mtz_objective_is_the_sequential_sum_of_the_cycle():
+    """anchor[0] + ((0 + d1) + d2) + ... in float64, leg by leg.  The builtin
+    sum() over Python floats is compensated from Python 3.12, as math.fsum is;
+    on the far-apart points either would end 4 higher."""
+    for case, (inst, sol) in enumerate(_mtz_cases()):
+        model = build_mtz_model(inst, sol)
+        anchor = np.linalg.norm(np.array(model.points), axis=1)[0] if inst.anchored else 0.0
+        cycle = list(sol.order)
+        legs = [model.c[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        total = 0
+        for d in legs:
+            total = total + d
+        assert model.objective == anchor + total
+        if case == 0:
+            assert model.objective == 2e16 and math.fsum([anchor, *legs]) == 2e16 + 4
 
 
 def test_alternating_with_hint_matches_fixed_order():
