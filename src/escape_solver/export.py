@@ -283,6 +283,7 @@ def check_mtz_solution(text: str, feas_tol: float = 1e-6, obj_tol: float = 1e-9)
 
     Verifies assignment structure, auxiliary bounds, subtour inequalities,
     distance consistency, boundary residuals, and recomputes the objective.
+    Each tolerance test reads `not (x <= tol)`, so a NaN fails it.
     """
     data = parse_mtz_text(text)
     k, B, u = data["k"], data["b"], data["u"]
@@ -292,20 +293,23 @@ def check_mtz_solution(text: str, feas_tol: float = 1e-6, obj_tol: float = 1e-9)
         problems.append("assignment rows/columns broken")
     if np.trace(B) != 0:
         problems.append("self loop present")
-    if (u < -1e-9).any() or (u > k - 1 + 1e-9).any():
+    if not ((-1e-9 <= u) & (u <= k - 1 + 1e-9)).all():
         problems.append("auxiliaries out of range")
     problems += [f"subtour inequality broken at ({i},{j})" for i, j in subtour_violations(B, u, k)]
     diff = pts[:, None, :] - pts[None, :, :]
     dmat = np.linalg.norm(diff, axis=2)
-    if np.max(np.abs(dmat - C)) > feas_tol:
+    if not np.max(np.abs(dmat - C)) <= feas_tol:
         problems.append("distance terms do not match the points")
     for i, b in enumerate(data["boundaries"]):
+        if not np.isfinite(pts[i]).all():
+            problems.append(f"point {i} is not finite")
+            continue
         r = geo.scaled_residual(b, pts[i])
-        if r > feas_tol:
+        if not r <= feas_tol:
             problems.append(f"point {i} off its boundary by {r:.2e}")
     anchor0 = float(np.linalg.norm(pts[0])) if data["anchored"] else 0.0
     recomputed = anchor0 + float((B * C).sum())
-    if abs(recomputed - data["objective"]) > obj_tol:
+    if not abs(recomputed - data["objective"]) <= obj_tol:
         problems.append(
             f"objective mismatch: stated {data['objective']!r}, recomputed {recomputed!r}")
     return {"feasible": not problems, "problems": problems,

@@ -88,12 +88,13 @@ class Primitive:
       arrays, and for a curved chart `chart_curvature(prm, T)` -> d2p/dt2;
       `residual` and `chart_points` return new arrays, never packed
       parameters, because the solver hands them on without a copy;
-    - `chart_eval(prm, T)` -> (points, frame), one evaluation of the chart.
-      A chart without `chart_curvature` has constant tangents and no frame
-      (None); a curved chart's frame is what its points came from, and
-      `chart_jet(prm, frame)` -> (tangents, curvature) gives the rest from
-      it, so a Newton iterate evaluates each curved chart once, bitwise as
-      the three functions above;
+    - `chart_eval(prm, T, out=None)` -> (points, frame), one evaluation of
+      the chart, its points written into `out` where given.  A chart without
+      `chart_curvature` has constant tangents and no frame (None); a curved
+      chart's frame is what its points came from, and `chart_jet(prm, frame,
+      out=None)` -> (tangents, curvature) gives the rest from it (written
+      into the `out` pair of arrays where given), so a Newton iterate
+      evaluates each curved chart once, bitwise as the three functions above;
     - `moved(motion)` and `scaled(s)`: the boundary through the image points;
     - `svg_extent()`, points a drawing must include, and `svg_shape(reach)`,
       an (element, attributes, style) triple, lines `reach` long each way.
@@ -103,8 +104,11 @@ class Primitive:
     chart_curvature = None
 
     @classmethod
-    def chart_eval(cls, prm, T):
-        return cls.chart_points(prm, T), None
+    def chart_eval(cls, prm, T, out=None):
+        if out is None:
+            return cls.chart_points(prm, T), None
+        out[...] = cls.chart_points(prm, T)
+        return out, None
 
     def svg_extent(self) -> list:
         return []
@@ -119,17 +123,18 @@ class Primitive:
 
 class _Hyperplane(Primitive):
     """Kernels shared by Line and Plane3: n . p = d with a unit normal n; the
-    chart is an orthonormal in-plane frame.  Packed as (n, d, E) with E the
-    tuple of the frame's ndof (m, dim) vectors."""
+    chart is an orthonormal in-plane frame.  Packed as (n, d, E, d n) with E
+    the tuple of the frame's ndof (m, dim) vectors and d n the chart's
+    origin, the foot of the normal."""
 
     @staticmethod
     def residual(prm, P):
-        n, d, _ = prm
+        n, d, *_ = prm
         return _dot(P, n) - d, n.copy()
 
     @staticmethod
     def nearest(prm, P):
-        n, d, _ = prm
+        n, d, *_ = prm
         return P - (_dot(P, n) - d)[..., None] * n
 
     @staticmethod
@@ -137,12 +142,15 @@ class _Hyperplane(Primitive):
         return np.stack([np.einsum("ij,ij->i", P, e) for e in prm[2]], axis=1)
 
     @staticmethod
+    def chart_eval(prm, T, out=None):
+        E, P = prm[2], prm[3]
+        for k, e in enumerate(E):   # ndof >= 1, so P is never the packed origin
+            P = np.add(P, T[:, k:k + 1] * e, out=out)
+        return P, None
+
+    @staticmethod
     def chart_points(prm, T):
-        n, d, E = prm
-        P = d[:, None] * n
-        for k, e in enumerate(E):
-            P = P + T[:, k:k + 1] * e
-        return P
+        return _Hyperplane.chart_eval(prm, T)[0]
 
     @staticmethod
     def chart_tangents(prm, T):
@@ -170,7 +178,8 @@ class Line(_Hyperplane):
     def pack(lines) -> tuple:
         n = np.array([[math.cos(f.angle), math.sin(f.angle)] for f in lines])
         v = np.array([[-math.sin(f.angle), math.cos(f.angle)] for f in lines])
-        return n, np.array([f.offset for f in lines]), (v,)
+        d = np.array([f.offset for f in lines])
+        return n, d, (v,), d[:, None] * n
 
     def moved(self, m: RigidMotion) -> "Line":
         phi = self.angle + m.angle
@@ -250,20 +259,27 @@ class Circle(Primitive):
         return np.arctan2(dv[:, 1], dv[:, 0])[:, None]
 
     @staticmethod
-    def chart_eval(prm, T):
+    def chart_eval(prm, T, out=None):
         """The points at angles T and their frame, the rows (cos a, sin a)."""
         U = _cos_sin(T[:, 0])
-        return prm[0] + prm[1][:, None] * U, U
+        if out is None:
+            return prm[0] + prm[1][:, None] * U, U
+        np.multiply(prm[1][:, None], U, out=out)
+        np.add(prm[0], out, out=out)
+        return out, U
 
     @staticmethod
-    def chart_jet(prm, U):
+    def chart_jet(prm, U, out=None):
         """Tangents r (-sin a, cos a) and curvature -r (cos a, sin a) at the
         frame U of `chart_eval`."""
-        V = np.empty_like(U)
+        V, C = (np.empty_like(U), np.empty_like(U)) if out is None else out
         np.negative(U[:, 1], out=V[:, 0])
         V[:, 1] = U[:, 0]
         r = prm[1][:, None]
-        return (r * V,), -r * U
+        np.multiply(r, V, out=V)
+        np.multiply(r, U, out=C)
+        np.negative(C, out=C)   # -(r U) is (-r) U, bit for bit
+        return (V,), C
 
     @staticmethod
     def chart_points(prm, T):
@@ -446,7 +462,8 @@ class Plane3(_Hyperplane):
         bad = np.linalg.norm(e1, axis=1) < 1e-9
         e1[bad] = np.cross(n[bad], [1.0, 0.0, 0.0])
         e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        return n, np.array([f.offset for f in planes]), (e1, np.cross(n, e1))
+        d = np.array([f.offset for f in planes])
+        return n, d, (e1, np.cross(n, e1)), d[:, None] * n
 
     def scaled(self, s: float) -> "Plane3":
         return Plane3(self.normal, s * self.offset)

@@ -34,7 +34,7 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._lbfgsb import setulb
 
 from . import geometry as geo
-from .path import Polyline, leg_chain, leg_lengths, leg_slopes, length
+from .path import LegBuffers, Polyline, leg_chain, length
 from .scenario import Instance, build_zalgaller
 
 
@@ -218,18 +218,13 @@ class _Jet(NamedTuple):
     origin.  `ends[:, r]` are (T[r], T[r + 1]) and `prods[:, r]` the products
     (T[r]^T T[r], T[r + 1]^T T[r + 1], T[r + 1]^T T[r]), which do not depend
     on the legs' directions.  `tangents` are each block's chart tangents (for
-    the chain rule) and `curvature` the (rows, leg_chain rows, d2p/dt2) of
-    each curved block."""
+    the chain rule) and `curvature` the (rows, d2p/dt2) of each curved
+    block."""
 
     tangents: list
     ends: np.ndarray      # (2, n + 1, dim, w)
     prods: np.ndarray     # (3, n + 1, w, w)
     curvature: list
-
-
-# the left and right factors of _Jet.prods (and of the Hessian's blocks): T[r]
-# is end 0 of leg r, T[r + 1] end 1
-_LEFT, _RIGHT = np.array([0, 1, 1]), np.array([0, 1, 0])
 
 
 def _run(idx: np.ndarray):
@@ -239,14 +234,20 @@ def _run(idx: np.ndarray):
     return idx
 
 
+def _products(ends: np.ndarray, prods: np.ndarray):
+    """`_Jet.prods` from `_Jet.ends`, written into prods."""
+    np.einsum("slxk,slxm->slkm", ends, ends, out=prods[:2])
+    np.einsum("lxk,lxm->lkm", ends[1], ends[0], out=prods[2])
+
+
 def _band_index(n: int, w: int, dead: np.ndarray) -> np.ndarray:
     """Where each entry of the LAPACK lower band (2w, n w) of `_assemble_hessian`
-    comes from in its buffer [diag (n + 2, w, w), below (n + 1, w, w), 0, 1]:
+    comes from in its buffer [diag (n, w, w), below (n - 1, w, w), 0, 1]:
     entry (i, j) of slots i >= j is H[i - j, j]; a dead slot's diagonal is the
     1 and an entry outside the matrix the 0.  F-ordered, as dpbsv reads it."""
-    D, B = (n + 2) * w * w, (n + 1) * w * w
+    D, B = n * w * w, (n - 1) * w * w
     band = np.full((2 * w, n * w), D + B, order="F")
-    i = np.arange(1, n + 1)
+    i = np.arange(n)
     for k in range(w):
         for m in range(w):
             if k >= m:
@@ -255,6 +256,25 @@ def _band_index(n: int, w: int, dead: np.ndarray) -> np.ndarray:
     if w:   # no slots at all when every point is fixed
         band[0, dead] = D + B + 1
     return band
+
+
+class _LegBlocks:
+    """`_assemble_hessian`'s per-leg arrays for the legs first..last of a
+    chain of n points with w slots each: (Ta.u, Tb.u) and the (aa, bb, ba)
+    blocks of leg r = 0..n (from row r to row r + 1 of leg_chain's [origin,
+    p_0, ..., origin]); the blocks of legs outside the chain stay 0.  `aa`
+    and `bb` are the blocks of the legs leaving and reaching each point, `ba`
+    those of the legs between points i and i + 1."""
+
+    def __init__(self, n: int, w: int, first: int, last: int):
+        self.uab = np.empty((2, last - first, w))
+        h = np.zeros((3, n + 1, w, w))
+        self.h = h[:, first:last]
+        # the operands and output of the products (Ta.u)_k (Ta.u)_m and
+        # (Tb.u)_k (Tb.u)_m, and of (Tb.u)_k (Ta.u)_m
+        self.x = (self.uab[:, :, :, None], self.uab[:, :, None, :], self.h[:2])
+        self.x_ba = (self.uab[1, :, :, None], self.uab[0, :, None, :], self.h[2])
+        self.aa, self.bb, self.ba = h[0, 1:], h[1, :n], h[2, 1:n]
 
 
 class _Reduced:
@@ -268,49 +288,65 @@ class _Reduced:
     coordinate in slot i * width + k, and `dead` marks the slots of no variable;
     `packed` says that variable j sits in slot j, so no slot is dead.
 
-    Charts with constant tangents (all but circles) give their part of the
-    `_Jet` once, here (`still`): on affine charts the whole jet, tangent
-    products included, is built once per polish.  A curved chart's part is evaluated
-    once per Newton iterate, from the frame its points came from.
+    The `_Jet` lives in arrays built here.  Charts with constant tangents (all
+    but circles) write their part once, so on affine charts the whole jet,
+    tangent products included, is built once per polish; `jet` overwrites a
+    curved chart's part once per Newton iterate, from the frame its points
+    came from.  `_assemble_hessian` forms its blocks in arrays kept here too,
+    and gathers its band from them.
     """
 
     def __init__(self, program: _ResidualProgram):
         self.dim = program.dim
-        self.n = program.n
+        self.n = n = program.n
         self.nvar = 0
         self.bounds = []
         self.blocks = []
+        self._tcols = []   # each block's variables, a slice of t
         for rows, packed in program.groups:
             if len(packed.kinds) > 1:
                 raise TypeError("cannot reduce a product; resolve branches first")
             kind = packed.kinds[0]
             cols = self.nvar + np.arange(len(rows) * kind.ndof).reshape(len(rows), kind.ndof)
+            self._tcols.append(slice(self.nvar, self.nvar + cols.size))
             self.nvar += cols.size
             self.bounds.extend([kind.bound] * cols.size)
             self.blocks.append((kind, packed.prms[0], rows, cols))
         self.affine = all(_affine(kind) for kind, *_ in self.blocks)
-        self.width = max(kind.ndof for kind, *_ in self.blocks)
+        self.width = w = max(kind.ndof for kind, *_ in self.blocks)
         self.slots = np.zeros(self.nvar, dtype=int)
         for kind, _, rows, cols in self.blocks:
-            self.slots[cols] = rows[:, None] * self.width + np.arange(kind.ndof)
-        self.dead = np.ones(self.n * self.width, dtype=bool)
+            self.slots[cols] = rows[:, None] * w + np.arange(kind.ndof)
+        self.dead = np.ones(n * w, dtype=bool)
         self.dead[self.slots] = False
-        self.packed = np.array_equal(self.slots, np.arange(self.n * self.width))
+        self._dead = np.flatnonzero(self.dead)
+        self.packed = np.array_equal(self.slots, np.arange(n * w))
         self.curved = [i for i, (kind, *_) in enumerate(self.blocks)
                        if kind.chart_curvature is not None]
-        self._band = _band_index(self.n, self.width, self.dead)
-        self._ends = np.arange(self.n + 1) + np.arange(2)[:, None]   # rows (r, r + 1) of leg r
         # each block's rows of the points and of leg_chain's [origin, p_0, ...,
         # origin], as slices where they are consecutive
         self._rows = [(_run(rows), _run(rows + 1)) for _, _, rows, _ in self.blocks]
-        tangents = [None] * len(self.blocks)
-        self._T = np.zeros((self.n + 2, self.dim, self.width))
-        for i, (kind, prm, _, cols) in enumerate(self.blocks):
+        ends = np.zeros((2, n + 1, self.dim, w))
+        tangents, curvature = [], []
+        for (kind, prm, rows, cols), (rsl, esl) in zip(self.blocks, self._rows):
             if kind.chart_curvature is None:
-                tangents[i] = kind.chart_tangents(prm, np.zeros(cols.shape))
-                for k, e in enumerate(tangents[i]):
-                    self._T[self._rows[i][1], :, k] = e
-        self.still = self._jet(tangents, self._T, [])
+                tangents.append(kind.chart_tangents(prm, np.zeros(cols.shape)))
+            else:   # written by `jet`
+                tangents.append(tuple(np.zeros((len(rows), self.dim)) for _ in range(kind.ndof)))
+                curvature.append((rsl, np.zeros((len(rows), self.dim))))
+            for k, e in enumerate(tangents[-1]):
+                ends[0, esl, :, k] = e
+                ends[1, rsl, :, k] = e
+        self._jet = _Jet(tangents, ends, np.empty((3, n + 1, w, w)), curvature)
+        _products(ends, self._jet.prods)
+        self._legs = {}   # (first, last) -> _LegBlocks of that chain
+        # the Hessian's blocks by point, each written in full by every
+        # assembly, from which `_band_index` gathers the band
+        self._hbuf = np.zeros(n * w * w + max(n - 1, 0) * w * w + 2)
+        self._hbuf[-1] = 1.0
+        self._diag = self._hbuf[:n * w * w].reshape(n, w, w)
+        self._below = self._hbuf[n * w * w:-2].reshape(max(n - 1, 0), w, w)
+        self._band = _band_index(n, w, self.dead)
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
         t = np.zeros(self.nvar)
@@ -325,36 +361,38 @@ class _Reduced:
             P, frame = kind.chart_eval(prm, t.reshape(cols.shape))
             return P, [frame]
         P = np.zeros((self.n, self.dim))
-        frames = []
-        for kind, prm, rows, cols in self.blocks:
-            P[rows], frame = kind.chart_eval(prm, t[cols])
-            frames.append(frame)
-        return P, frames
+        return P, _chart_points(self.charts(t, P), P)
+
+    def charts(self, t: np.ndarray, P: np.ndarray) -> list:
+        """Per block, what `_chart_points` evaluates its chart by: (kind,
+        packed parameters, its variables as an (m, ndof) view of t, its rows
+        of P as a view where they are consecutive, else None, and its rows)."""
+        return [(kind, prm, t[tcols].reshape(cols.shape),
+                 P[rows] if isinstance(rows, slice) else None, rows)
+                for (kind, prm, _, cols), (rows, _), tcols in zip(self.blocks, self._rows,
+                                                                   self._tcols)]
 
     def points(self, t: np.ndarray) -> np.ndarray:
         return self.evaluate(t)[0]
 
     def jet(self, t: np.ndarray, frames=None) -> _Jet:
-        """The `_Jet` at t: `still` where no chart is curved, else with each
-        curved block's tangents and curvature from its frame (`frames` from
-        `evaluate(t)`, or evaluated here)."""
+        """The `_Jet` at t, in this `_Reduced`'s arrays (a later call on a
+        curved chart overwrites them): each curved block's tangents and
+        curvature come from its frame (`frames` from `evaluate(t)`, or
+        evaluated here)."""
+        jet = self._jet
         if not self.curved:
-            return self.still
+            return jet
         frames = frames or self.evaluate(t)[1]
-        tangents, T, curvature = list(self.still.tangents), self._T.copy(), []
-        for i in self.curved:
+        for i, (_, c) in zip(self.curved, jet.curvature):
             kind, prm, _, _ = self.blocks[i]
-            tangents[i], c = kind.chart_jet(prm, frames[i])
             rows, ext = self._rows[i]
-            for k, e in enumerate(tangents[i]):
-                T[ext, :, k] = e
-            curvature.append((rows, ext, c))
-        return self._jet(tangents, T, curvature)
-
-    def _jet(self, tangents, T, curvature) -> _Jet:
-        ends = T[self._ends]
-        return _Jet(tangents, ends, np.einsum("slxk,slxm->slkm", ends[_LEFT], ends[_RIGHT]),
-                    curvature)
+            kind.chart_jet(prm, frames[i], out=(*jet.tangents[i], c))
+            for k, e in enumerate(jet.tangents[i]):
+                jet.ends[0, ext, :, k] = e
+                jet.ends[1, rows, :, k] = e
+        _products(jet.ends, jet.prods)
+        return jet
 
     def push(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Per-point displacement of a reduced step z (the transpose of `chain`)."""
@@ -369,17 +407,41 @@ class _Reduced:
         blocks' tangents at t (`jet(t).tangents`, evaluated here unless given)."""
         if tangents is None:
             tangents = [kind.chart_tangents(prm, t[cols]) for kind, prm, _, cols in self.blocks]
-        if len(self.blocks) == 1:
-            cols = self.blocks[0][3]
-            g = np.empty(cols.shape)
-            for k, e in enumerate(tangents[0]):
-                g[:, k] = np.einsum("ij,ij->i", Gp, e)
-            return g.reshape(self.nvar)
-        g = np.zeros(self.nvar)
-        for (_, _, rows, cols), tan in zip(self.blocks, tangents):
-            for k, e in enumerate(tan):
-                g[cols[:, k]] = np.einsum("ij,ij->i", Gp[rows], e)
+        g = np.empty(self.nvar)
+        _pull(self.pulls(tangents, g), Gp)
         return g
+
+    def pulls(self, tangents, g: np.ndarray) -> list:
+        """Per block and coordinate, what `_pull` writes its part of g by:
+        (the block's rows, the coordinate's tangents, its entries of g)."""
+        return [(rows, e, g[tcols][k::kind.ndof])
+                for (kind, *_), (rows, _), tcols, tan in zip(self.blocks, self._rows,
+                                                             self._tcols, tangents)
+                for k, e in enumerate(tan)]
+
+
+def _chart_points(charts, P: np.ndarray) -> list:
+    """Each block's points written into P by its chart, and its frame; a
+    block given as None (a fixed one) is left as it is."""
+    frames = []
+    for chart in charts:
+        if chart is None:
+            frames.append(None)
+            continue
+        kind, prm, T, view, rows = chart
+        if view is None:
+            P[rows], frame = kind.chart_eval(prm, T)
+        else:
+            frame = kind.chart_eval(prm, T, view)[1]
+        frames.append(frame)
+    return frames
+
+
+def _pull(pulls, Gp: np.ndarray):
+    """The chain rule: each variable's gradient entry is its point's row of Gp
+    dotted with its tangent (see `_Reduced.pulls`)."""
+    for rows, e, g in pulls:
+        np.einsum("ij,ij->i", Gp[rows], e, out=g)
 
 
 # --------------------------------------------------------------------------
@@ -469,6 +531,28 @@ def _finish(program: _ResidualProgram, P, anchored, closed):
     return (Q, L_Q) if L_Q < L else (P, L)
 
 
+class _Iterate:
+    """A Newton iterate, computed in place: t, the legs of its points
+    (`path.LegBuffers`) and the curved charts' frames, with the views that
+    write its points and pull its gradient back to g."""
+
+    def __init__(self, red: _Reduced, t, P, anchored: bool, closed: bool, g, tangents):
+        self.t = t.copy()
+        self.legs = LegBuffers(red.n, red.dim, anchored, closed)
+        self.legs.points[...] = P   # the rows of fixed blocks stay so
+        self.frames = None
+        self._charts = [c if c[0].ndof else None for c in red.charts(self.t, self.legs.points)]
+        self._pulls = red.pulls(tangents, g)
+
+    def evaluate(self):
+        self.frames = _chart_points(self._charts, self.legs.points)
+
+    def gradient(self):
+        """The unit vectors, the gradient rows and the gradient g at t."""
+        self.legs.slope()
+        _pull(self._pulls, self.legs.grad)
+
+
 def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
                      eps0: float | None = None) -> np.ndarray:
     """Minimize the length by smoothed continuation.
@@ -489,27 +573,37 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     the stage ends.  A chain without legs, or of zero or non-finite length, is
     returned unchanged.
 
-    Each quantity is computed where it changes.  Once per polish (`_Reduced`):
-    the constant charts' tangents, and on affine charts their products.  Once
-    per accepted iterate: the curved charts' tangents and curvature, from the
-    frame the iterate's points came from (`_Reduced.jet`), the unit vectors
-    and the gradient from the leg vectors the trial priced (`leg_slopes`),
-    and the Hessian.  Once per trial: the points, the leg vectors, the
-    smoothed lengths and their total (`leg_lengths`), and nothing else.
+    Each quantity is computed where it changes, in place, into arrays made
+    once per polish: the jet's and the Hessian's per-leg blocks in `_Reduced`,
+    the rest here: the gradient g and two `_Iterate`s, which a trial and the
+    accepted iterate swap.  Once per polish: the constant charts' tangents,
+    on affine charts their products, and (packed with the boundaries) the
+    hyperplanes' chart origins.  Once per accepted iterate: the curved
+    charts' tangents, curvature and products, from the frame the iterate's
+    points came from (`_Reduced.jet`); the unit vectors and the gradient
+    rows from the leg vectors the trial priced (`path.LegBuffers.slope`,
+    which looks for no zero leg: every smoothed d is positive); the gradient
+    and the Hessian, a new band.  Once per trial: the points, the leg
+    vectors, the smoothed lengths and their total
+    (`path.LegBuffers.price`), and nothing else.
     """
     P, frames = red.evaluate(t)
-    lens = leg_lengths(P, anchored, closed)
-    if not 0.0 < lens.total < math.inf:
-        return t
-    eps = lens.total / lens.d.size if eps0 is None else eps0 * lens.total
-    floor = SMOOTH_FLOOR * lens.total
+    g = np.empty(red.nvar)
     jet = red.jet(t, frames)
+    cur = _Iterate(red, t, P, anchored, closed, g, jet.tangents)
+    total = cur.legs.price()
+    if not 0.0 < total < math.inf:
+        return t
+    cur.frames = frames
+    spare = _Iterate(red, t, P, anchored, closed, g, jet.tangents)
+    eps = total / cur.legs.d.size if eps0 is None else eps0 * total
+    floor = SMOOTH_FLOOR * total
     while eps >= floor:
-        lens = leg_lengths(P, anchored, closed, eps)
+        cur.legs.price(eps)
         for _ in range(50):
-            legs = leg_slopes(lens, anchored, closed)
-            g = red.chain(t, legs.grad, jet.tangents)
-            H = _assemble_hessian(red, legs, jet)
+            cur.gradient()
+            legs = cur.legs.chain()
+            H = _assemble_hessian(red, legs, jet, smoothed=True)
             scale = np.abs(H[0] if red.packed else H[0, red.slots]).max()
             rhs = -g
             for lam in NEWTON_SHIFTS:
@@ -525,30 +619,35 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
                 break
             alpha = 1.0
             while alpha > 1e-6:
-                t_trial = t + alpha * step
-                P_trial, frames = red.evaluate(t_trial)
-                trial = leg_lengths(P_trial, anchored, closed, eps)
-                if trial.total <= lens.total - 1e-4 * alpha * decrement:
+                np.add(cur.t, alpha * step, out=spare.t)
+                spare.evaluate()
+                if spare.legs.price(eps) <= legs.total - 1e-4 * alpha * decrement:
                     break
                 alpha *= 0.5
             else:
                 break
-            t, P, lens, jet = t_trial, P_trial, trial, red.jet(t_trial, frames)
+            cur, spare = spare, cur
+            jet = red.jet(cur.t, cur.frames)
         eps /= 10.0
-    return t
+    return cur.t
 
 
 def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
     """x with (H + lam I) x = rhs for a symmetric H in `_assemble_hessian`'s
     band storage, by banded Cholesky; None unless H + lam I factors (it is
-    positive definite to rounding) and x is finite.  H and rhs are left as
-    they are; on a packed `_Reduced` rhs is the band's right-hand side as it
-    stands, with no scatter into slots or gather out of them."""
+    positive definite to rounding) and x is finite.  A diagonal entry <= 0
+    gives None with no factorization: the Cholesky pivot of its column is
+    that entry minus a sum of squares, so the factorization would stop there
+    or before.  H and rhs are left as they are; on a packed `_Reduced` rhs
+    is the band's right-hand side as it stands, with no scatter into slots
+    or gather out of them."""
     if lam:
         A = H.copy(order="F")
         A[0] += lam
     else:   # H[0] holds no -0, so adding 0 would change no bit; dpbsv copies H
         A = H
+    if A[0].min() <= 0.0:
+        return None
     if red.packed:
         b = rhs
     else:
@@ -560,55 +659,63 @@ def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
     return x if red.packed else x[red.slots]
 
 
-def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
+def _assemble_hessian(red: _Reduced, legs, jet: _Jet, smoothed: bool = False) -> np.ndarray:
     """Exact Hessian of the reduced objective in LAPACK lower band storage.
 
     A leg joins two consecutive points or a point and the fixed origin, so in
     the slot order of `_Reduced` the Hessian is block tridiagonal with blocks
     of width w = `red.width`: entry (i, j) of slots i >= j is H[i - j, j], for
-    i - j < 2w.  A dead slot gets a unit diagonal and no couplings.
+    i - j < 2w.  A dead slot gets a unit diagonal and no couplings.  The band
+    is a new array, F-ordered as dpbsv reads it.
 
     A leg of length d and unit vector u from point a to point b adds
     (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
     tangent of a's k-th coordinate; the aa and bb blocks take the same form,
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
     length, u = v / d) gives the Hessian of the smoothed objective.  Legs of
-    length zero add nothing.  The chart curvature adds the diagonal terms
-    Gp . d2p/dt2.
+    length zero add nothing; `smoothed` says that no d is zero, so none is
+    looked for.  The chart curvature adds the diagonal terms Gp . d2p/dt2.
 
     The tangents, the curvature and the products Da_k.Db_l come from `jet`
     (`_Reduced.jet` at the iterate), so only the terms in u and d are formed
-    here.  In a smoothed stage, and in `_duality_gap`, every d is positive and
-    no leg is masked.  The diagonal blocks start at +0 and take each leg's
-    terms by an add, which turns a -0 term into +0, so the band's diagonal
-    holds no -0: adding the +0 curvature of a row on an affine chart would
-    change no bit, and only curved rows take that add.
+    here, leg by leg, in arrays `red` keeps for the chain (`_LegBlocks`).
+    Each point's diagonal block and each block below is then written whole
+    into `red`'s block buffer, and one gather by `_band_index` makes the band
+    (cheaper than writing each entry (k, m) to its band row by a slice, the
+    more so at w = 2).  In a smoothed
+    stage, and in `_duality_gap`, every d is positive and no leg is masked.
+    The diagonal blocks start at +0 and take the aa term of the leg leaving
+    the point, then the bb term of the leg reaching it (a leg off the chain
+    gives a +0 term), by adds, which turn a -0 term into +0, so the band's
+    diagonal holds no -0: adding the +0 curvature of a row on an affine chart
+    would change no bit, and only curved rows take that add.
     """
-    n, w = red.n, red.width
-    first = legs.a[0] + 1 if legs.d.size else 0   # leg_chain's first leg is _Jet's leg `first`
+    first = int(legs.a[0]) + 1 if legs.d.size else 0   # leg_chain's first leg is _Jet's leg `first`
     last = first + legs.d.size
-    masked = not legs.d.min(initial=math.inf) > 0.0
+    blocks = red._legs.get((first, last))
+    if blocks is None:
+        blocks = red._legs[first, last] = _LegBlocks(red.n, red.width, first, last)
+    d = legs.d
+    masked = not smoothed and not d.min(initial=math.inf) > 0.0
     if masked:
-        ok = legs.d > 0.0
-        d = np.where(ok, legs.d, 1.0)[:, None, None]
-    else:
-        d = legs.d[:, None, None]
-    uab = np.einsum("slxk,lx->slk", jet.ends[:, first:last], legs.u)   # (Ta.u, Tb.u)
+        ok = d > 0.0
+        d = np.where(ok, d, 1.0)
+    np.einsum("slxk,lx->slk", jet.ends[:, first:last], legs.u, out=blocks.uab)   # (Ta.u, Tb.u)
     # the aa, bb and ba blocks leg by leg
-    h = (jet.prods[:, first:last] - uab[_LEFT, :, :, None] * uab[_RIGHT, :, None, :]) / d
+    h = blocks.h
+    np.multiply(*blocks.x)
+    np.multiply(*blocks.x_ba)
+    np.subtract(jet.prods[:, first:last], h, out=h)
+    np.divide(h, d[:, None, None], out=h)
     if masked:
         h[:, ~ok] = 0.0
-    D, B = (n + 2) * w * w, (n + 1) * w * w
-    buf = np.zeros(D + B + 2)
-    buf[-1] = 1.0
-    diag = buf[:D].reshape(n + 2, w, w)
-    below = buf[D:D + B].reshape(n + 1, w, w)   # row r + 1 against row r, by the leg starting at r
-    diag[first:last] += h[0]
-    diag[first + 1:last + 1] += h[1]
-    for rows, ext, c in jet.curvature:
-        diag[ext, 0, 0] += np.einsum("ij,ij->i", legs.grad[rows], c)
-    below[first:last] = -h[2]
-    return buf[red._band]
+    diag = red._diag   # each point's block: +0, the aa term, the bb term, the curvature
+    np.add(0.0, blocks.aa, out=diag)
+    np.add(diag, blocks.bb, out=diag)
+    for rows, c in jet.curvature:
+        diag[rows, 0, 0] += np.einsum("ij,ij->i", legs.grad[rows], c)
+    np.negative(blocks.ba, out=red._below)
+    return red._hbuf[red._band]
 
 
 def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None:

@@ -66,22 +66,77 @@ def _span(n: int, anchored: bool, closed: bool) -> tuple:
     return (0 if anchored else 1), (n + 1 if closed else n)
 
 
+def _price(heads: np.ndarray, tails: np.ndarray, eps: float, v: np.ndarray,
+           d: np.ndarray) -> float:
+    """Leg vectors heads - tails into v, their lengths (smoothed by eps > 0)
+    into d, and the total."""
+    np.subtract(heads, tails, out=v)
+    np.add.reduce(v * v, axis=1, out=d)   # np.linalg.norm's own reduction
+    np.sqrt(d, out=d)
+    if eps:
+        np.hypot(d, eps, out=d)
+    return float(np.add.reduce(d))
+
+
+def _gradient_rows(u_in: np.ndarray, u_out: np.ndarray, G: np.ndarray):
+    """Point i's gradient row 0 + u_in - u_out (the sign of a zero kept)."""
+    np.add(0.0, u_in, out=G)
+    np.subtract(G, u_out, out=G)
+
+
+def _leg_ends(first: int, last: int, closed: bool) -> tuple:
+    """`LegChain.a` and `LegChain.b` of the chain in rows first..last."""
+    a = np.arange(first - 1, last - 1)
+    b = a + 1
+    if closed:
+        b[-1] = -1
+    return a, b
+
+
+class LegBuffers:
+    """The legs of one chain of n points, computed in place, over and over (a
+    line search's trials): write the points into `points`, then `price(eps)`
+    writes the leg vectors `v` and lengths `d` and returns their `total`, and
+    `slope()` writes the unit vectors `u` and the gradient rows `grad`, for a
+    chain with every d > 0; `chain()` is the `LegChain` of these arrays.  The
+    arithmetic is `leg_chain`'s, bit for bit."""
+
+    def __init__(self, n: int, dim: int, anchored: bool = True, closed: bool = False):
+        first, last = _span(n, anchored, closed)
+        self._a, self._b = _leg_ends(first, last, closed)
+        ext = np.zeros((n + 2, dim))   # [origin, p_0, ..., p_{n-1}, origin]
+        self.points = ext[1:n + 1]
+        self._heads, self._tails = ext[first + 1:last + 1], ext[first:last]
+        self.v, self.d = np.empty((last - first, dim)), np.empty(last - first)
+        self._d = self.d[:, None]
+        U = np.zeros((n + 1, dim))   # leg r's unit vector in row r, 0 off the chain
+        self.u, self._in, self._out = U[first:last], U[:n], U[1:]
+        self.grad = np.empty((n, dim))
+        self.total = 0.0
+
+    def price(self, eps: float = 0.0) -> float:
+        self.total = _price(self._heads, self._tails, eps, self.v, self.d)
+        return self.total
+
+    def slope(self):
+        np.divide(self.v, self._d, out=self.u)
+        _gradient_rows(self._in, self._out, self.grad)
+
+    def chain(self) -> LegChain:
+        return LegChain(self.total, self.grad, self._a, self._b, self.d, self.u)
+
+
 def leg_lengths(points: np.ndarray, anchored: bool = True, closed: bool = False,
                 eps: float = 0.0) -> LegLengths:
     """The leg vectors, leg lengths and total of `leg_chain`, bitwise, without
     the unit vectors and the gradient."""
     P = np.asarray(points, dtype=float)
     n = P.shape[0]
-    # slices of the extended rows keep this evaluation as cheap as the
-    # L-BFGS loop and the line searches need
     first, last = _span(n, anchored, closed)
     ext = np.zeros((n + 2, P.shape[1]))
     ext[1:n + 1] = P
-    v = ext[first + 1:last + 1] - ext[first:last]
-    d = np.sqrt(np.add.reduce(v * v, axis=1))   # np.linalg.norm's own reduction
-    if eps:
-        d = np.hypot(d, eps)
-    return LegLengths(float(d.sum()), v, d)
+    v, d = np.empty((last - first, P.shape[1])), np.empty(last - first)
+    return LegLengths(_price(ext[first + 1:last + 1], ext[first:last], eps, v, d), v, d)
 
 
 def leg_slopes(lengths: LegLengths, anchored: bool = True, closed: bool = False) -> LegChain:
@@ -90,19 +145,15 @@ def leg_slopes(lengths: LegLengths, anchored: bool = True, closed: bool = False)
     v, d = lengths.v, lengths.d
     n = d.size + 1 - anchored - closed
     first, last = _span(n, anchored, closed)
+    U, G = np.zeros((n + 1, v.shape[1])), np.empty((n, v.shape[1]))
+    u = U[first:last]
     if np.count_nonzero(d > 0.0) == d.size:
-        u = v / d[:, None]
+        np.divide(v, d[:, None], out=u)
     else:
-        u = v / np.where(d > 0.0, d, 1.0)[:, None]
+        np.divide(v, np.where(d > 0.0, d, 1.0)[:, None], out=u)
         u[d == 0.0] = 0.0
-    g = np.zeros((n + 2, v.shape[1]))
-    g[first + 1:last + 1] += u
-    g[first:last] -= u
-    a = np.arange(first - 1, last - 1)
-    b = a + 1
-    if closed:
-        b[-1] = -1
-    return LegChain(lengths.total, g[1:n + 1], a, b, d, u)
+    _gradient_rows(U[:n], U[1:], G)
+    return LegChain(lengths.total, G, *_leg_ends(first, last, closed), d, u)
 
 
 def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,

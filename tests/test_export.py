@@ -1,6 +1,7 @@
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def test_mtz_checker_validates_and_rejects():
     # corrupt the objective: mismatch flagged
     bad2 = text.replace("OBJVALUE", "OBJVALUE 99.0 #", 1)
     assert not check_mtz_solution(bad2)["feasible"]
+
+
+def test_mtz_checker_rejects_nan():
+    """Every tolerance test fails on a NaN: distance terms and an objective
+    of NaN, a NaN point (reported, not raised) and a NaN auxiliary."""
+    inst = build(make_scenario("point_unit", 3))
+    model = build_mtz_model(inst, exhaustive(inst, OPTS))
+    assert check_mtz_solution(to_mtz_text(model, inst))["feasible"]
+    nan = math.nan
+    points = list(model.points)
+    points[1] = (nan, points[1][1])
+    for bad, expected in (
+            (replace(model, c=((nan,) * 3,) * 3, objective=nan),
+             ["distance terms do not match the points",
+              "objective mismatch: stated nan, recomputed nan"]),
+            (replace(model, points=tuple(points)),
+             ["distance terms do not match the points", "point 1 is not finite"]),
+            (replace(model, u=(0.0, nan, 2.0)), ["auxiliaries out of range"])):
+        report = check_mtz_solution(to_mtz_text(bad, inst))
+        assert not report["feasible"] and report["problems"] == expected
 
 
 def test_mtz_roundtrip_boundaries():

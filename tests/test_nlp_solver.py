@@ -871,18 +871,34 @@ def _pre_jet_newton(red, t, anchored, closed, eps0=None):
 def _newton_start(name, n, m, mode=None, merged=False):
     """(red, t, anchored, closed) from start 1's seeds of a family on its hint
     order; `merged`: of the program and points `_merge_kinks` leaves after a
-    first polish, point targets and dead slots included."""
+    first polish, point targets and dead slots included.  Two chains are not
+    catalog modes: `name` "mixed" is `_hessian_case`'s chain of lines, circles
+    and a point target from a seeded draw, and plane3d's `mode`
+    "escape_closed" closes the chain of its planes."""
+    closed = mode == "escape_closed"
+    if name == "mixed":
+        bnds, anchored, _, dim = _hessian_case("open")
+        program = _ResidualProgram(bnds, dim)
+        P = program.nearest(np.random.default_rng(n).uniform(-2, 2, (len(bnds), dim)))
+        red = _Reduced(program)
+        return red, red.init_vars(P), anchored, closed
+    mode = mode if name != "plane3d" else None
     inst = build(make_scenario(name, n, m, **({"mode": mode} if mode else {})))
+    anchored, closed = inst.anchored, inst.closed or closed
     ordered = _Ordered(inst, inst.order_hint or range(inst.size))
     program = _ResidualProgram(ordered.boundaries, inst.dimension)
     P = _build_seeds(inst, ordered, program, OPTS, None)[1]
     if merged:
-        P, _ = _polish(program, P, inst.anchored, inst.closed, COLD_EPS[0])
-        program, P = _merge_kinks(program, P.copy(), inst.anchored, inst.closed)
+        P, _ = _polish(program, P, anchored, closed, COLD_EPS[0])
+        program, P = _merge_kinks(program, P.copy(), anchored, closed)
     red = _Reduced(program)
-    return red, red.init_vars(P), inst.anchored, inst.closed
+    return red, red.init_vars(P), anchored, closed
 
 
+# the bench's convex instances, the circle families at every first radius the
+# solver uses, closed and unanchored chains, merged programs with dead slots,
+# a chain of several blocks mixing curved and affine charts with a dead slot
+# (open and closed), and width 2 on a closed chain
 _NEWTON_SWEEP = (
     [(name, n, m, None, False, None) for name, n, m in CONVEX_BENCH]
     + [(name, n, m, None, False, eps0) for name, n, m in (("circle_wf2", 7, 2),
@@ -891,7 +907,10 @@ _NEWTON_SWEEP = (
     + [("halfplane_unit", 45, 1, "escape_closed", False, None),
        ("circle_interior_nonunique", 30, 1, "escape_closed", False, COLD_EPS[0]),
        ("halfplane_unit", 90, 1, None, True, None),
-       ("circle_interior_nonunique", 30, 1, None, True, FINISH_EPS)])
+       ("circle_interior_nonunique", 30, 1, None, True, FINISH_EPS),
+       ("mixed", 11, 1, "escape_open", False, COLD_EPS[0]),
+       ("mixed", 11, 1, "escape_closed", False, COLD_EPS[0]),
+       ("plane3d", 3, 3, "escape_closed", False, None)])
 
 
 @pytest.mark.parametrize("name,n,m,mode,merged,eps0", _NEWTON_SWEEP,
@@ -911,6 +930,84 @@ def test_smoothed_newton_is_bitwise_the_pre_jet_loop(monkeypatch, name, n, m, mo
     got = _smoothed_newton(red, t.copy(), anchored, closed, eps0)
     assert got.tobytes() == ref.tobytes()
     assert [c[3] for c in calls] == ref_lams and len(ref_lams) > 10
+
+
+def test_smoothed_newton_keeps_its_arrays_private():
+    """The loop and the assembler work in arrays of the `_Reduced`, but hand
+    out none of them: a second polish on the same `_Reduced` from the same
+    start returns the first one's t bit for bit, in a new array, and leaves
+    the start as it was; two assembled Hessians share no memory, the second
+    leaving the first as it was; and the arrays kept for one kind of chain
+    do not leak into the Hessian of another."""
+    for name, n, m, mode, merged, eps0 in (("circle_wf2", 7, 2, None, False, COLD_EPS[1]),
+                                           ("mixed", 11, 1, "escape_closed", False, COLD_EPS[0]),
+                                           ("plane3d", 3, 3, None, False, None),
+                                           ("halfplane_unit", 90, 1, None, True, None)):
+        red, t, anchored, closed = _newton_start(name, n, m, mode, merged)
+        start = t.copy()
+        first = _smoothed_newton(red, t, anchored, closed, eps0)
+        second = _smoothed_newton(red, t, anchored, closed, eps0)
+        assert t.tobytes() == start.tobytes()
+        assert second.tobytes() == first.tobytes() and not np.shares_memory(first, second)
+
+        def hessian(x):
+            return _assemble_hessian(red, leg_chain(red.points(x), anchored, closed, 0.05),
+                                     red.jet(x))
+
+        H = hessian(t)
+        before = H.copy()
+        H2 = hessian(first)
+        assert not np.shares_memory(H, H2) and H.tobytes() == before.tobytes()
+    # one _Reduced assembling chains of each kind gives what a new one gives
+    bnds, _, _, dim = _hessian_case("open")
+    program = _ResidualProgram(bnds, dim)
+    red = _Reduced(program)
+    t = red.init_vars(program.nearest(np.random.default_rng(5).uniform(-2, 2, (len(bnds), dim))))
+    for ends in ((True, True), (False, False), (True, False), (True, True)):
+        legs = leg_chain(red.points(t), *ends, 0.05)
+        fresh = _Reduced(program)
+        assert _assemble_hessian(red, legs, red.jet(t)).tobytes() == \
+            _assemble_hessian(fresh, legs, fresh.jet(t)).tobytes()
+
+
+def test_banded_solve_skips_factorizations_that_cannot_succeed(monkeypatch):
+    """A band whose shifted diagonal holds an entry <= 0 has no Cholesky
+    factor, so `_banded_solve` returns None without calling dpbsv.  On
+    circle_wf2 7x2 at each first radius the loop takes the pre-jet loop's
+    shifts to the same t with fewer dpbsv calls, and each factorization it
+    skipped fails when it is run."""
+    factored = []
+
+    def counted(A, b, **kw):
+        factored.append(None)
+        return scipy.linalg.lapack.dpbsv(A, b, **kw)
+
+    monkeypatch.setattr(nlp_solver, "dpbsv", counted)
+    calls = []
+
+    def record(red, H, rhs, lam=0.0):
+        before = len(factored)
+        x = _banded_solve(red, H, rhs, lam)
+        calls.append((red, H, rhs, lam, x, len(factored) > before))
+        return x
+
+    monkeypatch.setattr(nlp_solver, "_banded_solve", record)
+    for eps0 in COLD_EPS + (FINISH_EPS, SMOOTH_FLOOR):
+        red, t, anchored, closed = _newton_start("circle_wf2", 7, 2)
+        ref, ref_lams = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
+        calls.clear()
+        factored.clear()
+        got = _smoothed_newton(red, t.copy(), anchored, closed, eps0)
+        assert got.tobytes() == ref.tobytes() and [c[3] for c in calls] == ref_lams
+        skipped = [c for c in calls if not c[5]]
+        assert skipped and len(factored) == len(calls) - len(skipped)
+        for red, H, rhs, lam, x, _ in skipped:
+            A = H.copy()
+            A[0] += lam
+            assert x is None and A[0].min() <= 0.0
+            b = np.zeros(A.shape[1])
+            b[red.slots] = rhs
+            assert scipy.linalg.lapack.dpbsv(A, b, lower=1)[2] != 0
 
 
 LBFGS = nlp_solver.minimize
