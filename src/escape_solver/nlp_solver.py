@@ -319,7 +319,6 @@ class _Reduced:
             self.slots[cols] = rows[:, None] * w + np.arange(kind.ndof)
         self.dead = np.ones(n * w, dtype=bool)
         self.dead[self.slots] = False
-        self._dead = np.flatnonzero(self.dead)
         self.packed = np.array_equal(self.slots, np.arange(n * w))
         self.curved = [i for i, (kind, *_) in enumerate(self.blocks)
                        if kind.chart_curvature is not None]
