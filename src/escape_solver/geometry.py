@@ -105,10 +105,11 @@ class Primitive:
 
     @classmethod
     def chart_eval(cls, prm, T, out=None):
-        if out is None:
-            return cls.chart_points(prm, T), None
-        out[...] = cls.chart_points(prm, T)
-        return out, None
+        P = cls.chart_points(prm, T)
+        if out is not None:
+            out[...] = P
+            P = out
+        return P, None
 
     def svg_extent(self) -> list:
         return []
@@ -262,8 +263,7 @@ class Circle(Primitive):
     def chart_eval(prm, T, out=None):
         """The points at angles T and their frame, the rows (cos a, sin a)."""
         U = _cos_sin(T[:, 0])
-        if out is None:
-            return prm[0] + prm[1][:, None] * U, U
+        out = np.empty_like(U) if out is None else out
         np.multiply(prm[1][:, None], U, out=out)
         np.add(prm[0], out, out=out)
         return out, U

@@ -602,7 +602,7 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
         for _ in range(50):
             cur.gradient()
             legs = cur.legs.chain()
-            H = _assemble_hessian(red, legs, jet, smoothed=True)
+            H = _assemble_hessian(red, legs, jet)
             scale = np.abs(H[0] if red.packed else H[0, red.slots]).max()
             rhs = -g
             for lam in NEWTON_SHIFTS:
@@ -658,7 +658,7 @@ def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
     return x if red.packed else x[red.slots]
 
 
-def _assemble_hessian(red: _Reduced, legs, jet: _Jet, smoothed: bool = False) -> np.ndarray:
+def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     """Exact Hessian of the reduced objective in LAPACK lower band storage.
 
     A leg joins two consecutive points or a point and the fixed origin, so in
@@ -672,8 +672,8 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet, smoothed: bool = False) ->
     tangent of a's k-th coordinate; the aa and bb blocks take the same form,
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
     length, u = v / d) gives the Hessian of the smoothed objective.  Legs of
-    length zero add nothing; `smoothed` says that no d is zero, so none is
-    looked for.  The chart curvature adds the diagonal terms Gp . d2p/dt2.
+    length zero add nothing.  The chart curvature adds the diagonal terms
+    Gp . d2p/dt2.
 
     The tangents, the curvature and the products Da_k.Db_l come from `jet`
     (`_Reduced.jet` at the iterate), so only the terms in u and d are formed
@@ -681,8 +681,8 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet, smoothed: bool = False) ->
     Each point's diagonal block and each block below is then written whole
     into `red`'s block buffer, and one gather by `_band_index` makes the band
     (cheaper than writing each entry (k, m) to its band row by a slice, the
-    more so at w = 2).  In a smoothed
-    stage, and in `_duality_gap`, every d is positive and no leg is masked.
+    more so at w = 2).  In a smoothed stage, and in `_duality_gap`, every d
+    is positive and no leg is masked.
     The diagonal blocks start at +0 and take the aa term of the leg leaving
     the point, then the bb term of the leg reaching it (a leg off the chain
     gives a +0 term), by adds, which turn a -0 term into +0, so the band's
@@ -695,7 +695,7 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet, smoothed: bool = False) ->
     if blocks is None:
         blocks = red._legs[first, last] = _LegBlocks(red.n, red.width, first, last)
     d = legs.d
-    masked = not smoothed and not d.min(initial=math.inf) > 0.0
+    masked = not d.min(initial=math.inf) > 0.0
     if masked:
         ok = d > 0.0
         d = np.where(ok, d, 1.0)

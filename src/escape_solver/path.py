@@ -53,35 +53,9 @@ class LegChain(NamedTuple):
     u: np.ndarray       # v / d, 0 on a zero-length leg
 
 
-class LegLengths(NamedTuple):
-    """The length part of `leg_chain`: what a line search prices a trial by."""
-
-    total: float        # d.sum()
-    v: np.ndarray       # leg vectors, end point minus start point
-    d: np.ndarray       # leg lengths, smoothed as in `leg_chain`
-
-
 def _span(n: int, anchored: bool, closed: bool) -> tuple:
     """Rows first..last of [origin, p_0, ..., p_{n-1}, origin] are the chain."""
     return (0 if anchored else 1), (n + 1 if closed else n)
-
-
-def _price(heads: np.ndarray, tails: np.ndarray, eps: float, v: np.ndarray,
-           d: np.ndarray) -> float:
-    """Leg vectors heads - tails into v, their lengths (smoothed by eps > 0)
-    into d, and the total."""
-    np.subtract(heads, tails, out=v)
-    np.add.reduce(v * v, axis=1, out=d)   # np.linalg.norm's own reduction
-    np.sqrt(d, out=d)
-    if eps:
-        np.hypot(d, eps, out=d)
-    return float(np.add.reduce(d))
-
-
-def _gradient_rows(u_in: np.ndarray, u_out: np.ndarray, G: np.ndarray):
-    """Point i's gradient row 0 + u_in - u_out (the sign of a zero kept)."""
-    np.add(0.0, u_in, out=G)
-    np.subtract(G, u_out, out=G)
 
 
 def _leg_ends(first: int, last: int, closed: bool) -> tuple:
@@ -115,45 +89,27 @@ class LegBuffers:
         self.total = 0.0
 
     def price(self, eps: float = 0.0) -> float:
-        self.total = _price(self._heads, self._tails, eps, self.v, self.d)
+        """Leg vectors heads - tails, their lengths (smoothed by eps > 0) and
+        the total."""
+        np.subtract(self._heads, self._tails, out=self.v)
+        np.add.reduce(self.v * self.v, axis=1, out=self.d)   # np.linalg.norm's own reduction
+        np.sqrt(self.d, out=self.d)
+        if eps:
+            np.hypot(self.d, eps, out=self.d)
+        self.total = float(np.add.reduce(self.d))
         return self.total
 
     def slope(self):
         np.divide(self.v, self._d, out=self.u)
-        _gradient_rows(self._in, self._out, self.grad)
+        self.gradient()
+
+    def gradient(self):
+        """Point i's gradient row 0 + u_in - u_out (the sign of a zero kept)."""
+        np.add(0.0, self._in, out=self.grad)
+        np.subtract(self.grad, self._out, out=self.grad)
 
     def chain(self) -> LegChain:
         return LegChain(self.total, self.grad, self._a, self._b, self.d, self.u)
-
-
-def leg_lengths(points: np.ndarray, anchored: bool = True, closed: bool = False,
-                eps: float = 0.0) -> LegLengths:
-    """The leg vectors, leg lengths and total of `leg_chain`, bitwise, without
-    the unit vectors and the gradient."""
-    P = np.asarray(points, dtype=float)
-    n = P.shape[0]
-    first, last = _span(n, anchored, closed)
-    ext = np.zeros((n + 2, P.shape[1]))
-    ext[1:n + 1] = P
-    v, d = np.empty((last - first, P.shape[1])), np.empty(last - first)
-    return LegLengths(_price(ext[first + 1:last + 1], ext[first:last], eps, v, d), v, d)
-
-
-def leg_slopes(lengths: LegLengths, anchored: bool = True, closed: bool = False) -> LegChain:
-    """The rest of `leg_chain` from its length part: the unit vectors and the
-    gradient, from the same leg vectors and lengths."""
-    v, d = lengths.v, lengths.d
-    n = d.size + 1 - anchored - closed
-    first, last = _span(n, anchored, closed)
-    U, G = np.zeros((n + 1, v.shape[1])), np.empty((n, v.shape[1]))
-    u = U[first:last]
-    if np.count_nonzero(d > 0.0) == d.size:
-        np.divide(v, d[:, None], out=u)
-    else:
-        np.divide(v, np.where(d > 0.0, d, 1.0)[:, None], out=u)
-        u[d == 0.0] = 0.0
-    _gradient_rows(U[:n], U[1:], G)
-    return LegChain(lengths.total, G, *_leg_ends(first, last, closed), d, u)
 
 
 def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
@@ -169,10 +125,21 @@ def leg_chain(points: np.ndarray, anchored: bool = True, closed: bool = False,
 
     Every value is rounded as `np.diff` and `np.linalg.norm` round it, and
     the gradient rows are 0 + u_in - u_out, so the sign of a zero survives;
-    the polish's iterates depend on these bits.  It is `leg_slopes` of
-    `leg_lengths`.
+    the polish's iterates depend on these bits.  It is a new `LegBuffers`
+    priced and sloped, with u = 0 on each zero-length leg.
     """
-    return leg_slopes(leg_lengths(points, anchored, closed, eps), anchored, closed)
+    P = np.asarray(points, dtype=float)
+    legs = LegBuffers(P.shape[0], P.shape[1], anchored, closed)
+    legs.points[...] = P
+    legs.price(eps)
+    d = legs.d
+    if np.count_nonzero(d > 0.0) == d.size:
+        legs.slope()
+    else:
+        np.divide(legs.v, np.where(d > 0.0, d, 1.0)[:, None], out=legs.u)
+        legs.u[d == 0.0] = 0.0
+        legs.gradient()
+    return legs.chain()
 
 
 def length(poly: Polyline) -> LengthReport:

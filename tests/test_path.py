@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from escape_solver.geometry import RigidMotion
-from escape_solver.path import Polyline, grad_length, leg_chain, leg_lengths, length
+from escape_solver.path import LegBuffers, Polyline, grad_length, leg_chain, length
 
 
 def test_single_anchored_point():
@@ -159,7 +159,9 @@ def _chains(draw):
 def test_leg_chain_is_bitwise_the_reference(P, anchored, closed, eps):
     with np.errstate(invalid="ignore"):
         got = leg_chain(P, anchored, closed, eps)
-        lens = leg_lengths(P, anchored, closed, eps)
+        lens = LegBuffers(len(P), P.shape[1], anchored, closed)
+        lens.points[...] = P
+        lens.price(eps)
         ref = _reference_leg_chain(P, anchored, closed, eps)
         ext = np.vstack([np.zeros((1, P.shape[1])), P, np.zeros((1, P.shape[1]))])
         v = np.diff(ext[(0 if anchored else 1):(len(P) + 2 if closed else len(P) + 1)], axis=0)
