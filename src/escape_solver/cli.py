@@ -138,7 +138,9 @@ def _artifacts(sol, inst, spec, formats, seed: int, outdir: Path, stem: str):
         written.append(f"{stem}.mtz")
     meta = {"scenario": spec.name, "n": spec.n_orientations, "m": spec.n_starts,
             "seed": seed, "length": sol.length, "max_residual": sol.max_residual,
-            "gap": sol.gap, "converged": sol.converged, "order": list(sol.order)}
+            "gap": sol.gap, "converged": sol.converged, "order": list(sol.order),
+            "branch_assignment": (None if sol.branch_assignment is None
+                                  else list(sol.branch_assignment))}
     (outdir / f"{stem}.meta.json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
     return written
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from itertools import islice
 
 import numpy as np
 
@@ -196,9 +197,16 @@ def to_svg(solution: Solution | None, inst: Instance) -> str:
 # --------------------------------------------------------------------------
 # order-model text (documented in docs/mtz-format.md)
 
-def _boundary_text(b) -> str:
-    text = " | ".join(" ".join([f.tag, *map(_fmt, f.fields())]) for f in b.factors)
-    return "product " + text if isinstance(b, geo.Product) else text
+def _boundary_text(boundaries) -> list:
+    """Each boundary's text: its factors' tags and fields, joined by " | "
+    and led by "product" on a product.  One `_fmt_each` call formats every
+    field of the list."""
+    fields = [[f.fields() for f in b.factors] for b in boundaries]
+    text = iter(_fmt_each([v for per_b in fields for fs in per_b for v in fs]))
+    lines = [" | ".join(" ".join([f.tag, *islice(text, len(fs))])
+                        for f, fs in zip(b.factors, per_b))
+             for b, per_b in zip(boundaries, fields)]
+    return ["product " + t if isinstance(b, geo.Product) else t for b, t in zip(boundaries, lines)]
 
 
 def _declarations(name: str, tail: str, k: int) -> str:
@@ -224,8 +232,8 @@ def to_mtz_text(model: MtzModel, inst: Instance | None = None) -> str:
     buf.write("c[0][0] + sum_ij b[i][j]*c[i][j]\n")
     buf.write("QCONS\n")
     buf.write("c[i][j]^2 = (x[i]-x[j])^2 + (y[i]-y[j])^2 for all i,j\n")
-    for i, b in enumerate(model.boundaries):
-        buf.write(f"on[{i}] {_boundary_text(b)}\n")
+    for i, text in enumerate(_boundary_text(model.boundaries)):
+        buf.write(f"on[{i}] {text}\n")
     buf.write("LCONS\n")
     buf.write("sum_j b[i][j] = 1 for all i\n")
     buf.write("sum_i b[i][j] = 1 for all j\n")

@@ -1,13 +1,17 @@
 """Fixed-order continuous minimization of escape polylines.
 
 Pipeline per start: seed each escape point at the nearest point of its
-boundary, run quadratic-penalty continuation while a product branch is still
-undecided, project exactly, then polish in reduced on-boundary coordinates
-(one parameter per point on a line/circle/segment, two on a plane).  When every
-chart is affine (lines, planes, points) the polish objective is convex: the
-polish is damped Newton on the smoothed length, its smoothing radius cut down
-to SMOOTH_FLOOR times the length, and the solution carries a duality gap that
-bounds how far it is above the minimum.  On unbounded curved charts (circles)
+boundary; on products, start 0 picks its branches by quadratic-penalty
+continuation and the other starts take their seeds' nearest factors.  Then
+project exactly and polish in reduced on-boundary coordinates (one parameter
+per point on a line/circle/segment, two on a plane).  On products the branch
+step follows (`_branch_step`, a shortest path over each row's candidate
+points on its factors), re-polished while it changes the branches and
+shortens the path.  When every chart is affine (lines, planes, points) the
+polish objective is convex: the polish is damped Newton on the smoothed
+length, its smoothing radius cut down to SMOOTH_FLOOR times the length, and
+the solution carries a duality gap that bounds how far it is above the
+minimum.  On unbounded curved charts (circles)
 a start's first polish is the same smoothed Newton, its radius starting at
 COLD_EPS times the length; a warm re-polish there is one stage of it at the
 floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
@@ -52,6 +56,11 @@ FINISH_EPS = 1e-4         # first smoothing radius of a curved start's finish, t
 COLD_EPS = (1e-1, 1e-3)   # first smoothing radius of start k's curved polish, [k % 2] times L
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
+# the branch step's candidates come from the points this many rows either
+# side.  Of the 72 solves of the product sweep (three families, N 8-44,
+# multistart 1/2/4, seeds 0/1), 1 or 2 rows end two higher (strip_middle_product
+# N=8), and 16 rows six lower (perp_lines_product N=32, 2.3860 -> 2.3467)
+BRANCH_WINDOW = 4
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
 NEWTON_SHIFTS = (0.0, 1e-12) + tuple(10.0 ** k for k in range(-10, 3))  # lam / max diag of H
@@ -485,10 +494,10 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOT
 
     Affine charts take the smoothed Newton, and charts with a box (segments)
     L-BFGS-B.  On other charts the polish is the smoothed Newton from the
-    radius `eps0` times the length: a start's first polish passes its entry
-    of COLD_EPS, and a warm re-polish (after a merge or a branch change),
-    which starts next to its minimum, keeps the default of one stage at the
-    floor radius.
+    radius `eps0` times the length: a start's first polish, and its polish
+    after each branch step, pass its entry of COLD_EPS, and a warm re-polish
+    after a merge, which starts next to its minimum, keeps the default of
+    one stage at the floor radius.
     """
     red = _Reduced(program)
     t0 = red.init_vars(P0)
@@ -903,6 +912,54 @@ def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveO
         mu *= PENALTY_GROWTH
 
 
+def _branch_step(program: _ResidualProgram, P, anchored, closed):
+    """The shortest path with one point per row from a few candidates: the
+    "cluster optimization" of generalized TSP (Karapetyan & Gutin, EJOR 2012)
+    for the product factors at this order.
+
+    Row i's candidates are the projections onto each factor of its boundary of
+    the origin and of the points at rows i - BRANCH_WINDOW .. i +
+    BRANCH_WINDOW (clipped to the path).  Row i's own point projected onto
+    its own factor is one of them, so the current path is in the search and
+    the path returned is at most as long, up to rounding.  A layered DP over
+    the rows picks the candidates, with the anchor leg when anchored and the
+    closing leg when closed.  Returns each product row's factor (None on
+    other rows) and the chosen points."""
+    n, dim = program.n, program.dim
+    rows = np.clip(np.arange(n)[:, None] + np.arange(-BRANCH_WINDOW, BRANCH_WINDOW + 1), 0, n - 1)
+    src = np.concatenate([np.zeros((1, n, dim)), P[rows.T]])   # (sources, n, dim)
+    F = max(len(packed.kinds) for _, packed in program.groups)
+    C = np.empty((n, F, len(src), dim))
+    factor = np.empty((n, F), dtype=int)
+    for idx, packed in program.groups:
+        f = len(packed.kinds)
+        for j, (kind, prm) in enumerate(zip(packed.kinds, packed.prms)):
+            C[idx, j] = kind.nearest(prm, src[:, idx]).swapaxes(0, 1)
+        # a row with fewer factors repeats its last one, which changes no minimum
+        C[idx, f:] = C[idx, f - 1:f]
+        factor[idx] = np.minimum(np.arange(F), f - 1)
+    C = C.reshape(n, -1, dim)   # (rows, candidates), factor-major
+    factor = np.repeat(factor, len(src), axis=1)
+    D = np.linalg.norm(C[1:, None, :, :] - C[:-1, :, None, :], axis=-1)   # (n - 1, from, to)
+    cost = np.linalg.norm(C[0], axis=1) if anchored else np.zeros(C.shape[1])
+    back = np.empty((n, C.shape[1]), dtype=int)
+    cols = np.arange(C.shape[1])
+    for i in range(n - 1):
+        total = cost[:, None] + D[i]
+        back[i + 1] = total.argmin(axis=0)
+        cost = total[back[i + 1], cols]
+    if closed:
+        cost = cost + np.linalg.norm(C[-1], axis=1)
+    pick = np.empty(n, dtype=int)
+    pick[-1] = cost.argmin()
+    for i in range(n - 1, 0, -1):
+        pick[i - 1] = back[i, pick[i]]
+    chosen = factor[np.arange(n), pick].tolist()
+    assign = tuple(j if isinstance(b, geo.Product) else None
+                   for j, b in zip(chosen, program.boundaries))
+    return assign, C[np.arange(n), pick]
+
+
 def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *,
                       branch_assignment=None, initial_points=None) -> Solution:
     """Best-of-multistart local minimum with every point on its assigned boundary.
@@ -926,22 +983,29 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         P = seeds[k]
         assign, target = branch_assignment, given
         if has_products and assign is None:
-            if inst.seed_points is None and initial_points is None:
+            # start 0 picks its first branches by the penalty continuation,
+            # which reaches assignments the branch step alone stops short of
+            # (perp_lines_product N=8); the others take their seeds' nearest
+            # factors
+            if k == 0 and inst.seed_points is None and initial_points is None:
                 P = _penalty_phase(program, P, inst.anchored, inst.closed, opts)
             assign = program.branches(P)
             target = program.resolved(assign)
         # the starts alternate between the radii: each alone sends some
         # starts to worse minima
-        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, COLD_EPS[k % 2])
-        if has_products and branch_assignment is None:
-            # branch stabilisation: re-pick nearest factors, re-polish if changed
-            for _ in range(3):
-                new_assign = program.branches(P)
-                if new_assign == assign:
-                    break
-                assign = new_assign
-                target = program.resolved(assign)
-                P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed)
+        eps0 = COLD_EPS[k % 2]
+        P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, eps0)
+        while has_products and branch_assignment is None:
+            # the branch step: the shortest path over the factors' candidates,
+            # kept while it changes the branches and the polish shortens the path
+            new_assign, Q = _branch_step(program, P, inst.anchored, inst.closed)
+            if new_assign == assign:
+                break
+            new_target = program.resolved(new_assign)
+            Q, L_Q = _polish(new_target, Q, inst.anchored, inst.closed, eps0)
+            if not L_Q < L - 1e-12:
+                break
+            P, L, assign, target = Q, L_Q, new_assign, new_target
         if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
             P_pre, L_pre = P, L
             merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)

@@ -278,6 +278,18 @@ def test_meta_records_the_duality_gap(tmp_path, capsys):
     assert 0.0 <= meta["gap"] <= 1e-9 * meta["length"]
 
 
+def test_meta_names_the_branches_its_gap_certifies(tmp_path, capsys):
+    """The gap holds for the solved order and branch assignment, so the meta
+    file records both; the assignment is null where no boundary is a product."""
+    for name in ("strip_middle_product", "halfplane_unit"):
+        assert main(["solve", name, "--n", "8", "--out", str(tmp_path),
+                     "--multistart", "1", "--format", "csv"]) == 0
+    product = json.loads((tmp_path / "strip_middle_product_n8_m1.meta.json").read_text())
+    assert product["branch_assignment"] == [1, 0] * 4 and len(product["order"]) == 8
+    plain = json.loads((tmp_path / "halfplane_unit_n8_m1.meta.json").read_text())
+    assert plain["branch_assignment"] is None
+
+
 def test_triangle_general_without_its_edges_exits_2(tmp_path, capsys):
     assert main(["solve", "triangle_general", "--n", "3", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver.analysis import ConvergenceReport, WormBound, convergence_study, worm_upper_bound
-from escape_solver.export import (_boundary_text, _fmt, check_mtz_solution, parse_csv,
+from escape_solver.export import (_fmt, check_mtz_solution, parse_csv,
                                   parse_mtz_text, to_csv, to_mtz_text, to_svg)
 from escape_solver.nlp_solver import Solution, SolveOptions, solve_fixed_order
 from escape_solver.order_search import MtzModel, build_mtz_model, exhaustive
@@ -197,6 +197,12 @@ def solved():
             for inst in insts]
 
 
+def _reference_boundary_text(b) -> str:
+    """A boundary's order-model text as it was, one `_fmt` call per field."""
+    text = " | ".join(" ".join([f.tag, *map(_fmt, f.fields())]) for f in b.factors)
+    return "product " + text if isinstance(b, geo.Product) else text
+
+
 def _reference_mtz_text(model, inst=None):
     """The order-model writer as it was, one write per line."""
     model.validate()
@@ -219,7 +225,7 @@ def _reference_mtz_text(model, inst=None):
     buf.write("QCONS\n")
     buf.write("c[i][j]^2 = (x[i]-x[j])^2 + (y[i]-y[j])^2 for all i,j\n")
     for i, b in enumerate(model.boundaries):
-        buf.write(f"on[{i}] {_boundary_text(b)}\n")
+        buf.write(f"on[{i}] {_reference_boundary_text(b)}\n")
     buf.write("LCONS\n")
     buf.write("sum_j b[i][j] = 1 for all i\n")
     buf.write("sum_i b[i][j] = 1 for all j\n")
@@ -246,6 +252,23 @@ def test_mtz_text_is_the_reference_writers_byte_for_byte(solved):
     for inst, sol in cases + solved:
         model = build_mtz_model(inst, sol)
         assert to_mtz_text(model, inst).encode() == _reference_mtz_text(model, inst).encode()
+
+
+@pytest.mark.parametrize("name, n, m", [("halfplane_unit", 90, 1), ("strip_middle_product", 20, 1),
+                                        ("circle_plus_segment", 8, 1), ("plane3d", 3, 3)])
+def test_mtz_boundary_lines_are_the_per_field_text(name, n, m):
+    """Every boundary field of a model is formatted by one `_fmt_each` call;
+    the lines are those of one `_fmt` call per field, products included."""
+    inst = build(make_scenario(name, n, m))
+    sol = solve_fixed_order(inst, inst.order_hint or tuple(range(inst.size)), OPTS)
+    model = build_mtz_model(inst, sol)
+    text = to_mtz_text(model, inst)
+    assert text.encode() == _reference_mtz_text(model, inst).encode()
+    lines = [ln for ln in text.splitlines() if ln.startswith("on[")]
+    assert lines == [f"on[{i}] {_reference_boundary_text(b)}"
+                     for i, b in enumerate(model.boundaries)]
+    assert all((" | " in line) == isinstance(b, geo.Product)
+               for line, b in zip(lines, model.boundaries))
 
 
 def test_mtz_text_prints_each_bit_pattern_as_the_reference_does():

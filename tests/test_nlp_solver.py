@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, NEWTON_SHIFTS, POLIS
                                       Solution, SolveOptions, _assemble_hessian, _banded_solve,
                                       _build_seeds, _coincident_runs, _common_point,
                                       _duality_gap, _merge_kinks, _Ordered, _polish, _Reduced,
-                                      _ResidualProgram, _smoothed_newton,
+                                      _ResidualProgram, _branch_step, _smoothed_newton,
                                       solve_branch_strategies, solve_fixed_order,
                                       solve_self_referential)
 from escape_solver.order_search import STEP_TOL, solve_alternating
@@ -412,9 +413,9 @@ def test_strip_product_interleaved_branches_alternate():
 
 
 def test_penalty_phase_stops_once_branches_settle(monkeypatch):
-    """A start's continuation ends on the first stage that leaves every product
-    branch where the stage before left it; running on to near-feasibility
-    takes 6 stages a start here."""
+    """Only start 0 runs the continuation, and it ends on the first stage that
+    leaves every product branch where the stage before left it; running on to
+    near-feasibility takes 6 stages here."""
     stages = []
     real_minimize, real_phase = nlp_solver.minimize, nlp_solver._penalty_phase
 
@@ -430,12 +431,15 @@ def test_penalty_phase_stops_once_branches_settle(monkeypatch):
     monkeypatch.setattr(nlp_solver, "minimize", minimize)
     monkeypatch.setattr(nlp_solver, "_penalty_phase", phase)
     _solve_hint("strip_middle_product", 20)
-    assert len(stages) == OPTS.multistart
-    assert all(1 <= s <= 2 for s in stages)
+    assert len(stages) == 1
+    assert 1 <= stages[0] <= 2
 
 
 @pytest.mark.parametrize("name, n, L, branches", [
-    ("strip_middle_product", 20, 2.125412809709614, "01010101010100101010"),
+    ("strip_middle_product", 20, 1.6274364398109686, "10" * 10),
+    # start 0's penalty: no assignment at this order does better; the
+    # branch step alone stops one flip away, at 1.825630617549618 (11010110)
+    ("perp_lines_product", 8, 1.7672287379673166, "11010100"),
     ("perp_lines_product", 20, 2.262717157782102, "11010101010000000000"),
     ("perp_lines_product", 40, 2.391945491537554, "01" * 10 + "0" * 20),
 ])
@@ -443,6 +447,69 @@ def test_product_answers_keep_their_branches(name, n, L, branches):
     sol = _solve_hint(name, n)[1]
     assert sol.length == pytest.approx(L, abs=1e-12)
     assert sol.branch_assignment == tuple(map(int, branches))
+
+
+_RELATION_NS = {"strip_middle_product": (8, 20, 32, 44), "perp_lines_product": (8, 20, 32, 44),
+                "circle_plus_segment": (8, 12, 16, 20)}
+
+
+@pytest.mark.parametrize("name", list(_RELATION_NS))
+def test_product_answer_is_at_most_each_assignment_it_could_take(name):
+    """A product family's answer at the hint order is at most the answer of
+    each uniform and both alternating branch assignments.  With alternating
+    branches strip_middle_product is strip_middle, and there the answer is
+    strip_middle's, bitwise."""
+    for n in _RELATION_NS[name]:
+        inst, sol = _solve_hint(name, n)
+        others = [s.length for s in solve_branch_strategies(inst, OPTS)]
+        for j in (0, 1):
+            alternating = tuple((i + j) % 2 for i in range(inst.size))
+            others.append(solve_fixed_order(inst, inst.order_hint, OPTS,
+                                            branch_assignment=alternating).length)
+        assert sol.length <= min(others), (n, sol.length, others)
+        if name == "strip_middle_product":
+            assert sol.length == _solve_hint("strip_middle", n)[1].length
+
+
+@pytest.mark.parametrize("anchored, closed", [(True, False), (False, True), (True, True)])
+def test_branch_step_never_lengthens_the_path(anchored, closed):
+    """On products mixed with plain rows, from points on the boundaries: the
+    chosen points lie on the chosen factors (a plain row's on its boundary),
+    plain rows get no factor, and the path is at most as long."""
+    line, circle = geo.Line(0.3, 0.5), geo.Circle((0.2, -0.1), 0.7)
+    boundaries = [geo.Product((geo.Line(0.4 * i, 0.5), geo.Line(0.4 * i, -0.5))) if i % 3
+                  else (line, circle, geo.Segment((0.0, 1.0), (1.0, 0.5)))[i // 3 % 3]
+                  for i in range(11)]
+    program = _ResidualProgram(boundaries, 2)
+    for seed in range(5):
+        P = program.nearest(np.random.default_rng(seed).uniform(-2, 2, (11, 2)))
+        for _ in range(3):   # the later steps start from a path the step chose
+            assign, Q = _branch_step(program, P, anchored, closed)
+            assert [a is None for a in assign] == [not isinstance(b, geo.Product)
+                                                   for b in boundaries]
+            assert program.resolved(assign).scaled(Q).max() < 1e-12
+            assert (leg_chain(Q, anchored, closed).total
+                    <= leg_chain(P, anchored, closed).total + 1e-12)
+            P = Q
+
+
+def test_branch_step_is_the_shortest_path_through_its_candidates():
+    """On four rows, where the window holds every row, the step's path is as
+    short as the best of every choice of one candidate per row, each found
+    by the scalar `geo.project` of the origin or a point onto a factor."""
+    boundaries = [geo.Product((geo.Line(0.2, 0.5), geo.Line(0.2, -0.5))),
+                  geo.Circle((0.3, 0.1), 0.8),
+                  geo.Product((geo.Circle((0.0, 0.0), 1.0), geo.Segment((0.5, 0.0), (1.0, 1.0)))),
+                  geo.Line(2.0, 0.4)]
+    program = _ResidualProgram(boundaries, 2)
+    P = program.nearest(np.random.default_rng(3).uniform(-2, 2, (4, 2)))
+    sources = [np.zeros(2), *P]
+    candidates = [[geo.project(f, s) for f in b.factors for s in sources] for b in boundaries]
+    for anchored, closed in [(True, False), (False, True), (True, True), (False, False)]:
+        best = min(leg_chain(np.array(path), anchored, closed).total
+                   for path in itertools.product(*candidates))
+        Q = _branch_step(program, P, anchored, closed)[1]
+        assert leg_chain(Q, anchored, closed).total == pytest.approx(best, abs=1e-12)
 
 
 def test_branch_strategies_for_union_boundary():
@@ -1087,8 +1154,10 @@ def test_lbfgs_driver_matches_scipy_on_segment_boxes_and_penalty_stages(monkeypa
         _same_as_scipy(fun, x0, bounds, options)
         # a start outside the box is clipped into it first
         _same_as_scipy(fun, np.linspace(-0.5, 1.5, x0.size), bounds, options)
+    # both of start 0's penalty stages here stop at maxiter
+    calls = _lbfgs_calls(monkeypatch, "strip_middle_product", 20, multistart=2)
     stages = [(c[3]["maxiter"], _same_as_scipy(*c)) for c in calls if c[3]["maxcor"] == 20]
-    assert any(ref.nit == maxiter for maxiter, ref in stages)
+    assert len(stages) == 2 and all(ref.nit == maxiter for maxiter, ref in stages)
     # the segments end on the lower face of their box; this quadratic, at the
     # default options, ends on upper faces and has every kind of bound
     quadratic = lambda x: (float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0))
