@@ -17,13 +17,12 @@ COLD_EPS times the length; a warm re-polish there is one stage of it at the
 floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
 Coincident consecutive points are genuine corners of many optima; such
 clusters get pinned to the common point of their boundaries, found to
-rounding, so the corner nonsmoothness cannot cap the final accuracy.  After
-that merge, a start on unbounded curved charts ends with the same smoothed
-Newton, its radius starting at FINISH_EPS times the length.  Every Newton
-step is a banded Cholesky solve of the exact block-tridiagonal Hessian,
-shifted where it is singular or indefinite.  The best feasible start wins;
-ties break to the lexicographically smallest point sequence so reruns are
-bitwise stable.
+rounding, so the corner nonsmoothness cannot cap the final accuracy.  A start
+ends on that merge's one re-polish, or where its polish left it when nothing
+merges.  Every Newton step is a banded Cholesky solve of the exact
+block-tridiagonal Hessian, shifted where it is singular or indefinite.  The
+best feasible start wins; ties break to the lexicographically smallest point
+sequence so reruns are bitwise stable.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ class NonConvergenceError(RuntimeError):
 
 POLISH_MAXITER = 30000    # L-BFGS iterations of a polish on segment boxes
 SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times the length
-FINISH_EPS = 1e-4         # first smoothing radius of a curved start's finish, times the length
 COLD_EPS = (1e-1, 1e-3)   # first smoothing radius of start k's curved polish, [k % 2] times L
 PENALTY_INIT = 10.0       # first penalty weight of the continuation
 PENALTY_GROWTH = 5.0      # factor between penalty stages
@@ -73,8 +71,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feas_tol <= 0:
-            raise ValueError("the feasibility tolerance must be positive")
+        if not 0 < self.feas_tol < math.inf:
+            raise ValueError("the feasibility tolerance must be positive and finite")
         if self.multistart < 1:
             raise ValueError("the number of starts must be positive")
         if self.seed < 0:
@@ -463,6 +461,8 @@ def _build_seeds(inst: Instance, ordered, program: _ResidualProgram, opts: Solve
     noise = rng.normal(size=(opts.multistart, K, dim))
     if initial_points is not None:
         base = np.asarray(initial_points, dtype=float)
+        if base.shape != (K, dim) or not np.isfinite(base).all():
+            raise ValueError(f"initial_points must be finite, of shape ({K}, {dim})")
     elif inst.seed_points is not None:
         base = np.array([inst.seed_points[h] for h in ordered.indices], dtype=float)
     else:
@@ -495,9 +495,9 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOT
     Affine charts take the smoothed Newton, and charts with a box (segments)
     L-BFGS-B.  On other charts the polish is the smoothed Newton from the
     radius `eps0` times the length: a start's first polish, and its polish
-    after each branch step, pass its entry of COLD_EPS, and a warm re-polish
-    after a merge, which starts next to its minimum, keeps the default of
-    one stage at the floor radius.
+    after each branch step, pass its entry of COLD_EPS, and the warm re-polish
+    after its kink merge, which starts next to its minimum and is the start's
+    last polish, keeps the default of one stage at the floor radius.
     """
     red = _Reduced(program)
     t0 = red.init_vars(P0)
@@ -519,24 +519,6 @@ def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOT
         t = _smoothed_newton(red, t0, anchored, closed, eps0)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
-
-
-def _finish(program: _ResidualProgram, P, anchored, closed):
-    """The last polish of a start, from the points `_merge_kinks` returns.
-
-    On affine and bounded charts (segments) `_merge_kinks`' own polish is
-    final.  On unbounded curved charts it is smoothed continuation from eps =
-    FINISH_EPS times the length, which walks legs that have nearly collapsed
-    into their kinks (one stage at the floor radius does not); the input
-    points stay if their exact length is not above the result's.
-    """
-    L = leg_chain(P, anchored, closed).total
-    red = _Reduced(program)
-    if red.affine or any(b != (None, None) for b in red.bounds):
-        return P, L
-    Q = red.points(_smoothed_newton(red, red.init_vars(P), anchored, closed, FINISH_EPS))
-    L_Q = leg_chain(Q, anchored, closed).total
-    return (Q, L_Q) if L_Q < L else (P, L)
 
 
 class _Iterate:
@@ -837,41 +819,39 @@ def _common_point(boundaries, p0, tol=1e-13, iters=60):
 
 def _merge_kinks(program: _ResidualProgram, P, anchored, closed):
     """Pin clusters of coincident consecutive points to the exact common point
-    of their boundaries and re-polish; removes the corner nonsmoothness that
-    otherwise caps the achievable precision.  Returns the program of the
+    of their boundaries and re-polish once; removes the corner nonsmoothness
+    that otherwise caps the achievable precision.  Returns the program of the
     pinned boundaries and the points."""
     if P.shape[1] != 2:
         return program, P
     bnds = list(program.boundaries)
-    for _ in range(3):
-        runs = _coincident_runs(P)
-        merged_any = False
-        # a first/last point sitting on the anchor is the same kind of corner
-        ends = ([0] if anchored else []) + ([len(P) - 1] if closed else [])
-        for e in ends:
-            if (np.linalg.norm(P[e]) < COINCIDENT
-                    and not isinstance(bnds[e], geo.PointTarget)
-                    and geo.scaled_residual(bnds[e], np.zeros(2)) < 1e-8):
-                q = geo.project(bnds[e], np.zeros(2))
-                bnds[e] = geo.PointTarget(tuple(q))
-                P[e] = q
-                merged_any = True
-        for run in runs:
-            group = [bnds[r] for r in run]
-            if all(isinstance(b, geo.PointTarget) for b in group):
-                continue
-            q = _common_point(group, P[run].mean(axis=0))
-            if q is None:
-                continue
-            for r in run:
-                bnds[r] = geo.PointTarget(tuple(q))
-                P[r] = q
+    runs = _coincident_runs(P)
+    merged_any = False
+    # a first/last point sitting on the anchor is the same kind of corner
+    ends = ([0] if anchored else []) + ([len(P) - 1] if closed else [])
+    for e in ends:
+        if (np.linalg.norm(P[e]) < COINCIDENT
+                and not isinstance(bnds[e], geo.PointTarget)
+                and geo.scaled_residual(bnds[e], np.zeros(2)) < 1e-8):
+            q = geo.project(bnds[e], np.zeros(2))
+            bnds[e] = geo.PointTarget(tuple(q))
+            P[e] = q
             merged_any = True
-        if not merged_any:
-            return program, P
-        program = _ResidualProgram(bnds, 2)
-        P, _ = _polish(program, P, anchored, closed)
-    return program, P
+    for run in runs:
+        group = [bnds[r] for r in run]
+        if all(isinstance(b, geo.PointTarget) for b in group):
+            continue
+        q = _common_point(group, P[run].mean(axis=0))
+        if q is None:
+            continue
+        for r in run:
+            bnds[r] = geo.PointTarget(tuple(q))
+            P[r] = q
+        merged_any = True
+    if not merged_any:
+        return program, P
+    program = _ResidualProgram(bnds, 2)
+    return program, _polish(program, P, anchored, closed)[0]
 
 
 def _coincident_runs(P) -> list:
@@ -964,11 +944,19 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
                       branch_assignment=None, initial_points=None) -> Solution:
     """Best-of-multistart local minimum with every point on its assigned boundary.
 
+    `branch_assignment` (a factor index per product; other entries are
+    ignored) and `initial_points` (the seeds' base) are indexed by visiting
+    position: entry i is for the i-th boundary of `order`.
+
     When every boundary is a PointTarget nothing can move, so the solution is
     built from the points themselves: no seeds, starts or polish, gap 0.
     """
     opts = opts or SolveOptions()
     ordered = _Ordered(inst, order)
+    if branch_assignment is not None and (len(branch_assignment) != inst.size or not all(
+            isinstance(a, (int, np.integer)) and 0 <= a < len(b.factors)
+            for a, b in zip(branch_assignment, ordered.boundaries) if isinstance(b, geo.Product))):
+        raise ValueError(f"branch_assignment needs {inst.size} entries, a factor index per product")
     perm = ordered.indices
     program = _ResidualProgram(ordered.boundaries, inst.dimension)
     has_products = any(isinstance(b, geo.Product) for b in ordered.boundaries)
@@ -1008,8 +996,8 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
             P, L, assign, target = Q, L_Q, new_assign, new_target
         if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
             P_pre, L_pre = P, L
-            merged, P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)
-            P, L = _finish(merged, P, inst.anchored, inst.closed)
+            P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)[1]
+            L = leg_chain(P, inst.anchored, inst.closed).total
             if L > L_pre + 1e-12:  # a merge guessed wrong; keep the unmerged result
                 P, L = P_pre, L_pre
         return record(P, L, assign, target)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (COLD_EPS, FINISH_EPS, NEWTON_SHIFTS, POLISH_MAXITER,
+from escape_solver.nlp_solver import (COLD_EPS, NEWTON_SHIFTS, POLISH_MAXITER,
                                       SHORT_LEG, SMOOTH_FLOOR, NonConvergenceError,
                                       Solution, SolveOptions, _assemble_hessian, _banded_solve,
                                       _build_seeds, _coincident_runs, _common_point,
@@ -234,31 +234,35 @@ def test_an_affine_solve_is_one_smoothed_newton_polish(monkeypatch, name, n, m):
 
 
 def test_a_curved_start_ends_without_lbfgs(monkeypatch):
-    """The finish after the kink merge walks legs that the polish left just
-    above COINCIDENT into their kinks; a warm L-BFGS-B stopped on its
-    iteration cap at 2.994717525, above what it reaches when run to
-    convergence."""
-    finishing, finished, late = [], [], []
-    real_minimize, real_finish = nlp_solver.minimize, nlp_solver._finish
+    """A curved solve polishes by smoothed Newton alone, and each start ends on
+    its kink merge's one re-polish, at or below the answer of the retired
+    warm L-BFGS-B (2.994717525, stopped on its iteration cap)."""
+    calls = []
+    real = nlp_solver.minimize
+    monkeypatch.setattr(nlp_solver, "minimize", lambda *a, **k: calls.append(k) or real(*a, **k))
+    assert _solve_hint("circle_interior_nonunique", 30)[1].length <= 2.9947050781
+    assert calls == []
 
-    def minimize(*a, **k):
-        if finishing:
-            late.append(k)
-        return real_minimize(*a, **k)
 
-    def finish(*a):
-        finishing.append(True)
-        try:
-            return real_finish(*a)
-        finally:
-            finishing.pop()
-            finished.append(True)
+@pytest.mark.parametrize("name,n,m", [("halfplane_unit", 90, 1), ("strip_wf2", 6, 4),
+                                      ("circle_interior_nonunique", 30, 1), ("circle_wf2", 7, 2)])
+def test_one_merge_pass_leaves_nothing_to_merge(monkeypatch, name, n, m):
+    """Each run of coincident points in what `_merge_kinks` returns is already
+    pinned to point targets in the program it returns, so a second pass would
+    merge nothing; on each family some call merges."""
+    returned = []
+    real = nlp_solver._merge_kinks
 
-    monkeypatch.setattr(nlp_solver, "minimize", minimize)
-    monkeypatch.setattr(nlp_solver, "_finish", finish)
-    sol = _solve_hint("circle_interior_nonunique", 30)[1]
-    assert sol.length <= 2.9947050781
-    assert len(finished) == 2 and late == []
+    def merge(program, *a):
+        returned.append((program,) + real(program, *a))
+        return returned[-1][1:]
+
+    monkeypatch.setattr(nlp_solver, "_merge_kinks", merge)
+    _solve_hint(name, n, m)
+    assert any(merged is not program for program, merged, _ in returned)
+    for _, merged, P in returned:
+        for run in _coincident_runs(P):
+            assert all(isinstance(merged.boundaries[r], geo.PointTarget) for r in run)
 
 
 def test_curved_answers_stay_at_or_below_their_values():
@@ -337,7 +341,7 @@ def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
     for seed in range(4):
         t = red.init_vars(program.nearest(np.random.default_rng(seed).uniform(-2, 2, (8, 2))))
         before = leg_chain(red.points(t)).total
-        after = leg_chain(red.points(_smoothed_newton(red, t, True, False, FINISH_EPS))).total
+        after = leg_chain(red.points(_smoothed_newton(red, t, True, False, 1e-4))).total
         assert after < before
     assert any(lam > 0.0 for *_, lam, _ in calls)
     for prev, (_, H, rhs, lam, _) in zip(calls, calls[1:]):
@@ -590,12 +594,30 @@ def test_plane3d_solve():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(feas_tol=0.0)
+    for feas_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="feasibility"):
+            SolveOptions(feas_tol=feas_tol)
     with pytest.raises(ValueError):
         SolveOptions(multistart=0)
     with pytest.raises(ValueError, match="seed"):
         SolveOptions(seed=-1)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"branch_assignment": (0, 1) * 4 + (0,)}, "branch_assignment"),
+    ({"branch_assignment": (0, 1) * 3}, "branch_assignment"),
+    ({"branch_assignment": (-1,) + (0,) * 7}, "branch_assignment"),
+    ({"branch_assignment": (2,) * 8}, "branch_assignment"),
+    ({"branch_assignment": (0.0,) * 8}, "branch_assignment"),
+    ({"initial_points": np.zeros((7, 2))}, "initial_points"),
+    ({"initial_points": np.full((8, 2), np.nan)}, "initial_points"),
+], ids=["9-entries", "6-entries", "negative", "past-the-factors", "float", "7-rows", "nan"])
+def test_solve_fixed_order_rejects_malformed_optional_inputs(kwargs, match):
+    """strip_middle_product 8 has 8 two-factor products: a branch assignment
+    needs 8 entries, each 0 or 1, and initial points are 8 finite rows of 2."""
+    inst = build(make_scenario("strip_middle_product", 8))
+    with pytest.raises(ValueError, match=match):
+        solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=1), **kwargs)
 
 
 def _leaves(prm):
@@ -963,18 +985,19 @@ def _newton_start(name, n, m, mode=None, merged=False):
 
 
 # the bench's convex instances, the circle families at every first radius the
-# solver uses, closed and unanchored chains, merged programs with dead slots,
-# a chain of several blocks mixing curved and affine charts with a dead slot
-# (open and closed), and width 2 on a closed chain
+# solver uses and at 1e-4 times the length, closed and unanchored chains,
+# merged programs with dead slots, a chain of several blocks mixing curved and
+# affine charts with a dead slot (open and closed), and width 2 on a closed
+# chain
 _NEWTON_SWEEP = (
     [(name, n, m, None, False, None) for name, n, m in CONVEX_BENCH]
     + [(name, n, m, None, False, eps0) for name, n, m in (("circle_wf2", 7, 2),
                                                          ("circle_interior_nonunique", 30, 1))
-       for eps0 in COLD_EPS + (FINISH_EPS, SMOOTH_FLOOR)]
+       for eps0 in COLD_EPS + (1e-4, SMOOTH_FLOOR)]
     + [("halfplane_unit", 45, 1, "escape_closed", False, None),
        ("circle_interior_nonunique", 30, 1, "escape_closed", False, COLD_EPS[0]),
        ("halfplane_unit", 90, 1, None, True, None),
-       ("circle_interior_nonunique", 30, 1, None, True, FINISH_EPS),
+       ("circle_interior_nonunique", 30, 1, None, True, 1e-4),
        ("mixed", 11, 1, "escape_open", False, COLD_EPS[0]),
        ("mixed", 11, 1, "escape_closed", False, COLD_EPS[0]),
        ("plane3d", 3, 3, "escape_closed", False, None)])
@@ -1059,7 +1082,7 @@ def test_banded_solve_skips_factorizations_that_cannot_succeed(monkeypatch):
         return x
 
     monkeypatch.setattr(nlp_solver, "_banded_solve", record)
-    for eps0 in COLD_EPS + (FINISH_EPS, SMOOTH_FLOOR):
+    for eps0 in COLD_EPS + (1e-4, SMOOTH_FLOOR):
         red, t, anchored, closed = _newton_start("circle_wf2", 7, 2)
         ref, ref_lams = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
         calls.clear()
