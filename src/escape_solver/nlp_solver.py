@@ -1,20 +1,22 @@
 """Fixed-order continuous minimization of escape polylines.
 
 Pipeline per start: seed each escape point at the nearest point of its
-boundary; on products, start 0 picks its branches by quadratic-penalty
-continuation and the other starts take their seeds' nearest factors.  Then
+boundary; on products, start 0 picks its branches by one stage of quadratic
+penalty and the other starts take their seeds' nearest factors, and a start
+whose branches are an earlier start's on affine charts only is skipped.  Then
 project exactly and polish in reduced on-boundary coordinates (one parameter
 per point on a line/circle/segment, two on a plane).  On products the branch
 step follows (`_branch_step`, a shortest path over each row's candidate
 points on its factors), re-polished while it changes the branches and
-shortens the path.  When every chart is affine (lines, planes, points) the
-polish objective is convex: the polish is damped Newton on the smoothed
-length, its smoothing radius cut down to SMOOTH_FLOOR times the length, and
-the solution carries a duality gap that bounds how far it is above the
-minimum.  On unbounded curved charts (circles)
-a start's first polish is the same smoothed Newton, its radius starting at
-COLD_EPS times the length; a warm re-polish there is one stage of it at the
-floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
+shortens the path; the penalty's start then takes the flipped step (the
+shortest candidate path off its branches) while that shortens the path.
+When every chart is affine (lines, planes, points) the polish objective is
+convex: the polish is damped Newton on the smoothed length, its smoothing
+radius cut down to SMOOTH_FLOOR times the length, and the solution carries a
+duality gap that bounds how far it is above the minimum.  On unbounded
+curved charts (circles) a start's first polish is the same smoothed Newton,
+its radius starting at COLD_EPS times the length; a warm re-polish there is
+one stage of it at the floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
 Coincident consecutive points are genuine corners of many optima; such
 clusters get pinned to the common point of their boundaries, found to
 rounding, so the corner nonsmoothness cannot cap the final accuracy.  A start
@@ -52,12 +54,12 @@ class NonConvergenceError(RuntimeError):
 POLISH_MAXITER = 30000    # L-BFGS iterations of a polish on segment boxes
 SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times the length
 COLD_EPS = (1e-1, 1e-3)   # first smoothing radius of start k's curved polish, [k % 2] times L
-PENALTY_INIT = 10.0       # first penalty weight of the continuation
-PENALTY_GROWTH = 5.0      # factor between penalty stages
+PENALTY_INIT = 10.0       # weight of start 0's penalty stage
 # the branch step's candidates come from the points this many rows either
-# side.  Of the 72 solves of the product sweep (three families, N 8-44,
-# multistart 1/2/4, seeds 0/1), 1 or 2 rows end two higher (strip_middle_product
-# N=8), and 16 rows six lower (perp_lines_product N=32, 2.3860 -> 2.3467)
+# side.  On the 72-solve product sweep (three families, N 8-44, multistart
+# 1/2/4, seeds 0/1) 2, 8 and 16 rows give the answers of 4 to an ulp; 1 row
+# raises perp_lines_product N=12 closed (2.5885 -> 2.6251).  The 2.3467 that
+# 16 rows gave perp_lines_product N=32 without the flipped step, it reaches at 4
 BRANCH_WINDOW = 4
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
@@ -73,10 +75,15 @@ class SolveOptions:
     def __post_init__(self):
         if not 0 < self.feas_tol < math.inf:
             raise ValueError("the feasibility tolerance must be positive and finite")
-        if self.multistart < 1:
-            raise ValueError("the number of starts must be positive")
-        if self.seed < 0:
-            raise ValueError("the seed must be non-negative")
+        if not _is_int(self.multistart) or self.multistart < 1:
+            raise ValueError("the number of starts must be a positive int")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("the seed must be a non-negative int")
+
+
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy int; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -862,37 +869,27 @@ def _coincident_runs(P) -> list:
     return [np.arange(run[0], run[-1] + 2) for run in legs if run.size]
 
 
-def _penalty_phase(program: _ResidualProgram, P0, anchored, closed, opts: SolveOptions):
-    """Quadratic penalty continuation on raw coordinates that picks each
-    point's product factor.  It ends on the first stage that leaves the
-    nearest factors where the stage before left them, or once the points are
-    near-feasible or mu passes 1e9; the exact projection and the polish of
-    the chosen branches do the rest."""
-    P = P0.copy()
-    mu = PENALTY_INIT
-    settled = None
-    while True:
-        scale = np.maximum(np.linalg.norm(program.residuals(P)[1], axis=1), geo.GRAD_FLOOR)
-        w = mu / scale**2
+def _penalty_phase(program: _ResidualProgram, P0, anchored, closed):
+    """One L-BFGS-B stage of a quadratic penalty on raw coordinates, at weight
+    PENALTY_INIT, whose points' nearest factors pick each product's branch;
+    the exact projection, the polish of the chosen branches and the branch
+    steps do the rest."""
+    scale = np.maximum(np.linalg.norm(program.residuals(P0)[1], axis=1), geo.GRAD_FLOOR)
+    w = PENALTY_INIT / scale**2
 
-        def obj(x):
-            Q = x.reshape(P.shape)
-            legs = leg_chain(Q, anchored, closed)
-            F, Gf = program.residuals(Q)
-            pen = float(np.sum(w * F * F))
-            Gp = legs.grad + (2.0 * w * F)[:, None] * Gf
-            return legs.total + pen, Gp.ravel()
+    def obj(x):
+        Q = x.reshape(P0.shape)
+        legs = leg_chain(Q, anchored, closed)
+        F, Gf = program.residuals(Q)
+        pen = float(np.sum(w * F * F))
+        Gp = legs.grad + (2.0 * w * F)[:, None] * Gf
+        return legs.total + pen, Gp.ravel()
 
-        res = minimize(obj, P.ravel(), maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20)
-        P = res.x.reshape(P.shape)
-        assign = program.branches(P)
-        if assign == settled or program.scaled(P).max() <= math.sqrt(opts.feas_tol) or mu > 1e9:
-            return P
-        settled = assign
-        mu *= PENALTY_GROWTH
+    res = minimize(obj, P0.ravel(), maxiter=250, ftol=1e-14, gtol=1e-10, maxcor=20)
+    return res.x.reshape(P0.shape)
 
 
-def _branch_step(program: _ResidualProgram, P, anchored, closed):
+def _branch_step(program: _ResidualProgram, P, anchored, closed, flip=None):
     """The shortest path with one point per row from a few candidates: the
     "cluster optimization" of generalized TSP (Karapetyan & Gutin, EJOR 2012)
     for the product factors at this order.
@@ -904,7 +901,14 @@ def _branch_step(program: _ResidualProgram, P, anchored, closed):
     the path returned is at most as long, up to rounding.  A layered DP over
     the rows picks the candidates, with the anchor leg when anchored and the
     closing leg when closed.  Returns each product row's factor (None on
-    other rows) and the chosen points."""
+    other rows) and the chosen points.
+
+    Given `flip`, the current factor of each product row, the path returned
+    is instead the flipped path: the shortest candidate path that puts some
+    product row on a factor other than its `flip` entry.  A backward DP
+    beside the forward one gives the shortest path through each candidate,
+    the sum of the two costs there; the flipped path is the shortest of
+    those through an off-factor candidate, rebuilt from both DPs' pointers."""
     n, dim = program.n, program.dim
     rows = np.clip(np.arange(n)[:, None] + np.arange(-BRANCH_WINDOW, BRANCH_WINDOW + 1), 0, n - 1)
     src = np.concatenate([np.zeros((1, n, dim)), P[rows.T]])   # (sources, n, dim)
@@ -921,18 +925,34 @@ def _branch_step(program: _ResidualProgram, P, anchored, closed):
     C = C.reshape(n, -1, dim)   # (rows, candidates), factor-major
     factor = np.repeat(factor, len(src), axis=1)
     D = np.linalg.norm(C[1:, None, :, :] - C[:-1, :, None, :], axis=-1)   # (n - 1, from, to)
-    cost = np.linalg.norm(C[0], axis=1) if anchored else np.zeros(C.shape[1])
-    back = np.empty((n, C.shape[1]), dtype=int)
     cols = np.arange(C.shape[1])
+    fwd = np.empty((n, C.shape[1]))   # the shortest path from the first row to each candidate
+    fwd[0] = np.linalg.norm(C[0], axis=1) if anchored else 0.0
+    back = np.empty((n, C.shape[1]), dtype=int)
     for i in range(n - 1):
-        total = cost[:, None] + D[i]
+        total = fwd[i, :, None] + D[i]
         back[i + 1] = total.argmin(axis=0)
-        cost = total[back[i + 1], cols]
-    if closed:
-        cost = cost + np.linalg.norm(C[-1], axis=1)
+        fwd[i + 1] = total[back[i + 1], cols]
     pick = np.empty(n, dtype=int)
-    pick[-1] = cost.argmin()
-    for i in range(n - 1, 0, -1):
+    if flip is None:
+        last = n - 1
+        pick[-1] = (fwd[-1] + np.linalg.norm(C[-1], axis=1) if closed else fwd[-1]).argmin()
+    else:
+        bwd = np.empty_like(fwd)   # the shortest path from each candidate to the last row
+        bwd[-1] = np.linalg.norm(C[-1], axis=1) if closed else 0.0
+        ahead = np.empty_like(back)
+        for i in range(n - 2, -1, -1):
+            total = D[i] + bwd[i + 1]
+            ahead[i] = total.argmin(axis=1)
+            bwd[i] = total[cols, ahead[i]]
+        # a plain row's candidates all have factor 0, so it is never off
+        current = np.array([0 if a is None else a for a in flip])
+        through = np.where(factor != current[:, None], fwd + bwd, np.inf)
+        last, c = np.unravel_index(through.argmin(), through.shape)
+        pick[last] = c
+        for i in range(last, n - 1):
+            pick[i + 1] = ahead[i, pick[i]]
+    for i in range(last, 0, -1):
         pick[i - 1] = back[i, pick[i]]
     chosen = factor[np.arange(n), pick].tolist()
     assign = tuple(j if isinstance(b, geo.Product) else None
@@ -967,33 +987,49 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
         return P, L, resid, feasible, assign, target
 
+    firsts = set()   # the first branches of the free product starts so far
+
     def run_start(k: int):
         P = seeds[k]
         assign, target = branch_assignment, given
-        if has_products and assign is None:
-            # start 0 picks its first branches by the penalty continuation,
-            # which reaches assignments the branch step alone stops short of
-            # (perp_lines_product N=8); the others take their seeds' nearest
-            # factors
-            if k == 0 and inst.seed_points is None and initial_points is None:
-                P = _penalty_phase(program, P, inst.anchored, inst.closed, opts)
+        free = has_products and assign is None
+        # start 0 picks its first branches by one penalty stage, which reaches
+        # assignments the branch step alone stops short of (perp_lines_product
+        # N=8); the others take their seeds' nearest factors
+        penalty = free and k == 0 and inst.seed_points is None and initial_points is None
+        if free:
+            if penalty:
+                P = _penalty_phase(program, P, inst.anchored, inst.closed)
             assign = program.branches(P)
             target = program.resolved(assign)
+            # on affine charts the polish is convex, so a start on the first
+            # branches of an earlier start repeats it
+            if assign in firsts and all(_affine(b) for b in target.boundaries):
+                return None
+            firsts.add(assign)
         # the starts alternate between the radii: each alone sends some
         # starts to worse minima
         eps0 = COLD_EPS[k % 2]
         P, L = _polish(target, target.nearest(P), inst.anchored, inst.closed, eps0)
-        while has_products and branch_assignment is None:
+        flipping = False
+        while free:
             # the branch step: the shortest path over the factors' candidates,
-            # kept while it changes the branches and the polish shortens the path
-            new_assign, Q = _branch_step(program, P, inst.anchored, inst.closed)
-            if new_assign == assign:
+            # kept while it changes the branches and the polish shortens the
+            # path.  Then, on the penalty's start, the flipped step: the
+            # shortest candidate path off the current branches, kept while
+            # the polish shortens the path (without it the one penalty stage
+            # leaves perp_lines_product N=32 closed at 3.013295, not 2.974046)
+            new_assign, Q = _branch_step(program, P, inst.anchored, inst.closed,
+                                         assign if flipping else None)
+            if new_assign != assign:
+                new_target = program.resolved(new_assign)
+                Q, L_Q = _polish(new_target, Q, inst.anchored, inst.closed, eps0)
+                if L_Q < L - 1e-12:
+                    P, L, assign, target = Q, L_Q, new_assign, new_target
+                    continue
+            if flipping or not penalty:
                 break
-            new_target = program.resolved(new_assign)
-            Q, L_Q = _polish(new_target, Q, inst.anchored, inst.closed, eps0)
-            if not L_Q < L - 1e-12:
-                break
-            P, L, assign, target = Q, L_Q, new_assign, new_target
+            flipping = True
         if any(b.ndof for b in target.boundaries):  # points alone have nothing to merge
             P_pre, L_pre = P, L
             P = _merge_kinks(target, P.copy(), inst.anchored, inst.closed)[1]
@@ -1013,7 +1049,10 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
         best_key = None
         for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
-            P, L, resid, feasible, assign, target = run_start(k)
+            result = run_start(k)
+            if result is None:
+                continue
+            P, L, resid, feasible, assign, target = result
             key = (not feasible, round(L, 12), tuple(np.round(P.ravel(), 12)))
             if best_key is None or key < best_key:
                 best_key = key

@@ -416,10 +416,8 @@ def test_strip_product_interleaved_branches_alternate():
     assert all(a != b for a, b in pairs)
 
 
-def test_penalty_phase_stops_once_branches_settle(monkeypatch):
-    """Only start 0 runs the continuation, and it ends on the first stage that
-    leaves every product branch where the stage before left it; running on to
-    near-feasibility takes 6 stages here."""
+def test_penalty_phase_is_one_stage_on_start_0(monkeypatch):
+    """Only start 0 runs the penalty, and it is one L-BFGS-B stage."""
     stages = []
     real_minimize, real_phase = nlp_solver.minimize, nlp_solver._penalty_phase
 
@@ -435,20 +433,25 @@ def test_penalty_phase_stops_once_branches_settle(monkeypatch):
     monkeypatch.setattr(nlp_solver, "minimize", minimize)
     monkeypatch.setattr(nlp_solver, "_penalty_phase", phase)
     _solve_hint("strip_middle_product", 20)
-    assert len(stages) == 1
-    assert 1 <= stages[0] <= 2
+    assert stages == [1]
 
 
-@pytest.mark.parametrize("name, n, L, branches", [
-    ("strip_middle_product", 20, 1.6274364398109686, "10" * 10),
+@pytest.mark.parametrize("name, n, mode, L, branches", [
+    ("strip_middle_product", 20, "escape_open", 1.6274364398109686, "10" * 10),
     # start 0's penalty: no assignment at this order does better; the
     # branch step alone stops one flip away, at 1.825630617549618 (11010110)
-    ("perp_lines_product", 8, 1.7672287379673166, "11010100"),
-    ("perp_lines_product", 20, 2.262717157782102, "11010101010000000000"),
-    ("perp_lines_product", 40, 2.391945491537554, "01" * 10 + "0" * 20),
+    ("perp_lines_product", 8, "escape_open", 1.7672287379673166, "11010100"),
+    ("perp_lines_product", 20, "escape_open", 2.262717157782102, "11010101010000000000"),
+    # the flipped step's answers: without it (one penalty stage and the
+    # plain step) closed N=32 ends at 3.013295, open N=32 at 2.386000 and
+    # open N=40 at 2.391945
+    ("perp_lines_product", 32, "escape_closed", 2.974046307433508, "11" + "01" * 7 + "0" * 16),
+    ("perp_lines_product", 32, "escape_open", 2.346726398117992, "11" + "01" * 7 + "0" * 16),
+    ("perp_lines_product", 40, "escape_open", 2.3752645549997364, "11" + "01" * 9 + "0" * 20),
 ])
-def test_product_answers_keep_their_branches(name, n, L, branches):
-    sol = _solve_hint(name, n)[1]
+def test_product_answers_keep_their_branches(name, n, mode, L, branches):
+    inst = build(make_scenario(name, n, mode=mode))
+    sol = solve_fixed_order(inst, inst.order_hint, OPTS)
     assert sol.length == pytest.approx(L, abs=1e-12)
     assert sol.branch_assignment == tuple(map(int, branches))
 
@@ -500,7 +503,9 @@ def test_branch_step_never_lengthens_the_path(anchored, closed):
 def test_branch_step_is_the_shortest_path_through_its_candidates():
     """On four rows, where the window holds every row, the step's path is as
     short as the best of every choice of one candidate per row, each found
-    by the scalar `geo.project` of the origin or a point onto a factor."""
+    by the scalar `geo.project` of the origin or a point onto a factor.  The
+    flipped path is as short as the best choice that puts some product row
+    off its current factor, and lies on the factors it names."""
     boundaries = [geo.Product((geo.Line(0.2, 0.5), geo.Line(0.2, -0.5))),
                   geo.Circle((0.3, 0.1), 0.8),
                   geo.Product((geo.Circle((0.0, 0.0), 1.0), geo.Segment((0.5, 0.0), (1.0, 1.0)))),
@@ -508,12 +513,39 @@ def test_branch_step_is_the_shortest_path_through_its_candidates():
     program = _ResidualProgram(boundaries, 2)
     P = program.nearest(np.random.default_rng(3).uniform(-2, 2, (4, 2)))
     sources = [np.zeros(2), *P]
-    candidates = [[geo.project(f, s) for f in b.factors for s in sources] for b in boundaries]
+    candidates = [[(j, geo.project(f, s)) for j, f in enumerate(b.factors) for s in sources]
+                  for b in boundaries]
     for anchored, closed in [(True, False), (False, True), (True, True), (False, False)]:
-        best = min(leg_chain(np.array(path), anchored, closed).total
-                   for path in itertools.product(*candidates))
-        Q = _branch_step(program, P, anchored, closed)[1]
-        assert leg_chain(Q, anchored, closed).total == pytest.approx(best, abs=1e-12)
+        paths = [(leg_chain(np.array([q for _, q in path]), anchored, closed).total,
+                  tuple(j for j, _ in path)) for path in itertools.product(*candidates)]
+        assign, Q = _branch_step(program, P, anchored, closed)
+        assert leg_chain(Q, anchored, closed).total == pytest.approx(min(paths)[0], abs=1e-12)
+        for current in (assign, program.branches(P), (1, None, 0, None)):
+            off = [L for L, factors in paths
+                   if factors[0] != current[0] or factors[2] != current[2]]
+            flipped, F = _branch_step(program, P, anchored, closed, current)
+            assert flipped[0] != current[0] or flipped[2] != current[2]
+            assert program.resolved(flipped).scaled(F).max() < 1e-12
+            assert leg_chain(F, anchored, closed).total == pytest.approx(min(off), abs=1e-12)
+
+
+def test_a_start_on_an_earlier_starts_affine_branches_is_skipped(monkeypatch):
+    """On strip_wf2 6x4 start 1 takes start 0's first branches, all on lines,
+    so it runs no polish and the answer stays; a solve with its branches
+    given runs every start."""
+    calls = []
+    real = nlp_solver._polish
+    monkeypatch.setattr(nlp_solver, "_polish", lambda *a: calls.append(1) or real(*a))
+    inst = build(make_scenario("strip_wf2", 6, 4))
+    counts, sols = [], []
+    for assignment in (None, (0, 1) * 12):
+        for multistart in (1, 2):
+            calls.clear()
+            sols.append(solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=multistart),
+                                          branch_assignment=assignment))
+            counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[2] < counts[3]
+    assert sols[1].length == 1.4288149110677597
 
 
 def test_branch_strategies_for_union_boundary():
@@ -597,10 +629,14 @@ def test_options_validation():
     for feas_tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="feasibility"):
             SolveOptions(feas_tol=feas_tol)
-    with pytest.raises(ValueError):
-        SolveOptions(multistart=0)
-    with pytest.raises(ValueError, match="seed"):
-        SolveOptions(seed=-1)
+    for multistart in (0, 2.5, math.nan, True, "2"):
+        with pytest.raises(ValueError, match="starts"):
+            SolveOptions(multistart=multistart)
+    for seed in (-1, 1.5, math.nan, False, np.float64(1.0)):
+        with pytest.raises(ValueError, match="seed"):
+            SolveOptions(seed=seed)
+    opts = SolveOptions(multistart=np.int64(2), seed=np.int32(1))
+    assert solve_fixed_order(build(make_scenario("halfplane_unit", 8)), range(8), opts).converged
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -1177,10 +1213,10 @@ def test_lbfgs_driver_matches_scipy_on_segment_boxes_and_penalty_stages(monkeypa
         _same_as_scipy(fun, x0, bounds, options)
         # a start outside the box is clipped into it first
         _same_as_scipy(fun, np.linspace(-0.5, 1.5, x0.size), bounds, options)
-    # both of start 0's penalty stages here stop at maxiter
+    # start 0's one penalty stage here stops at maxiter
     calls = _lbfgs_calls(monkeypatch, "strip_middle_product", 20, multistart=2)
     stages = [(c[3]["maxiter"], _same_as_scipy(*c)) for c in calls if c[3]["maxcor"] == 20]
-    assert len(stages) == 2 and all(ref.nit == maxiter for maxiter, ref in stages)
+    assert [(maxiter, ref.nit) for maxiter, ref in stages] == [(250, 250)]
     # the segments end on the lower face of their box; this quadratic, at the
     # default options, ends on upper faces and has every kind of bound
     quadratic = lambda x: (float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0))
