@@ -13,10 +13,10 @@ shortest candidate path off its branches) while that shortens the path.
 When every chart is affine (lines, planes, points) the polish objective is
 convex: the polish is damped Newton on the smoothed length, its smoothing
 radius cut down to SMOOTH_FLOOR times the length, and the solution carries a
-duality gap that bounds how far it is above the minimum.  On unbounded
-curved charts (circles) a start's first polish is the same smoothed Newton,
-its radius starting at COLD_EPS times the length; a warm re-polish there is
-one stage of it at the floor radius.  Charts with a box (segments) are polished by L-BFGS-B.
+duality gap that bounds how far it is above the minimum.  On other charts
+(circles; segments, their step projected into the box) a start's first
+polish is the same smoothed Newton from COLD_EPS times the length, and a
+warm re-polish one stage of it at the floor radius.
 Coincident consecutive points are genuine corners of many optima; such
 clusters get pinned to the common point of their boundaries, found to
 rounding, so the corner nonsmoothness cannot cap the final accuracy.  A start
@@ -51,7 +51,6 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
-POLISH_MAXITER = 30000    # L-BFGS iterations of a polish on segment boxes
 SMOOTH_FLOOR = 1e-14      # last smoothing radius of a smoothed polish, times the length
 COLD_EPS = (1e-1, 1e-3)   # first smoothing radius of start k's curved polish, [k % 2] times L
 PENALTY_INIT = 10.0       # weight of start 0's penalty stage
@@ -107,27 +106,19 @@ class Solution:
 # --------------------------------------------------------------------------
 # L-BFGS-B
 
-def minimize(fun, x0, bounds=None, *, maxcor=10, ftol=2.2204460492503131e-09, gtol=1e-5,
-             maxiter=15000, maxfun=15000) -> OptimizeResult:
-    """L-BFGS-B on fun(x) -> (value, gradient) from x0, within optional
-    per-variable (low, high) bounds, None meaning unbounded.
+def minimize(fun, x0, *, maxcor=10, ftol=2.2204460492503131e-09, gtol=1e-5,
+             maxiter=15000) -> OptimizeResult:
+    """Unbounded L-BFGS-B on fun(x) -> (value, gradient) from x0.
 
     Drives scipy's `setulb` as `scipy.optimize.minimize(method="L-BFGS-B",
-    jac=True)` does: the same workspace, tolerances, bound encoding, clipping
-    of x0, line-search limit and maxiter/maxfun stops, and `fun` is called
-    again only when x changes.  So x, fun, nit and nfev are bitwise scipy's,
-    without the cost of its per-evaluation wrappers.
+    jac=True)` does: the same workspace, tolerances, line-search limit and
+    maxiter stop (but no maxfun stop), and `fun` is called again only when x
+    changes.  So x, fun, nit and nfev are bitwise scipy's, without the cost
+    of its per-evaluation wrappers.
     """
     x = np.array(x0, dtype=np.float64).ravel()
     n, m = x.size, maxcor
     low, high, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
-    if bounds is not None:
-        lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds], dtype=float)
-        hi = np.array([np.inf if b[1] is None else b[1] for b in bounds], dtype=float)
-        x = np.clip(x, lo, hi)
-        has_lo, has_hi = ~np.isinf(lo), ~np.isinf(hi)
-        low[has_lo], high[has_hi] = lo[has_lo], hi[has_hi]
-        nbd[:] = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0))
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
@@ -157,8 +148,6 @@ def minimize(fun, x0, bounds=None, *, maxcor=10, ftol=2.2204460492503131e-09, gt
             nit += 1
             if nit >= maxiter:
                 task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
         else:
             return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
 
@@ -314,7 +303,6 @@ class _Reduced:
         self.dim = program.dim
         self.n = n = program.n
         self.nvar = 0
-        self.bounds = []
         self.blocks = []
         self._tcols = []   # each block's variables, a slice of t
         for rows, packed in program.groups:
@@ -324,9 +312,14 @@ class _Reduced:
             cols = self.nvar + np.arange(len(rows) * kind.ndof).reshape(len(rows), kind.ndof)
             self._tcols.append(slice(self.nvar, self.nvar + cols.size))
             self.nvar += cols.size
-            self.bounds.extend([kind.bound] * cols.size)
             self.blocks.append((kind, packed.prms[0], rows, cols))
         self.affine = all(_affine(kind) for kind, *_ in self.blocks)
+        self.boxed = any(kind.bound != (None, None) for kind, *_ in self.blocks)
+        if self.boxed:   # each variable's box, for the projected step; only segments have one
+            self.lo, self.hi = np.full((2, self.nvar), [[-np.inf], [np.inf]])
+            for kind, _, _, cols in self.blocks:
+                if kind.bound != (None, None):
+                    self.lo[cols], self.hi[cols] = kind.bound
         self.width = w = max(kind.ndof for kind, *_ in self.blocks)
         self.slots = np.zeros(self.nvar, dtype=int)
         for kind, _, rows, cols in self.blocks:
@@ -497,33 +490,18 @@ class _Ordered:
 
 
 def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOTH_FLOOR):
-    """Points on the program's boundaries from P0, and their length.
-
-    Affine charts take the smoothed Newton, and charts with a box (segments)
-    L-BFGS-B.  On other charts the polish is the smoothed Newton from the
-    radius `eps0` times the length: a start's first polish, and its polish
-    after each branch step, pass its entry of COLD_EPS, and the warm re-polish
-    after its kink merge, which starts next to its minimum and is the start's
-    last polish, keeps the default of one stage at the floor radius.
+    """Points on the program's boundaries from P0, and their length, by the
+    smoothed Newton (projected on segment boxes).  Its radius starts at the
+    mean leg length on affine charts and at `eps0` times the length on the
+    others: a start's first polish, and its polish after each branch step,
+    pass its entry of COLD_EPS, and the warm re-polish after its kink merge,
+    which starts next to its minimum and is the start's last polish, keeps
+    the default of one stage at the floor radius.
     """
     red = _Reduced(program)
-    t0 = red.init_vars(P0)
-    if red.nvar == 0:
-        P = red.points(t0)
-        return P, leg_chain(P, anchored, closed).total
-    if red.affine:
-        t = _smoothed_newton(red, t0, anchored, closed)
-        P = red.points(t)
-        return P, leg_chain(P, anchored, closed).total
-    if any(b != (None, None) for b in red.bounds):
-        def obj(t):
-            legs = leg_chain(red.points(t), anchored, closed)
-            return legs.total, red.chain(t, legs.grad)
-
-        t = minimize(obj, t0, red.bounds, maxiter=POLISH_MAXITER, ftol=1e-18, gtol=1e-13,
-                     maxcor=40).x
-    else:
-        t = _smoothed_newton(red, t0, anchored, closed, eps0)
+    t = red.init_vars(P0)
+    if red.nvar:
+        t = _smoothed_newton(red, t, anchored, closed, None if red.affine else eps0)
     P = red.points(t)
     return P, leg_chain(P, anchored, closed).total
 
@@ -570,6 +548,12 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     the stage ends.  A chain without legs, or of zero or non-finite length, is
     returned unchanged.
 
+    On a boxed `_Reduced` the step is projected Newton (Bertsekas, SIAM J.
+    Control Optim. 1982): a variable at a bound whose gradient points out is
+    held (a unit slot in H, as a dead one, and 0 on the right; the polish
+    ends when all are), each trial is clipped into the box, and Armijo takes
+    the decrease g . (t - trial) predicted along that projected arc.
+
     Each quantity is computed where it changes, in place, into arrays made
     once per polish: the jet's and the Hessian's per-leg blocks in `_Reduced`,
     the rest here: the gradient g and two `_Iterate`s, which a trial and the
@@ -603,6 +587,14 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
             H = _assemble_hessian(red, legs, jet)
             scale = np.abs(H[0] if red.packed else H[0, red.slots]).max()
             rhs = -g
+            if red.boxed:
+                active = ((cur.t <= red.lo) & (g > 0.0)) | ((cur.t >= red.hi) & (g < 0.0))
+                if active.all():
+                    return cur.t
+                held = red.slots[active]   # a unit slot with no couplings, as a dead one
+                for k in range(1, H.shape[0]):
+                    H[k, held[held >= k] - k] = 0.0
+                H[1:, held], H[0, held], rhs[active] = 0.0, 1.0, 0.0
             for lam in NEWTON_SHIFTS:
                 step = _banded_solve(red, H, rhs, lam * scale)
                 if step is not None:
@@ -617,8 +609,12 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
             alpha = 1.0
             while alpha > 1e-6:
                 np.add(cur.t, alpha * step, out=spare.t)
+                drop = alpha * decrement   # the predicted decrease
+                if red.boxed:   # along the projected arc
+                    np.clip(spare.t, red.lo, red.hi, out=spare.t)
+                    drop = float(g @ (cur.t - spare.t))
                 spare.evaluate()
-                if spare.legs.price(eps) <= legs.total - 1e-4 * alpha * decrement:
+                if drop > 0.0 and spare.legs.price(eps) <= legs.total - 1e-4 * drop:
                     break
                 alpha *= 0.5
             else:
@@ -805,7 +801,10 @@ def _common_point(boundaries, p0, tol=1e-13, iters=60):
         JtJ = J.T @ J
         if np.linalg.det(JtJ) < 1e-18:
             JtJ = JtJ + 1e-12 * np.eye(len(p))
-        return np.linalg.solve(JtJ, J.T @ R)
+        try:
+            return np.linalg.solve(JtJ, J.T @ R)
+        except np.linalg.LinAlgError:   # the absolute ridge is lost to rounding at large scales
+            return np.linalg.lstsq(J, R, rcond=None)[0]
 
     for _ in range(iters):
         s = step(*program.residuals(np.tile(p, (len(boundaries), 1))))
@@ -987,7 +986,7 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         feasible = resid <= opts.feas_tol and np.all(np.isfinite(P))
         return P, L, resid, feasible, assign, target
 
-    firsts = set()   # the first branches of the free product starts so far
+    firsts = set()   # the first branches of the starts so far, when none are given
 
     def run_start(k: int):
         P = seeds[k]
@@ -997,11 +996,11 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
         # assignments the branch step alone stops short of (perp_lines_product
         # N=8); the others take their seeds' nearest factors
         penalty = free and k == 0 and inst.seed_points is None and initial_points is None
-        if free:
+        if branch_assignment is None:
             if penalty:
                 P = _penalty_phase(program, P, inst.anchored, inst.closed)
-            assign = program.branches(P)
-            target = program.resolved(assign)
+            assign = program.branches(P)   # all None without products
+            target = program.resolved(assign) if free else program
             # on affine charts the polish is convex, so a start on the first
             # branches of an earlier start repeats it
             if assign in firsts and all(_affine(b) for b in target.boundaries):
@@ -1045,10 +1044,8 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
                       branch_assignment, given)
     else:
         seeds = _build_seeds(inst, ordered, program, opts, initial_points)
-        # on affine charts the polish is convex: every start reaches the same minimum
-        convex = all(not isinstance(b, geo.Product) and _affine(b) for b in ordered.boundaries)
         best_key = None
-        for k in range(1 if convex else opts.multistart):  # ordered reduction by start index
+        for k in range(opts.multistart):  # ordered reduction by start index
             result = run_start(k)
             if result is None:
                 continue

@@ -41,8 +41,8 @@ def test_benchmark_hooks_install_and_unpatch(run):
 def test_benchmark_hooks_see_the_polish(run):
     """The wrappers replace module attributes, so the solver must look L-BFGS-B
     up there at call time; a name bound at import would leave the per-layer
-    trace at zero without failing.  The segment's box keeps its L-BFGS-B
-    polish.  The Newton steps solve banded systems by LAPACK, so the span the
+    trace at zero without failing.  L-BFGS-B runs in start 0's penalty stage
+    on this product family.  The Newton steps solve banded systems by LAPACK, so the span the
     benchmark keeps around SuperLU stays empty."""
     inst = scenario.build(scenario.make_scenario("circle_plus_segment", 8))
     tracer = run.Tracer()

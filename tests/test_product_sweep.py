@@ -10,7 +10,8 @@ product_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(product_sweep)
 
 
-@pytest.mark.parametrize("sweep, count", [("hint", 72), ("modes", 52), ("branches", 390)])
+@pytest.mark.parametrize("sweep, count", [("hint", 72), ("modes", 52), ("branches", 390),
+                                         ("segments", 40)])
 def test_each_sweep_holds_its_solves_once(sweep, count):
     keys = [case[0] for case in product_sweep.cases(sweep)]
     assert len(keys) == len(set(keys)) == count

@@ -1,7 +1,7 @@
 """Product-family answer sweeps: solve a fixed set of product instances, write
 each answer to JSON, and compare two such files.
 
-    python3 tools/product_sweep.py run {hint,modes,branches} OUT.json [--src DIR]
+    python3 tools/product_sweep.py run {hint,modes,branches,segments} OUT.json [--src DIR]
     python3 tools/product_sweep.py compare BEFORE.json AFTER.json
 
 Sweeps (every solve on the instance's hint order):
@@ -15,12 +15,16 @@ Sweeps (every solve on the instance's hint order):
             multistart 1/2/4, seed 0, each solved with both uniform
             assignments (solve_branch_strategies), both alternating ones and
             free branches: 390 solves.
+  segments  circle_plus_segment at N 24/48/90/180/360, open and closed,
+            multistart 2, seed 0, each solved with both uniform and both
+            alternating assignments: 40 solves on segment boxes.
 
 `run` imports the solver from DIR (default: this checkout's src) with BLAS
 pinned to one thread, and records per solve the length, the branches, the
 points and the time.  `compare` prints, per family, how many solves end
 higher, lower, bitwise equal, or equal in length with moved points, and the
-time each side took; then every solve whose length moved.
+time each side took; then the times per family and N; then every solve
+whose length or points moved.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ HINT = [("strip_middle_product", n) for n in (8, 20, 32, 44)] + \
 MODES = [("strip_middle_product", n) for n in (8, 12, 16, 40, 80)] + \
         [("perp_lines_product", n) for n in (12, 16, 40, 80)] + \
         [("circle_plus_segment", n) for n in (24, 48, 90, 360)]
+SEGMENTS = [("circle_plus_segment", n) for n in (24, 48, 90, 180, 360)]
 OPEN, CLOSED = "escape_open", "escape_closed"
+ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1))
 
 
 def cases(sweep: str):
@@ -59,10 +65,13 @@ def cases(sweep: str):
         for (name, n, m), mode, ms in ((c, md, ms) for c in [(*c, 1) for c in HINT]
                                        + [("strip_wf2", 6, 4)]
                                        for md in (OPEN, CLOSED) for ms in (1, 2, 4)):
-            for a in (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1),
-                      None):
+            for a in ASSIGNED + (None,):
                 tag = "free" if a is None else f"{a[0]}{a[1]}"
                 yield f"{name} {n}x{m} {mode[7:]} ms{ms} {tag}", name, n, m, mode, ms, 0, a
+    elif sweep == "segments":
+        for (name, n), mode, a in ((c, md, a) for c in SEGMENTS for md in (OPEN, CLOSED)
+                                   for a in ASSIGNED):
+            yield f"{name} {n} {mode[7:]} ms2 {a[0]}{a[1]}", name, n, 1, mode, 2, 0, a
     else:
         raise SystemExit(f"unknown sweep {sweep!r}")
 
@@ -103,6 +112,7 @@ def compare(before: Path, after: Path):
     if a.keys() != b.keys():
         raise SystemExit("the files hold different solves")
     counts = defaultdict(lambda: defaultdict(int))
+    times = defaultdict(lambda: [0.0, 0.0])   # (family, size in the key) -> before, after
     moved = []
     for key, x in a.items():
         y = b[key]
@@ -118,6 +128,9 @@ def compare(before: Path, after: Path):
         c[verdict] += 1
         c["before_s"] += x["time_s"]
         c["after_s"] += y["time_s"]
+        t = times[x["family"], " ".join(key.split()[1:2])]
+        t[0] += x["time_s"]
+        t[1] += y["time_s"]
         if verdict in ("higher", "lower") or x["error"] != y["error"]:
             moved.append(f"  {verdict:6} {key}: {x['length']!r} -> {y['length']!r}"
                          f" ({x['branches']} -> {y['branches']})")
@@ -130,6 +143,9 @@ def compare(before: Path, after: Path):
     for family, c in counts.items():
         print(f"{family:22} {c['higher']:6} {c['lower']:6} {c['bitwise']:7}"
               f" {c['points moved']:6} {c['before_s']:9.2f} {c['after_s']:9.2f}")
+    print(f"{'family':22} {'N':>6} {'before_s':>9} {'after_s':>9}")
+    for (family, size), (before_s, after_s) in times.items():
+        print(f"{family:22} {size:>6} {before_s:9.2f} {after_s:9.2f}")
     print("\n".join(moved))
 
 
@@ -137,7 +153,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run")
-    p.add_argument("sweep", choices=("hint", "modes", "branches"))
+    p.add_argument("sweep", choices=("hint", "modes", "branches", "segments"))
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     p = sub.add_parser("compare")
