@@ -83,33 +83,25 @@ class Primitive:
       -> (F (m,), grad F (m, dim)) and `nearest(prm, P)` -> closest points,
       which also takes P with leading axes, (..., m, dim);
     - the reduced chart the polish moves points along: `ndof` coordinates of
-      box `bound`, `chart_init(prm, P)` -> T (m, ndof), `chart_points(prm, T)`,
-      `chart_tangents(prm, T)` -> the Jacobian's columns, contiguous (m, dim)
-      arrays, and for a curved chart `chart_curvature(prm, T)` -> d2p/dt2;
-      `residual` and `chart_points` return new arrays, never packed
+      box `bound`, `chart_init(prm, P)` -> T (m, ndof), `chart_eval(prm, T,
+      out=None)` -> (points, frame), one evaluation of the chart with its
+      points written into `out` where given, and `chart_jet(prm, frame,
+      out=None)` -> (tangents, curvature), the Jacobian's columns as
+      contiguous (m, dim) arrays and d2p/dt2.  A `curved` chart's frame is
+      what its points came from, and `chart_jet` gives the rest from it
+      (written into the `out` pair of arrays where given), so a Newton
+      iterate evaluates each curved chart once.  Any other chart has
+      constant tangents: its frame and curvature are None, and `chart_jet`
+      returns the same tangents for any frame;
+      `residual` and `chart_eval` return new arrays, never packed
       parameters, because the solver hands them on without a copy;
-    - `chart_eval(prm, T, out=None)` -> (points, frame), one evaluation of
-      the chart, its points written into `out` where given.  A chart without
-      `chart_curvature` has constant tangents and no frame (None); a curved
-      chart's frame is what its points came from, and `chart_jet(prm, frame,
-      out=None)` -> (tangents, curvature) gives the rest from it (written
-      into the `out` pair of arrays where given), so a Newton iterate
-      evaluates each curved chart once, bitwise as the three functions above;
     - `moved(motion)` and `scaled(s)`: the boundary through the image points;
     - `svg_extent()`, points a drawing must include, and `svg_shape(reach)`,
       an (element, attributes, style) triple, lines `reach` long each way.
     """
 
     bound = (None, None)
-    chart_curvature = None
-
-    @classmethod
-    def chart_eval(cls, prm, T, out=None):
-        P = cls.chart_points(prm, T)
-        if out is not None:
-            out[...] = P
-            P = out
-        return P, None
+    curved = False
 
     def svg_extent(self) -> list:
         return []
@@ -150,12 +142,8 @@ class _Hyperplane(Primitive):
         return P, None
 
     @staticmethod
-    def chart_points(prm, T):
-        return _Hyperplane.chart_eval(prm, T)[0]
-
-    @staticmethod
-    def chart_tangents(prm, T):
-        return prm[2]
+    def chart_jet(prm, frame, out=None):
+        return prm[2], None
 
 
 @dataclass(frozen=True)
@@ -228,6 +216,7 @@ class Circle(Primitive):
     dim = 2
     tag = "circle"
     ndof = 1
+    curved = True
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -281,18 +270,6 @@ class Circle(Primitive):
         np.negative(C, out=C)   # -(r U) is (-r) U, bit for bit
         return (V,), C
 
-    @staticmethod
-    def chart_points(prm, T):
-        return Circle.chart_eval(prm, T)[0]
-
-    @staticmethod
-    def chart_tangents(prm, T):
-        return Circle.chart_jet(prm, _cos_sin(T[:, 0]))[0]
-
-    @staticmethod
-    def chart_curvature(prm, T):
-        return Circle.chart_jet(prm, _cos_sin(T[:, 0]))[1]
-
     def moved(self, m: RigidMotion) -> "Circle":
         c = m.apply(self.center)
         return Circle((c[0], c[1]), self.radius)
@@ -342,12 +319,14 @@ class PointTarget(Primitive):
         return np.zeros((len(P), 0))
 
     @staticmethod
-    def chart_points(prm, T):
-        return prm[0].copy()
+    def chart_eval(prm, T, out=None):
+        P = np.empty_like(prm[0]) if out is None else out
+        P[...] = prm[0]
+        return P, None
 
     @staticmethod
-    def chart_tangents(prm, T):
-        return ()
+    def chart_jet(prm, frame, out=None):
+        return (), None
 
     def moved(self, m: RigidMotion) -> "PointTarget":
         q = m.apply(self.point)
@@ -400,17 +379,17 @@ class Segment(Primitive):
                        0.0, 1.0)[..., None]
 
     @staticmethod
-    def chart_points(prm, T):
+    def chart_eval(prm, T, out=None):
         a, d = prm
-        return a + np.clip(T[..., :1], 0.0, 1.0) * d
+        return np.add(a, np.clip(T[..., :1], 0.0, 1.0) * d, out=out), None
 
     @staticmethod
-    def chart_tangents(prm, T):
-        return (prm[1],)
+    def chart_jet(prm, frame, out=None):
+        return (prm[1],), None
 
     @staticmethod
     def nearest(prm, P):
-        return Segment.chart_points(prm, Segment.chart_init(prm, P))
+        return Segment.chart_eval(prm, Segment.chart_init(prm, P))[0]
 
     @staticmethod
     def residual(prm, P):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize_scalar
 from scipy.optimize._lbfgsb import setulb
 
 from . import geometry as geo
@@ -210,7 +210,7 @@ def _affine(kind) -> bool:
     """Whether a primitive's chart is an affine map of unbounded coordinates
     (Line, Plane3, PointTarget); on such charts the polish objective, a sum of
     norms of affine functions, is convex."""
-    return kind.chart_curvature is None and kind.bound == (None, None)
+    return not kind.curved and kind.bound == (None, None)
 
 
 class _Jet(NamedTuple):
@@ -327,16 +327,15 @@ class _Reduced:
         self.dead = np.ones(n * w, dtype=bool)
         self.dead[self.slots] = False
         self.packed = np.array_equal(self.slots, np.arange(n * w))
-        self.curved = [i for i, (kind, *_) in enumerate(self.blocks)
-                       if kind.chart_curvature is not None]
+        self.curved = [i for i, (kind, *_) in enumerate(self.blocks) if kind.curved]
         # each block's rows of the points and of leg_chain's [origin, p_0, ...,
         # origin], as slices where they are consecutive
         self._rows = [(_run(rows), _run(rows + 1)) for _, _, rows, _ in self.blocks]
         ends = np.zeros((2, n + 1, self.dim, w))
         tangents, curvature = [], []
         for (kind, prm, rows, cols), (rsl, esl) in zip(self.blocks, self._rows):
-            if kind.chart_curvature is None:
-                tangents.append(kind.chart_tangents(prm, np.zeros(cols.shape)))
+            if not kind.curved:
+                tangents.append(kind.chart_jet(prm, None)[0])
             else:   # written by `jet`
                 tangents.append(tuple(np.zeros((len(rows), self.dim)) for _ in range(kind.ndof)))
                 curvature.append((rsl, np.zeros((len(rows), self.dim))))
@@ -403,8 +402,8 @@ class _Reduced:
     def push(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Per-point displacement of a reduced step z (the transpose of `chain`)."""
         D = np.zeros((self.n, self.dim))
-        for kind, prm, rows, cols in self.blocks:
-            for k, e in enumerate(kind.chart_tangents(prm, t[cols])):
+        for (_, _, rows, cols), tangents in zip(self.blocks, self.jet(t).tangents):
+            for k, e in enumerate(tangents):
                 D[rows] += z[cols[:, k], None] * e
         return D
 
@@ -412,7 +411,7 @@ class _Reduced:
         """Pull a per-point gradient back to the reduced variables through the
         blocks' tangents at t (`jet(t).tangents`, evaluated here unless given)."""
         if tangents is None:
-            tangents = [kind.chart_tangents(prm, t[cols]) for kind, prm, _, cols in self.blocks]
+            tangents = self.jet(t).tangents
         g = np.empty(self.nvar)
         _pull(self.pulls(tangents, g), Gp)
         return g
@@ -665,9 +664,9 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     (Da_k.Db_l - (Da_k.u)(Db_l.u)) / d to entry (a_k, b_l), where Da_k is the
     tangent of a's k-th coordinate; the aa and bb blocks take the same form,
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
-    length, u = v / d) gives the Hessian of the smoothed objective.  Legs of
-    length zero add nothing.  The chart curvature adds the diagonal terms
-    Gp . d2p/dt2.
+    length, u = v / d) gives the Hessian of the smoothed objective; every d
+    must be positive (see below).  The chart curvature adds the diagonal
+    terms Gp . d2p/dt2.
 
     The tangents, the curvature and the products Da_k.Db_l come from `jet`
     (`_Reduced.jet` at the iterate), so only the terms in u and d are formed
@@ -675,8 +674,8 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     Each point's diagonal block and each block below is then written whole
     into `red`'s block buffer, and one gather by `_band_index` makes the band
     (cheaper than writing each entry (k, m) to its band row by a slice, the
-    more so at w = 2).  In a smoothed stage, and in `_duality_gap`, every d
-    is positive and no leg is masked.
+    more so at w = 2).  Every d is positive: the smoothed stages smooth it,
+    and `_duality_gap` floors a short leg's at 1e-12 times the length.
     The diagonal blocks start at +0 and take the aa term of the leg leaving
     the point, then the bb term of the leg reaching it (a leg off the chain
     gives a +0 term), by adds, which turn a -0 term into +0, so the band's
@@ -688,20 +687,13 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     blocks = red._legs.get((first, last))
     if blocks is None:
         blocks = red._legs[first, last] = _LegBlocks(red.n, red.width, first, last)
-    d = legs.d
-    masked = not d.min(initial=math.inf) > 0.0
-    if masked:
-        ok = d > 0.0
-        d = np.where(ok, d, 1.0)
     np.einsum("slxk,lx->slk", jet.ends[:, first:last], legs.u, out=blocks.uab)   # (Ta.u, Tb.u)
     # the aa, bb and ba blocks leg by leg
     h = blocks.h
     np.multiply(*blocks.x)
     np.multiply(*blocks.x_ba)
     np.subtract(jet.prods[:, first:last], h, out=h)
-    np.divide(h, d[:, None, None], out=h)
-    if masked:
-        h[:, ~ok] = 0.0
+    np.divide(h, legs.d[:, None, None], out=h)
     diag = red._diag   # each point's block: +0, the aa term, the bb term, the curvature
     np.add(0.0, blocks.aa, out=diag)
     np.add(diag, blocks.bb, out=diag)
@@ -735,15 +727,20 @@ def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None
         return None
     red = _Reduced(program)
     t = red.init_vars(P)
-    P = red.points(t)
-    legs = leg_chain(P, anchored, closed)
-    if legs.total == 0.0:
+    # maps per-point arrays to per-leg ones (`price`'s leg vectors v) and back
+    # (`gradient`, with u set to per-leg y, gives each point's y_in - y_out)
+    legs = LegBuffers(red.n, red.dim, anchored, closed)
+    legs.points[...] = red.points(t)
+    total = legs.price()
+    if total == 0.0:
         return 0.0
-    v = _leg_vectors(P, legs)
-    short = legs.d <= SHORT_LEG * legs.total
-    y = np.where(short[:, None], 0.0, legs.u)
-    d = np.where(short, 1e-12 * legs.total, legs.d)   # W_l = (I - u_l u_l^T) / d_l
-    u = np.where(short[:, None], 0.0, legs.u)
+    v, norms = legs.v.copy(), legs.d.copy()
+    short = norms <= SHORT_LEG * total
+    u = np.where(short[:, None], 0.0, v / np.where(short, 1.0, norms)[:, None])
+    y = u.copy()
+    d = np.where(short, 1e-12 * total, norms)   # W_l = (I - u_l u_l^T) / d_l
+    chain = legs.chain()._replace(d=d, u=u)   # u changes in place below
+    jet = red.jet(t)
 
     over = np.zeros_like(short)
     for _ in range(8):
@@ -751,37 +748,25 @@ def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None
         # then on it moves along the sphere only
         y[over] /= np.linalg.norm(y[over], axis=1)[:, None]
         u[over] = y[over]
-        H = _assemble_hessian(red, legs._replace(d=d, u=u), red.jet(t))
+        H = _assemble_hessian(red, chain, jet)
         for _ in range(2):   # once more for the rounding of the solve
-            rhs = -red.chain(t, _leg_sums(y, legs, red.n))
+            legs.u[...] = y
+            legs.gradient()
+            rhs = -red.chain(t, legs.grad, jet.tangents)
             z = _banded_solve(red, H, rhs)
             if z is None:    # singular to rounding
                 z = _banded_solve(red, H, rhs, 1e-12 * H[0, red.slots].max())
             if z is None:
                 return None
-            step = _leg_vectors(red.push(t, z), legs)
-            y = y + (step - u * np.einsum("lx,lx->l", u, step)[:, None]) / d[:, None]
+            legs.points[...] = red.push(t, z)
+            legs.price()
+            y = y + (legs.v - u * np.einsum("lx,lx->l", u, legs.v)[:, None]) / d[:, None]
         # a few ulps over is the rounding of the normalization; scaling takes it
         over = short & (np.linalg.norm(y, axis=1) > 1.0 + 4 * np.finfo(float).eps)
         if not over.any():
             break
     y /= max(1.0, float(np.linalg.norm(y, axis=1).max(initial=0.0)))
-    return float(np.sum(legs.d - np.einsum("lx,lx->l", y, v)))
-
-
-def _leg_vectors(X, legs) -> np.ndarray:
-    """Per leg, X at its end minus X at its start, the origin's X being 0."""
-    ext = np.vstack([X, np.zeros((1, X.shape[1]))])   # row -1: the origin
-    return ext[legs.b] - ext[legs.a]
-
-
-def _leg_sums(y, legs, n: int) -> np.ndarray:
-    """Per point, y summed over the legs ending there minus those starting
-    there: the transpose of `_leg_vectors`."""
-    G = np.zeros((n + 1, y.shape[1]))
-    np.add.at(G, legs.b, y)
-    np.add.at(G, legs.a, -y)
-    return G[:n]
+    return float(np.sum(norms - np.einsum("lx,lx->l", y, v)))
 
 
 def _common_point(boundaries, p0, tol=1e-13, iters=60):
@@ -813,7 +798,7 @@ def _common_point(boundaries, p0, tol=1e-13, iters=60):
             break
     if program.scaled(np.tile(p, (len(boundaries), 1))).max() > 1e-10:
         return None
-    if all(b.chart_curvature is None for b in boundaries):
+    if not any(b.curved for b in boundaries):
         return p
     q = p.astype(np.longdouble)
     R = np.concatenate([packed.residual(np.tile(q, (len(idx), 1)), np.longdouble)[0]
@@ -1097,35 +1082,67 @@ def solve_branch_strategies(inst: Instance, opts: SolveOptions | None = None,
 
 def solve_self_referential(instance_builder, order, opts: SolveOptions | None = None,
                            gamma0: float = 0.0, n: int | None = None) -> Solution:
-    """Fixed-point loop for families whose sweep depends on the first point.
+    """Solve a family whose sweep depends on the angle gamma of its first leg.
 
     instance_builder(gamma) must return the family for that angle estimate; the
     estimate is refreshed from the solved first point's angle until it moves
-    less than 1e-10 (or 100 iterations, which raises).  Without a builder the
-    zalgaller_class2 family build_zalgaller(n, gamma) is solved, with the
-    update of _EdgeStripStep.
+    less than 1e-10 (or 100 iterations, which raises).
+
+    Without a builder, gamma is the first-leg angle of the zalgaller_class2
+    family build_zalgaller(n, gamma), chosen for the shortest member by
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973; `scipy.optimize.minimize_scalar`) to a relative xtol of 1e-8; more
+    than 100 iterations raise.  Every family with gamma > 0 pins its first
+    point on the first leg, so each gamma yields a member of the class and
+    the first point's angle is gamma itself.  (With that point free instead,
+    the first-point update settles on the equilateral-triangle path, length
+    4/sqrt(3), while the length still falls as gamma grows past pi/3.)  The
+    search brackets from `gamma0`, or else from the first point's angle on
+    the unguarded half-turn family at gamma = 0, and returns the shortest
+    member it solved.
+
+    Each solve after the first starts from the last one's points at
+    multistart 1; `iterations` is the number of solves.
     """
     opts = opts or SolveOptions()
-    if instance_builder is None:
-        if n is None:
-            raise ValueError("need either a builder or an orientation count")
-        instance_builder = lambda g: build_zalgaller(n, g)
-        next_gamma = _EdgeStripStep(n)
-    else:
-        next_gamma = lambda gamma, sol: _first_leg_angle(sol)
-    gamma = float(gamma0)
+    if instance_builder is None and n is None:
+        raise ValueError("need either a builder or an orientation count")
     warm = None
-    sol = None
-    for it in range(1, 101):
-        inst = instance_builder(gamma)
+    solves = 0
+
+    def solve(inst: Instance) -> Solution:
+        nonlocal warm, solves
         if warm is not None and len(warm) < inst.size:
             # zalgaller_class2 at gamma > 0 appends the y = 0 guard wall
             warm = np.vstack([warm, warm[-1:]])
-        iter_opts = opts if warm is None else replace(opts, multistart=1)
         sol = solve_fixed_order(inst, order if order is not None else range(inst.size),
-                                iter_opts, initial_points=warm)
+                                opts if warm is None else replace(opts, multistart=1),
+                                initial_points=warm)
         warm = sol.points()
-        g_new = next_gamma(gamma, sol)
+        solves += 1
+        return sol
+
+    if instance_builder is None:
+        if not gamma0:
+            gamma0 = _first_leg_angle(solve(build_zalgaller(n, 0.0)))
+        members = []
+
+        def member_length(gamma: float) -> float:
+            members.append(solve(build_zalgaller(n, gamma)))
+            return members[-1].length
+
+        # from N = 4 to 720 the search takes 12-16 solves from (gamma0, gamma0 + 0.05)
+        res = minimize_scalar(member_length, bracket=(gamma0, gamma0 + 0.05), method="brent",
+                              options={"xtol": 1e-8, "maxiter": 100})
+        sol = replace(min(members, key=lambda m: m.length), iterations=solves)
+        if not res.success:
+            raise NonConvergenceError("first-leg angle search still moving after 100 iterations",
+                                      best=sol)
+        return sol
+    gamma = float(gamma0)
+    for it in range(1, 101):
+        sol = solve(instance_builder(gamma))
+        g_new = _first_leg_angle(sol)
         delta = abs(g_new - gamma)
         gamma = g_new
         if delta < 1e-10:
@@ -1141,56 +1158,3 @@ def _first_leg_angle(sol: Solution) -> float:
     # direction from the first point back to the start; atan(y0/x0) equals it
     # only for x0 < 0 (it is off by pi for x0 > 0 and needs a branch at x0 = 0)
     return math.atan2(-y0, -x0)
-
-
-class _EdgeStripStep:
-    """Angle update for zalgaller_class2: move gamma to where L is stationary.
-
-    Every family build_zalgaller(n, gamma > 0) pins the first point on the
-    first leg, so each gamma yields a member of the class and the first
-    point's angle is gamma itself.  (With that point free instead, the
-    first-point update settles on the equilateral-triangle path, length
-    4/sqrt(3), while the length still falls as gamma grows past pi/3.)  The
-    unguarded half-turn family at gamma = 0 gives the first estimate from its
-    first point.  Later steps are secant steps on dL/dgamma; the first one is
-    a Newton step with the curvature bound of _edge_strip_slope.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.prev = None
-
-    def __call__(self, gamma: float, sol: Solution) -> float:
-        if gamma == 0.0:
-            return _first_leg_angle(sol)
-        slope, curv = _edge_strip_slope(self.n, gamma, sol.points())
-        if self.prev is not None and (slope - self.prev[1]) * (gamma - self.prev[0]) > 0.0:
-            curv = (slope - self.prev[1]) / (gamma - self.prev[0])
-        self.prev = (gamma, slope)
-        step = -slope / curv if curv > 0.0 else -math.copysign(0.1, slope)
-        return gamma + min(0.1, max(-0.1, step))
-
-
-def _edge_strip_slope(n: int, gamma: float, points):
-    """dL/dgamma at a solved edge-strip path, and an upper bound on d2L/dgamma2.
-
-    Envelope theorem: carry the path along as the family moves with gamma
-    (each point projected onto its moved boundary, each corner of coincident
-    points moved to the corner of its moved boundaries) and difference the
-    lengths.  The carried path is feasible, so its second difference bounds
-    the curvature from above.
-    """
-    h = 1e-4
-    P = np.asarray(points, dtype=float)
-    runs = _coincident_runs(P)
-    lengths = []
-    for g in (gamma - h, gamma, gamma + h):
-        bnds = build_zalgaller(n, g).boundaries
-        Q = _ResidualProgram(bnds, 2).nearest(P)
-        for run in runs:
-            q = _common_point([bnds[r] for r in run], P[run].mean(axis=0))
-            if q is not None:
-                Q[run] = q
-        lengths.append(leg_chain(Q).total)
-    lm, l0, lp = lengths
-    return (lp - lm) / (2.0 * h), (lp - 2.0 * l0 + lm) / (h * h)

@@ -83,7 +83,7 @@ class MtzModel:
         if np.trace(B) != 0:
             raise ValueError("b has a self loop")
         u = np.asarray(self.u)
-        if (u < -1e-9).any() or (u > k - 1 + 1e-9).any():
+        if not ((-1e-9 <= u) & (u <= k - 1 + 1e-9)).all():   # NaN is out of range too
             raise ValueError("u out of [0, K-1]")
         bad = subtour_violations(B, u, k)
         if len(bad):  # the first violation in row-major order is reported
@@ -469,7 +469,7 @@ def partition_search(inst: Instance, p: int, opts: SolveOptions | None = None):
                 best_blocks, best_total, best_sols = blocks, total, sols
     else:
         rng = np.random.default_rng(opts.seed)
-        blocks = [list(chunk) for chunk in np.array_split(np.arange(inst.size), p)]
+        blocks = [chunk.tolist() for chunk in np.array_split(np.arange(inst.size), p)]
         best_blocks = [list(b) for b in blocks]
         best_total, best_sols = total_of([tuple(b) for b in blocks])
         stale = 0

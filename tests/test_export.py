@@ -147,14 +147,19 @@ def test_mtz_checker_rejects_nan():
     nan = math.nan
     points = list(model.points)
     points[1] = (nan, points[1][1])
-    for bad, expected in (
-            (replace(model, c=((nan,) * 3,) * 3, objective=nan),
+    # the writer validates its model and refuses a NaN auxiliary, so that
+    # line is edited into the text
+    u_line = "\nu " + " ".join(_fmt(u) for u in model.u) + "\n"
+    assert u_line in to_mtz_text(model, inst)
+    for text, expected in (
+            (to_mtz_text(replace(model, c=((nan,) * 3,) * 3, objective=nan), inst),
              ["distance terms do not match the points",
               "objective mismatch: stated nan, recomputed nan"]),
-            (replace(model, points=tuple(points)),
+            (to_mtz_text(replace(model, points=tuple(points)), inst),
              ["distance terms do not match the points", "point 1 is not finite"]),
-            (replace(model, u=(0.0, nan, 2.0)), ["auxiliaries out of range"])):
-        report = check_mtz_solution(to_mtz_text(bad, inst))
+            (to_mtz_text(model, inst).replace(u_line, "\nu 0 nan 2\n"),
+             ["auxiliaries out of range"])):
+        report = check_mtz_solution(text)
         assert not report["feasible"] and report["problems"] == expected
 
 
@@ -401,6 +406,14 @@ def _reference_subtour_check(model):
             if i != j and u[i] - u[j] + 1 > k * (1 - B[i, j]) + 1e-9:
                 return f"subtour constraint violated at ({i},{j})"
     return None
+
+
+def test_mtz_validate_rejects_a_nan_auxiliary():
+    b = np.roll(np.eye(3, dtype=int), 1, axis=1)
+    model = MtzModel(b=tuple(map(tuple, b)), u=(0.0, math.nan, 2.0), c=((0.0,) * 3,) * 3,
+                     points=((0.0, 0.0),) * 3, boundaries=(), objective=0.0)
+    with pytest.raises(ValueError, match=r"^u out of \[0, K-1\]$"):
+        model.validate()
 
 
 def test_mtz_validate_reports_the_first_subtour_violation():

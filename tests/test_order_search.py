@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -265,6 +266,16 @@ def test_partition_prefers_natural_grouping():
     plan, sols, total = partition_search(inst, 2, OPTS)
     assert sorted(map(sorted, plan.subsets)) == [[0, 1], [2, 3]]
     assert total == pytest.approx(0.2, abs=1e-9)
+
+
+def test_partition_local_search_returns_python_ints():
+    # above 10 boundaries the search is by local moves, not over every partition
+    inst = build(make_scenario("opaque_circle_tangent", 12))
+    plan, sols, total = partition_search(inst, 2, OPTS)
+    items = sorted(i for block in plan.subsets for i in block)
+    assert items == list(range(12)) and all(type(i) is int for i in items)
+    json.dumps(plan.subsets)
+    assert total == sum(s.length for s in sols)
 
 
 def test_partition_validation():

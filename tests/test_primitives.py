@@ -77,25 +77,28 @@ def test_primitive_record(tag):
     # curvature equal to differences of the chart
     lo, hi = (0.1, 0.9) if kind.bound != (None, None) else (-2.5, 2.5)
     T = rng.uniform(lo, hi, (len(bs), kind.ndof))
-    X = kind.chart_points(prm, T)
+    X, frame = kind.chart_eval(prm, T)
+    assert (frame is None) == (not kind.curved)
+    out = np.empty_like(X)
+    assert kind.chart_eval(prm, T, out)[0] is out and out.tobytes() == X.tobytes()
     assert max(geo.scaled_residual(b, x) for b, x in zip(bs, X)) <= 1e-10
     assert np.allclose(kind.chart_init(prm, X), T, rtol=0, atol=1e-10)
-    tangents = kind.chart_tangents(prm, T)
+    tangents, curvature = kind.chart_jet(prm, frame)
     assert len(tangents) == kind.ndof
     assert all(e.flags.c_contiguous and e.shape == X.shape for e in tangents)
+    points = lambda t: kind.chart_eval(prm, t)[0]
     if kind.ndof:
-        assert np.allclose(np.stack(tangents, axis=-1),
-                           _central(lambda t: kind.chart_points(prm, t), T, 1e-6),
+        assert np.allclose(np.stack(tangents, axis=-1), _central(points, T, 1e-6),
                            rtol=0, atol=1e-8)
     h = 1e-4
     for k in range(kind.ndof):
         e = np.zeros_like(T)
         e[:, k] = h
-        second = (kind.chart_points(prm, T + e) - 2 * X + kind.chart_points(prm, T - e)) / h**2
-        if kind.chart_curvature is None:
-            assert np.allclose(second, 0.0, atol=1e-6)
+        second = (points(T + e) - 2 * X + points(T - e)) / h**2
+        if kind.curved:
+            assert np.allclose(curvature, second, rtol=0, atol=1e-6)
         else:
-            assert np.allclose(kind.chart_curvature(prm, T), second, rtol=0, atol=1e-6)
+            assert curvature is None and np.allclose(second, 0.0, atol=1e-6)
 
     # the order-model text form reads back as the same boundaries
     k = len(bs)
@@ -234,8 +237,9 @@ def test_circle_charts_are_bitwise_the_stacked_reference(angles, data):
     T = np.array(angles)[:, None]
     a = T[:, 0]
     cos_sin = np.stack([np.cos(a), np.sin(a)], axis=1)
-    (tangent,) = geo.Circle.chart_tangents(prm, T)
-    for got, ref in ((geo.Circle.chart_points(prm, T), c + r[:, None] * cos_sin),
+    P, frame = geo.Circle.chart_eval(prm, T)
+    (tangent,), curvature = geo.Circle.chart_jet(prm, frame)
+    for got, ref in ((P, c + r[:, None] * cos_sin),
                      (tangent, r[:, None] * np.stack([-np.sin(a), np.cos(a)], axis=1)),
-                     (geo.Circle.chart_curvature(prm, T), -r[:, None] * cos_sin)):
+                     (curvature, -r[:, None] * cos_sin)):
         assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()

@@ -1,7 +1,7 @@
-"""Product-family answer sweeps: solve a fixed set of product instances, write
-each answer to JSON, and compare two such files.
+"""Answer sweeps over the product families and the edge strip: solve a fixed
+set of instances, write each answer to JSON, and compare two such files.
 
-    python3 tools/product_sweep.py run {hint,modes,branches,segments} OUT.json [--src DIR]
+    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge} OUT.json [--src DIR]
     python3 tools/product_sweep.py compare BEFORE.json AFTER.json
 
 Sweeps (every solve on the instance's hint order):
@@ -18,10 +18,14 @@ Sweeps (every solve on the instance's hint order):
   segments  circle_plus_segment at N 24/48/90/180/360, open and closed,
             multistart 2, seed 0, each solved with both uniform and both
             alternating assignments: 40 solves on segment boxes.
+  edge      zalgaller_class2 at N 4/8/12/20/45/90/180/360/720, multistart
+            1/2, seed 0, each through solve_self_referential: 18 solves of
+            the first-leg angle search.
 
 `run` imports the solver from DIR (default: this checkout's src) with BLAS
 pinned to one thread, and records per solve the length, the branches, the
-points and the time.  `compare` prints, per family, how many solves end
+points, the time and the fixed-order solves it took (0 for a plain
+fixed-order solve).  `compare` prints, per family, how many solves end
 higher, lower, bitwise equal, or equal in length with moved points, and the
 time each side took; then the times per family and N; then every solve
 whose length or points moved.
@@ -47,13 +51,15 @@ MODES = [("strip_middle_product", n) for n in (8, 12, 16, 40, 80)] + \
         [("perp_lines_product", n) for n in (12, 16, 40, 80)] + \
         [("circle_plus_segment", n) for n in (24, 48, 90, 360)]
 SEGMENTS = [("circle_plus_segment", n) for n in (24, 48, 90, 180, 360)]
+EDGE = (4, 8, 12, 20, 45, 90, 180, 360, 720)
 OPEN, CLOSED = "escape_open", "escape_closed"
 ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1))
 
 
 def cases(sweep: str):
     """(key, family, n, m, mode, multistart, seed, assignment) per solve;
-    assignment is None (free), ("uniform", j) or ("alternating", j)."""
+    assignment is None (free), ("uniform", j), ("alternating", j) or
+    "angle" (the first-leg angle search of zalgaller_class2)."""
     if sweep == "hint":
         for (name, n), ms, seed in ((c, ms, s) for c in HINT for ms in (1, 2, 4) for s in (0, 1)):
             yield f"{name} {n} open ms{ms} seed{seed}", name, n, 1, OPEN, ms, seed, None
@@ -72,6 +78,9 @@ def cases(sweep: str):
         for (name, n), mode, a in ((c, md, a) for c in SEGMENTS for md in (OPEN, CLOSED)
                                    for a in ASSIGNED):
             yield f"{name} {n} {mode[7:]} ms2 {a[0]}{a[1]}", name, n, 1, mode, 2, 0, a
+    elif sweep == "edge":
+        for n, ms in ((n, ms) for n in EDGE for ms in (1, 2)):
+            yield f"zalgaller_class2 {n} ms{ms}", "zalgaller_class2", n, 1, OPEN, ms, 0, "angle"
     else:
         raise SystemExit(f"unknown sweep {sweep!r}")
 
@@ -79,16 +88,20 @@ def cases(sweep: str):
 def run(sweep: str, out: Path, src: Path):
     sys.path.insert(0, str(src))
     from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions,
-                                          solve_branch_strategies, solve_fixed_order)
+                                          solve_branch_strategies, solve_fixed_order,
+                                          solve_self_referential)
     from escape_solver.scenario import build, make_scenario
 
     records = {}
     for key, name, n, m, mode, ms, seed, assignment in cases(sweep):
-        inst = build(make_scenario(name, n, m, mode=mode))
+        # the angle search builds its own instances, one per angle
+        inst = None if assignment == "angle" else build(make_scenario(name, n, m, mode=mode))
         opts = SolveOptions(multistart=ms, seed=seed)
         t0 = time.perf_counter()
         try:
-            if assignment is None:
+            if assignment == "angle":
+                sol = solve_self_referential(None, None, opts, n=n)
+            elif assignment is None:
                 sol = solve_fixed_order(inst, inst.order_hint, opts)
             elif assignment[0] == "uniform":
                 sol = solve_branch_strategies(inst, opts)[assignment[1]]
@@ -102,7 +115,7 @@ def run(sweep: str, out: Path, src: Path):
         records[key] = {
             "family": name, "time_s": time.perf_counter() - t0, "length": sol.length,
             "branches": "".join(map(str, sol.branch_assignment or ())),
-            "points": sol.points().ravel().tolist(), "error": error}
+            "points": sol.points().ravel().tolist(), "solves": sol.iterations, "error": error}
     out.write_text(json.dumps({"sweep": sweep, "src": str(src), "records": records}, indent=1))
     print(f"{len(records)} solves, {sum(r['time_s'] for r in records.values()):.2f} s -> {out}")
 
@@ -131,13 +144,14 @@ def compare(before: Path, after: Path):
         t = times[x["family"], " ".join(key.split()[1:2])]
         t[0] += x["time_s"]
         t[1] += y["time_s"]
+        # what else the solve chose: its branches, or the solves an angle search took
+        what = (f"{x['branches']} -> {y['branches']}" if x["branches"] or y["branches"]
+                else f"solves {x.get('solves', 0)} -> {y.get('solves', 0)}")
         if verdict in ("higher", "lower") or x["error"] != y["error"]:
-            moved.append(f"  {verdict:6} {key}: {x['length']!r} -> {y['length']!r}"
-                         f" ({x['branches']} -> {y['branches']})")
+            moved.append(f"  {verdict:6} {key}: {x['length']!r} -> {y['length']!r} ({what})")
         elif verdict == "points moved":
             shift = max((abs(p - q) for p, q in zip(x["points"], y["points"])), default=0.0)
-            moved.append(f"  moved  {key}: at {x['length']!r}, points up to {shift:.2g}"
-                         f" ({x['branches']} -> {y['branches']})")
+            moved.append(f"  moved  {key}: at {x['length']!r}, points up to {shift:.2g} ({what})")
     print(f"{'family':22} {'higher':>6} {'lower':>6} {'bitwise':>7} {'moved':>6}"
           f" {'before_s':>9} {'after_s':>9}")
     for family, c in counts.items():
@@ -153,7 +167,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run")
-    p.add_argument("sweep", choices=("hint", "modes", "branches", "segments"))
+    p.add_argument("sweep", choices=("hint", "modes", "branches", "segments", "edge"))
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     p = sub.add_parser("compare")
