@@ -115,15 +115,16 @@ def mirrored_solution(inst: Instance, sol: Solution,
     """Reflection twin for full-sweep families symmetric about the x axis.
 
     Reflecting the plane maps the family onto itself with the sweep reversed,
-    so the twin is the reversed-order solve seeded at the mirrored points; for
-    a symmetric instance it ties the original length with distinct geometry.
+    so the twin is a cold multistart-1 re-solve of the reversed order from the
+    mirrored points.  Its polish may end at another minimum: the twin of
+    circle_interior_nonunique 90 open ties it, but from 30 open's multistart-2
+    solution it ends 8.2e-4 higher.
     """
     if inst.start_anchor is not None and any(c != 0.0 for c in inst.start_anchor):
         raise ValueError("mirror twin needs an origin-anchored family")
-    opts = opts or SolveOptions(multistart=1)
     flipped = sol.points().copy()
     flipped[:, 1] *= -1.0
     # reflected point j lands on the mirrored family member N-1-h
     order = tuple(inst.size - 1 - h for h in sol.order)
-    return solve_fixed_order(inst, order, replace(opts, multistart=1),
+    return solve_fixed_order(inst, order, replace(opts or SolveOptions(), multistart=1),
                              initial_points=flipped)

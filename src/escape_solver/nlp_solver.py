@@ -22,8 +22,8 @@ clusters get pinned to the common point of their boundaries, found to
 rounding, so the corner nonsmoothness cannot cap the final accuracy.  A start
 ends on that merge's one re-polish, or where its polish left it when nothing
 merges.  Every Newton step is a banded Cholesky solve of the exact
-block-tridiagonal Hessian, shifted where it is singular or indefinite.  The
-best feasible start wins; ties break to the lexicographically smallest point
+block-tridiagonal Hessian, else of its reflected-curvature model.  The best
+feasible start wins; ties break to the lexicographically smallest point
 sequence so reruns are bitwise stable.
 """
 
@@ -62,7 +62,6 @@ PENALTY_INIT = 10.0       # weight of start 0's penalty stage
 BRANCH_WINDOW = 4
 COINCIDENT = 1e-6         # points closer than this along the path count as one corner
 SHORT_LEG = 1e-7          # legs below this times the length get a projected dual vector
-NEWTON_SHIFTS = (0.0, 1e-12) + tuple(10.0 ** k for k in range(-10, 3))  # lam / max diag of H
 
 
 @dataclass(frozen=True)
@@ -351,6 +350,7 @@ class _Reduced:
         self._hbuf[-1] = 1.0
         self._diag = self._hbuf[:n * w * w].reshape(n, w, w)
         self._below = self._hbuf[n * w * w:-2].reshape(max(n - 1, 0), w, w)
+        self._curv = np.zeros(n)   # each point's curvature term g . c, as last assembled
         self._band = _band_index(n, w, self.dead)
 
     def init_vars(self, P: np.ndarray) -> np.ndarray:
@@ -538,13 +538,9 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     Newton decrement no longer exceeds 1e-3 eps or no Armijo step is found.
     On affine charts the last stage is the whole polish: no exact-length
     Newton follows, since `_duality_gap` finds the result within about 1e-13
-    of the length of the minimum.  The step solves H + lam I by banded
-    Cholesky, lam the first of NEWTON_SHIFTS (times H's largest diagonal
-    entry) whose step descends (Nocedal & Wright, Numerical Optimization,
-    2006, Alg. 3.3): H is singular to rounding where both legs at a point run
-    along its line (halfplane_unit N=5 under exhaustive order search), and
-    indefinite where a curved chart bends against the path; with no such lam
-    the stage ends.  A chain without legs, or of zero or non-finite length, is
+    of the length of the minimum.  The step is `_newton_step`'s: the exact H,
+    else its positive semidefinite model; where neither descends the stage
+    ends.  A chain without legs, or of zero or non-finite length, is
     returned unchanged.
 
     On a boxed `_Reduced` the step is projected Newton (Bertsekas, SIAM J.
@@ -594,16 +590,8 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
                 for k in range(1, H.shape[0]):
                     H[k, held[held >= k] - k] = 0.0
                 H[1:, held], H[0, held], rhs[active] = 0.0, 1.0, 0.0
-            for lam in NEWTON_SHIFTS:
-                step = _banded_solve(red, H, rhs, lam * scale)
-                if step is not None:
-                    slope = g @ step
-                    if slope < 0.0:
-                        break
-            else:
-                break
-            decrement = -float(slope)
-            if not decrement > 1e-3 * eps:
+            step = _newton_step(red, H, rhs, scale, g)
+            if step is None or not (decrement := -float(g @ step)) > 1e-3 * eps:
                 break
             alpha = 1.0
             while alpha > 1e-6:
@@ -624,20 +612,32 @@ def _smoothed_newton(red: _Reduced, t: np.ndarray, anchored: bool, closed: bool,
     return cur.t
 
 
-def _banded_solve(red: _Reduced, H, rhs, lam: float = 0.0):
-    """x with (H + lam I) x = rhs for a symmetric H in `_assemble_hessian`'s
-    band storage, by banded Cholesky; None unless H + lam I factors (it is
-    positive definite to rounding) and x is finite.  A diagonal entry <= 0
-    gives None with no factorization: the Cholesky pivot of its column is
-    that entry minus a sum of squares, so the factorization would stop there
-    or before.  H and rhs are left as they are; on a packed `_Reduced` rhs
-    is the band's right-hand side as it stands, with no scatter into slots
-    or gather out of them."""
-    if lam:
-        A = H.copy(order="F")
-        A[0] += lam
-    else:   # H[0] holds no -0, so adding 0 would change no bit; dpbsv copies H
+def _newton_step(red: _Reduced, H, rhs, scale: float, g=None):
+    """The step of the exact H, else of the model H + diag(|g.c| - g.c) +
+    1e-12 scale I (scale: H's largest diagonal entry); None where neither
+    solves or, given the gradient g, descends.  Only a curved point's term g.c
+    can make H indefinite, so the model is positive semidefinite (Nocedal &
+    Wright, 2006, Sec. 3.4); the shift covers an H singular to rounding."""
+    for shift in (None, 1e-12 * scale):
+        step = _banded_solve(red, H, rhs, shift)
+        if step is not None and (g is None or g @ step < 0.0):
+            return step
+    return None
+
+
+def _banded_solve(red: _Reduced, H, rhs, shift: float | None = None):
+    """x with A x = rhs by banded Cholesky, A being H (symmetric, in
+    `_assemble_hessian`'s band storage) or, given a shift, `_newton_step`'s
+    model; None unless A factors and x is finite, with no factorization where
+    a diagonal entry is <= 0 (its column's pivot would be that entry minus a
+    sum of squares).  H and rhs are left as they are; a packed `_Reduced`
+    takes rhs as it stands, with no scatter or gather by slot."""
+    if shift is None:   # dpbsv copies H
         A = H
+    else:   # a point's curvature term is in its first slot, and 0 off a curved chart
+        A = H.copy(order="F")
+        A[0, ::red.width] += np.abs(red._curv) - red._curv
+        A[0] += shift
     if A[0].min() <= 0.0:
         return None
     if red.packed:
@@ -666,7 +666,7 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     the ab and ba blocks the opposite sign.  A smoothed chain (d the smoothed
     length, u = v / d) gives the Hessian of the smoothed objective; every d
     must be positive (see below).  The chart curvature adds the diagonal
-    terms Gp . d2p/dt2.
+    terms Gp . d2p/dt2, which `red` keeps for the model of `_banded_solve`.
 
     The tangents, the curvature and the products Da_k.Db_l come from `jet`
     (`_Reduced.jet` at the iterate), so only the terms in u and d are formed
@@ -679,8 +679,8 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     The diagonal blocks start at +0 and take the aa term of the leg leaving
     the point, then the bb term of the leg reaching it (a leg off the chain
     gives a +0 term), by adds, which turn a -0 term into +0, so the band's
-    diagonal holds no -0: adding the +0 curvature of a row on an affine chart
-    would change no bit, and only curved rows take that add.
+    diagonal holds no -0: adding a +0 term, as the model of `_banded_solve`
+    does on each uncurved row, changes no bit.
     """
     first = int(legs.a[0]) + 1 if legs.d.size else 0   # leg_chain's first leg is _Jet's leg `first`
     last = first + legs.d.size
@@ -698,7 +698,8 @@ def _assemble_hessian(red: _Reduced, legs, jet: _Jet) -> np.ndarray:
     np.add(0.0, blocks.aa, out=diag)
     np.add(diag, blocks.bb, out=diag)
     for rows, c in jet.curvature:
-        diag[rows, 0, 0] += np.einsum("ij,ij->i", legs.grad[rows], c)
+        red._curv[rows] = curv = np.einsum("ij,ij->i", legs.grad[rows], c)
+        diag[rows, 0, 0] += curv
     np.negative(blocks.ba, out=red._below)
     return red._hbuf[red._band]
 
@@ -753,9 +754,7 @@ def _duality_gap(program: _ResidualProgram, P, anchored, closed) -> float | None
             legs.u[...] = y
             legs.gradient()
             rhs = -red.chain(t, legs.grad, jet.tangents)
-            z = _banded_solve(red, H, rhs)
-            if z is None:    # singular to rounding
-                z = _banded_solve(red, H, rhs, 1e-12 * H[0, red.slots].max())
+            z = _newton_step(red, H, rhs, H[0, red.slots].max())
             if z is None:
                 return None
             legs.points[...] = red.push(t, z)
@@ -958,7 +957,7 @@ def solve_fixed_order(inst: Instance, order, opts: SolveOptions | None = None, *
     opts = opts or SolveOptions()
     ordered = _Ordered(inst, order)
     if branch_assignment is not None and (len(branch_assignment) != inst.size or not all(
-            isinstance(a, (int, np.integer)) and 0 <= a < len(b.factors)
+            _is_int(a) and 0 <= a < len(b.factors)
             for a, b in zip(branch_assignment, ordered.boundaries) if isinstance(b, geo.Product))):
         raise ValueError(f"branch_assignment needs {inst.size} entries, a factor index per product")
     perm = ordered.indices

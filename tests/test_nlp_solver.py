@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from escape_solver import geometry as geo
 from escape_solver import nlp_solver
-from escape_solver.nlp_solver import (COLD_EPS, NEWTON_SHIFTS, SHORT_LEG, SMOOTH_FLOOR,
+from escape_solver.nlp_solver import (COLD_EPS, SHORT_LEG, SMOOTH_FLOOR,
                                       NonConvergenceError, Solution, SolveOptions,
                                       _assemble_hessian, _banded_solve, _build_seeds,
                                       _coincident_runs, _common_point, _duality_gap,
@@ -320,21 +320,42 @@ def test_common_point_of_circles_crossing_at_a_small_angle_is_rounded(angle):
 
 
 def _record_banded_solves(monkeypatch):
-    """The (red, H, rhs, lam, x) of every `_banded_solve` call from here on."""
+    """The (red, H, rhs, shift, x, curvature) of every `_banded_solve` call
+    from here on, the curvature terms as the model read them."""
     calls = []
 
-    def record(red, H, rhs, lam=0.0):
-        calls.append((red, H, rhs, lam, _banded_solve(red, H, rhs, lam)))
-        return calls[-1][-1]
+    def record(red, H, rhs, shift=None):
+        curv = red._curv.copy()
+        calls.append((red, H, rhs, shift, _banded_solve(red, H, rhs, shift), curv))
+        return calls[-1][4]
 
     monkeypatch.setattr(nlp_solver, "_banded_solve", record)
     return calls
 
 
+def _model_band(red, H, curv, shift):
+    """The band of the model H + diag(|g.c| - g.c) + shift I, each point's
+    curvature term g.c in its first slot."""
+    A = H.copy()
+    A[0, ::red.width] += np.abs(curv) - curv
+    A[0] += shift
+    return A
+
+
+def _slot_curvature(red, curv):
+    """Each variable's curvature term: its point's, in the point's first slot."""
+    full = np.zeros(red.n * red.width)
+    full[::red.width] = curv
+    return full[red.slots]
+
+
 def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
     """Where the banded Cholesky of H fails or gives no descent, the step
-    solves H + lam I for a larger lam, and only a step that descends is
-    taken; the continuation still never raises the length."""
+    solves the model H + diag(|g.c| - g.c) + 1e-12 scale I, the dense solve
+    of that positive definite matrix, and only a step that descends is
+    taken; the continuation still never raises the length.  H less its
+    curvature terms is positive semidefinite, so they are the only part the
+    model has to change."""
     calls = _record_banded_solves(monkeypatch)
     program = _ResidualProgram(build(make_scenario("circle_interior_nonunique", 8)).boundaries, 2)
     red = _Reduced(program)
@@ -343,11 +364,40 @@ def test_smoothed_newton_shifts_an_indefinite_circle_hessian(monkeypatch):
         before = leg_chain(red.points(t)).total
         after = leg_chain(red.points(_smoothed_newton(red, t, True, False, 1e-4))).total
         assert after < before
-    assert any(lam > 0.0 for *_, lam, _ in calls)
-    for prev, (_, H, rhs, lam, _) in zip(calls, calls[1:]):
-        if lam > 0.0:   # a shift follows a failed or ascending step on the same system
-            assert prev[1] is H and prev[3] < lam
-            assert prev[4] is None or rhs @ prev[4] <= 0.0
+    models = [(prev, c) for prev, c in zip(calls, calls[1:]) if c[3] is not None]
+    assert models and calls[0][3] is None
+    for prev, (_, H, rhs, shift, x, curv) in models:
+        # the model follows a failed or ascending exact step on the same system
+        assert prev[1] is H and prev[3] is None
+        assert prev[4] is None or rhs @ prev[4] <= 0.0
+        assert shift == 1e-12 * np.abs(H[0]).max()
+        A = _dense(red, H)[0]
+        c = _slot_curvature(red, curv)
+        assert np.linalg.eigvalsh(A - np.diag(c)).min() >= -1e-12 * np.abs(A).max()
+        model = A + np.diag(np.abs(c) - c) + shift * np.eye(red.nvar)
+        ref = np.linalg.solve(model, rhs)
+        assert x is not None and np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_each_newton_iterate_factors_at_most_twice(monkeypatch):
+    """Each Newton iterate's system (and each of the duality gap's) is solved
+    exactly first and by its model at most once after: on indefinite circle
+    chains, segment boxes, a Hessian singular to rounding and the
+    alternating order loop."""
+    calls = _record_banded_solves(monkeypatch)
+    inst = build(make_scenario("circle_interior_nonunique", 90))
+    solve_fixed_order(inst, inst.order_hint, OPTS)
+    inst = build(make_scenario("circle_plus_segment", 24))
+    solve_fixed_order(inst, inst.order_hint, OPTS,
+                      branch_assignment=tuple(i % 2 for i in range(inst.size)))
+    solve_fixed_order(build(make_scenario("halfplane_unit", 5)), (2, 0, 1, 4, 3), OPTS)
+    solve_alternating(build(make_scenario("circle_wf2", 7, 2)), OPTS)
+    per_system = {}
+    for c in calls:
+        per_system.setdefault((id(c[1]), id(c[2])), []).append(c[3])
+    assert any(len(shifts) == 2 for shifts in per_system.values())
+    assert all(shifts[0] is None and len(shifts) <= 2 and None not in shifts[1:]
+               for shifts in per_system.values())
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -377,7 +427,8 @@ def test_a_boxed_polish_keeps_segment_coordinates_in_their_box(monkeypatch, clos
             assert ((0.0 <= t) & (t <= 1.0)).all() and t[2] == 0.0 and (0.0 < t[:2]).all()
             assert (t[:2] < 1.0).all() and np.abs(t - ref.x).max() < 1e-6
             assert abs(length_and_gradient(t)[0] - ref.fun) < 1e-9
-    held = [(rhs == 0.0, x) for _, _, rhs, _, x in calls if x is not None and (rhs == 0.0).any()]
+    held = [(rhs == 0.0, x) for _, _, rhs, _, x, _ in calls
+            if x is not None and (rhs == 0.0).any()]
     assert held and all((x[h] == 0.0).all() for h, x in held)
 
 
@@ -699,12 +750,15 @@ def test_options_validation():
     ({"branch_assignment": (-1,) + (0,) * 7}, "branch_assignment"),
     ({"branch_assignment": (2,) * 8}, "branch_assignment"),
     ({"branch_assignment": (0.0,) * 8}, "branch_assignment"),
+    ({"branch_assignment": (True, False) * 4}, "branch_assignment"),
     ({"initial_points": np.zeros((7, 2))}, "initial_points"),
     ({"initial_points": np.full((8, 2), np.nan)}, "initial_points"),
-], ids=["9-entries", "6-entries", "negative", "past-the-factors", "float", "7-rows", "nan"])
+], ids=["9-entries", "6-entries", "negative", "past-the-factors", "float", "bool", "7-rows",
+        "nan"])
 def test_solve_fixed_order_rejects_malformed_optional_inputs(kwargs, match):
     """strip_middle_product 8 has 8 two-factor products: a branch assignment
-    needs 8 entries, each 0 or 1, and initial points are 8 finite rows of 2."""
+    needs 8 entries, each the int 0 or 1 (a bool is not an index), and
+    initial points are 8 finite rows of 2."""
     inst = build(make_scenario("strip_middle_product", 8))
     with pytest.raises(ValueError, match=match):
         solve_fixed_order(inst, inst.order_hint, SolveOptions(multistart=1), **kwargs)
@@ -909,9 +963,9 @@ def test_banded_hessian_is_the_dense_reference(chain, ends, eps):
 def test_banded_solve_shifts_a_singular_hessian(monkeypatch):
     """On the order (2, 0, 1, 4, 3) of halfplane_unit N=5, one of those an
     exhaustive search solves, both legs at a point run along its line, so the
-    smoothed Hessian has a zero diagonal and no Cholesky factor.  A shifted
-    solve still gives a finite step of the shifted system, and no smoothed
-    polish raises the length."""
+    smoothed Hessian has a zero diagonal and no Cholesky factor.  The model's
+    solve, on affine charts H + 1e-12 scale I, still gives a finite step of
+    that system, and no smoothed polish raises the length."""
     calls = _record_banded_solves(monkeypatch)
     rises = []
     real_newton = nlp_solver._smoothed_newton
@@ -925,19 +979,23 @@ def test_banded_solve_shifts_a_singular_hessian(monkeypatch):
     monkeypatch.setattr(nlp_solver, "_smoothed_newton", newton)
     solve_fixed_order(build(make_scenario("halfplane_unit", 5)), (2, 0, 1, 4, 3), OPTS)
     assert rises and max(rises) <= 0.0
-    singular = [c for c in calls if c[3] == 0.0 and c[4] is None]
+    singular = [c for c in calls if c[3] is None and c[4] is None]
     assert singular
     for _, H0, *_ in singular:
-        red, H, rhs, lam, x = next(c for c in calls if c[1] is H0 and c[3] > 0.0)
-        assert x is not None and np.all(np.isfinite(x))
-        A = _dense(red, H)[0] + lam * np.eye(red.nvar)
+        red, H, rhs, shift, x, _ = next(c for c in calls if c[1] is H0 and c[3] is not None)
+        assert x is not None and np.all(np.isfinite(x)) and not red.curved
+        assert shift == 1e-12 * np.abs(H[0, red.slots]).max()
+        A = _dense(red, H)[0] + shift * np.eye(red.nvar)
         assert np.abs(A @ x - rhs).max() <= 1e-6 * np.abs(A).max() * np.abs(x).max()
 
 
 def test_banded_solve_is_the_dense_solve_where_positive_definite():
     """On a circle chain with a point target's dead slot, where the curvature
-    makes H indefinite, the banded Cholesky of H + lam I is the dense solve
-    where H + lam I is positive definite and None where it is not."""
+    makes H indefinite, the banded Cholesky of H is None, and that of the
+    model H + diag(|g.c| - g.c) + shift I at each shift is the dense solve
+    where the model is positive definite and None where it is not; the
+    curvature terms g.c are each circle point's gradient row dotted with its
+    chart's second derivative."""
     bnds = build(make_scenario("circle_interior_nonunique", 8)).boundaries
     bnds = bnds[:4] + (geo.PointTarget((0.3, -0.2)),) + bnds[4:]
     program = _ResidualProgram(bnds, 2)
@@ -949,9 +1007,16 @@ def test_banded_solve_is_the_dense_solve_where_positive_definite():
     A, _ = _dense(red, H)
     low = np.linalg.eigvalsh(A).min()
     assert low < 0.0
-    for lam in (0.0, 0.5 * -low, 2.0 * -low, 10.0 * np.abs(A).max()):
-        x = _banded_solve(red, H, rhs, lam)
-        shifted = A + lam * np.eye(red.nvar)
+    curv = np.zeros(red.n)
+    for rows, c in red.jet(t).curvature:
+        curv[rows] = np.einsum("ij,ij->i", legs.grad[rows], c)
+    c = _slot_curvature(red, curv)
+    assert (c < 0.0).any()
+    reflected = A + np.diag(np.abs(c) - c)
+    for shift in (None, -2.0 * np.abs(A).max(), 1e-12 * np.abs(H[0]).max(),
+                  10.0 * np.abs(A).max()):
+        x = _banded_solve(red, H, rhs, shift)
+        shifted = A if shift is None else reflected + shift * np.eye(red.nvar)
         if np.linalg.eigvalsh(shifted).min() < 0.0:
             assert x is None
         else:
@@ -959,18 +1024,27 @@ def test_banded_solve_is_the_dense_solve_where_positive_definite():
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _pre_jet_curvature(red, t, legs):
+    """Each point's curvature term g.c, 0 on an uncurved chart, its chart
+    evaluated here."""
+    curv = np.zeros(red.n)
+    for kind, prm, rows, cols in red.blocks:
+        if kind.curved:
+            curvature = kind.chart_jet(prm, kind.chart_eval(prm, t[cols])[1])[1]
+            curv[rows] = np.einsum("ij,ij->i", legs.grad[rows], curvature)
+    return curv
+
+
 def _pre_jet_hessian(red, t, legs):
     """`_assemble_hessian` as it was before the jet: every chart evaluated and
     every tangent product formed at each call, and every leg masked."""
     n, w = red.n, red.width
     T = np.zeros((n + 2, red.dim, w))
-    curv = np.zeros(n + 2)
     for kind, prm, rows, cols in red.blocks:
-        tangents, curvature = kind.chart_jet(prm, kind.chart_eval(prm, t[cols])[1])
-        for k, e in enumerate(tangents):
+        for k, e in enumerate(kind.chart_jet(prm, kind.chart_eval(prm, t[cols])[1])[0]):
             T[rows + 1, :, k] = e
-        if kind.curved:
-            curv[rows + 1] = np.einsum("ij,ij->i", legs.grad[rows], curvature)
+    curv = np.zeros(n + 2)
+    curv[1:n + 1] = _pre_jet_curvature(red, t, legs)
     first = legs.a[0] + 1 if legs.d.size else 0
     last = first + legs.d.size
     ok = legs.d > 0.0
@@ -1001,13 +1075,14 @@ def _pre_jet_hessian(red, t, legs):
 def _pre_jet_newton(red, t, anchored, closed, eps0=None):
     """`_smoothed_newton` as it was before the jet, with its banded solve:
     every trial a full `leg_chain`, the chain rule and the Hessian each
-    evaluating the charts.  Returns t and the shift of every solve."""
-    lams = []
+    evaluating the charts, and each step the exact H's, else that of the
+    model H + diag(|g.c| - g.c) + 1e-12 scale I.  Returns t and the shift of
+    every solve, None for an exact one."""
+    shifts = []
 
-    def banded_solve(H, rhs, lam):
-        lams.append(lam)
-        A = H.copy()
-        A[0] += lam
+    def banded_solve(H, rhs, curv, shift):
+        shifts.append(shift)
+        A = H.copy() if shift is None else _model_band(red, H, curv, shift)
         b = np.zeros(H.shape[1])
         b[red.slots] = rhs
         _, x, info = scipy.linalg.lapack.dpbsv(A, b, lower=1)
@@ -1015,7 +1090,7 @@ def _pre_jet_newton(red, t, anchored, closed, eps0=None):
 
     legs = leg_chain(red.points(t), anchored, closed)
     if not 0.0 < legs.total < math.inf:
-        return t, lams
+        return t, shifts
     eps = legs.total / legs.d.size if eps0 is None else eps0 * legs.total
     floor = SMOOTH_FLOOR * legs.total
     while eps >= floor:
@@ -1023,9 +1098,10 @@ def _pre_jet_newton(red, t, anchored, closed, eps0=None):
         for _ in range(50):
             g = red.chain(t, legs.grad)
             H = _pre_jet_hessian(red, t, legs)
+            curv = _pre_jet_curvature(red, t, legs)
             scale = np.abs(H[0, red.slots]).max()
-            for lam in NEWTON_SHIFTS:
-                step = banded_solve(H, -g, lam * scale)
+            for shift in (None, 1e-12 * scale):
+                step = banded_solve(H, -g, curv, shift)
                 if step is not None and g @ step < 0.0:
                     break
             else:
@@ -1043,7 +1119,7 @@ def _pre_jet_newton(red, t, anchored, closed, eps0=None):
                 break
             t, legs = t + alpha * step, trial
         eps /= 10.0
-    return t, lams
+    return t, shifts
 
 
 def _newton_start(name, n, m, mode=None, merged=False):
@@ -1098,17 +1174,17 @@ _NEWTON_SWEEP = (
 def test_smoothed_newton_is_bitwise_the_pre_jet_loop(monkeypatch, name, n, m, mode, merged, eps0):
     """The loop, its charts evaluated once per iterate and its trials priced
     by their lengths alone, ends at the pre-jet loop's t bit for bit, through
-    the same sequence of shifted solves: on the bench's convex instances, the
+    the same sequence of exact and model solves: on the bench's convex instances, the
     circle families at every first radius the solver uses, closed and
     unanchored chains, and merged programs with dead slots."""
     red, t, anchored, closed = _newton_start(name, n, m, mode, merged)
     if merged:
         assert red.dead.any() and not red.packed
-    ref, ref_lams = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
+    ref, ref_shifts = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
     calls = _record_banded_solves(monkeypatch)
     got = _smoothed_newton(red, t.copy(), anchored, closed, eps0)
     assert got.tobytes() == ref.tobytes()
-    assert [c[3] for c in calls] == ref_lams and len(ref_lams) > 10
+    assert [c[3] for c in calls] == ref_shifts and len(ref_shifts) > 10
 
 
 def test_smoothed_newton_keeps_its_arrays_private():
@@ -1150,11 +1226,11 @@ def test_smoothed_newton_keeps_its_arrays_private():
 
 
 def test_banded_solve_skips_factorizations_that_cannot_succeed(monkeypatch):
-    """A band whose shifted diagonal holds an entry <= 0 has no Cholesky
-    factor, so `_banded_solve` returns None without calling dpbsv.  On
-    circle_wf2 7x2 at each first radius the loop takes the pre-jet loop's
-    shifts to the same t with fewer dpbsv calls, and each factorization it
-    skipped fails when it is run."""
+    """A band (exact, or the model's) whose diagonal holds an entry <= 0 has
+    no Cholesky factor, so `_banded_solve` returns None without calling
+    dpbsv.  On circle_wf2 7x2 at each first radius the loop takes the pre-jet
+    loop's solves to the same t with fewer dpbsv calls, and each
+    factorization it skipped fails when it is run."""
     factored = []
 
     def counted(A, b, **kw):
@@ -1164,25 +1240,24 @@ def test_banded_solve_skips_factorizations_that_cannot_succeed(monkeypatch):
     monkeypatch.setattr(nlp_solver, "dpbsv", counted)
     calls = []
 
-    def record(red, H, rhs, lam=0.0):
+    def record(red, H, rhs, shift=None):
         before = len(factored)
-        x = _banded_solve(red, H, rhs, lam)
-        calls.append((red, H, rhs, lam, x, len(factored) > before))
+        x = _banded_solve(red, H, rhs, shift)
+        calls.append((red, H, rhs, shift, x, len(factored) > before, red._curv.copy()))
         return x
 
     monkeypatch.setattr(nlp_solver, "_banded_solve", record)
     for eps0 in COLD_EPS + (1e-4, SMOOTH_FLOOR):
         red, t, anchored, closed = _newton_start("circle_wf2", 7, 2)
-        ref, ref_lams = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
+        ref, ref_shifts = _pre_jet_newton(red, t.copy(), anchored, closed, eps0)
         calls.clear()
         factored.clear()
         got = _smoothed_newton(red, t.copy(), anchored, closed, eps0)
-        assert got.tobytes() == ref.tobytes() and [c[3] for c in calls] == ref_lams
+        assert got.tobytes() == ref.tobytes() and [c[3] for c in calls] == ref_shifts
         skipped = [c for c in calls if not c[5]]
         assert skipped and len(factored) == len(calls) - len(skipped)
-        for red, H, rhs, lam, x, _ in skipped:
-            A = H.copy()
-            A[0] += lam
+        for red, H, rhs, shift, x, _, curv in skipped:
+            A = H.copy() if shift is None else _model_band(red, H, curv, shift)
             assert x is None and A[0].min() <= 0.0
             b = np.zeros(A.shape[1])
             b[red.slots] = rhs

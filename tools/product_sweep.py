@@ -1,7 +1,8 @@
-"""Answer sweeps over the product families and the edge strip: solve a fixed
-set of instances, write each answer to JSON, and compare two such files.
+"""Answer sweeps over the product families, the edge strip and the circle
+families: solve a fixed set of instances, write each answer to JSON, and
+compare two such files.
 
-    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge} OUT.json [--src DIR]
+    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge,curved} OUT.json [--src DIR]
     python3 tools/product_sweep.py compare BEFORE.json AFTER.json
 
 Sweeps (every solve on the instance's hint order):
@@ -21,11 +22,17 @@ Sweeps (every solve on the instance's hint order):
   edge      zalgaller_class2 at N 4/8/12/20/45/90/180/360/720, multistart
             1/2, seed 0, each through solve_self_referential: 18 solves of
             the first-leg angle search.
+  curved    circle_interior_nonunique, circle_interior_02 and circle_exterior
+            at N 30/90/360, open and closed, multistart 1/2, seed 0 (36 free
+            solves), and circle_wf2 7x2, 8x2 and 12x4 at multistart 1/2,
+            seed 0, each through solve_alternating (6 solves of the
+            alternating order loop, from the natural order): 42 solves.
 
 `run` imports the solver from DIR (default: this checkout's src) with BLAS
 pinned to one thread, and records per solve the length, the branches, the
 points, the time and the fixed-order solves it took (0 for a plain
-fixed-order solve).  `compare` prints, per family, how many solves end
+fixed-order solve).  An alternating-loop solve's points are in its final
+visiting order, so a changed order shows as moved points.  `compare` prints, per family, how many solves end
 higher, lower, bitwise equal, or equal in length with moved points, and the
 time each side took; then the times per family and N; then every solve
 whose length or points moved.
@@ -52,14 +59,18 @@ MODES = [("strip_middle_product", n) for n in (8, 12, 16, 40, 80)] + \
         [("circle_plus_segment", n) for n in (24, 48, 90, 360)]
 SEGMENTS = [("circle_plus_segment", n) for n in (24, 48, 90, 180, 360)]
 EDGE = (4, 8, 12, 20, 45, 90, 180, 360, 720)
+CIRCLES = [(name, n) for name in ("circle_interior_nonunique", "circle_interior_02",
+                                  "circle_exterior") for n in (30, 90, 360)]
+LOOPS = ((7, 2), (8, 2), (12, 4))   # circle_wf2 (N, M)
 OPEN, CLOSED = "escape_open", "escape_closed"
 ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1))
 
 
 def cases(sweep: str):
     """(key, family, n, m, mode, multistart, seed, assignment) per solve;
-    assignment is None (free), ("uniform", j), ("alternating", j) or
-    "angle" (the first-leg angle search of zalgaller_class2)."""
+    assignment is None (free), ("uniform", j), ("alternating", j),
+    "angle" (the first-leg angle search of zalgaller_class2) or "loop"
+    (solve_alternating)."""
     if sweep == "hint":
         for (name, n), ms, seed in ((c, ms, s) for c in HINT for ms in (1, 2, 4) for s in (0, 1)):
             yield f"{name} {n} open ms{ms} seed{seed}", name, n, 1, OPEN, ms, seed, None
@@ -81,6 +92,12 @@ def cases(sweep: str):
     elif sweep == "edge":
         for n, ms in ((n, ms) for n in EDGE for ms in (1, 2)):
             yield f"zalgaller_class2 {n} ms{ms}", "zalgaller_class2", n, 1, OPEN, ms, 0, "angle"
+    elif sweep == "curved":
+        for (name, n), mode, ms in ((c, md, ms) for c in CIRCLES for md in (OPEN, CLOSED)
+                                    for ms in (1, 2)):
+            yield f"{name} {n} {mode[7:]} ms{ms}", name, n, 1, mode, ms, 0, None
+        for (n, m), ms in ((c, ms) for c in LOOPS for ms in (1, 2)):
+            yield f"circle_wf2 {n}x{m} ms{ms} loop", "circle_wf2", n, m, OPEN, ms, 0, "loop"
     else:
         raise SystemExit(f"unknown sweep {sweep!r}")
 
@@ -90,6 +107,7 @@ def run(sweep: str, out: Path, src: Path):
     from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions,
                                           solve_branch_strategies, solve_fixed_order,
                                           solve_self_referential)
+    from escape_solver.order_search import solve_alternating
     from escape_solver.scenario import build, make_scenario
 
     records = {}
@@ -101,6 +119,8 @@ def run(sweep: str, out: Path, src: Path):
         try:
             if assignment == "angle":
                 sol = solve_self_referential(None, None, opts, n=n)
+            elif assignment == "loop":
+                sol = solve_alternating(inst, opts)
             elif assignment is None:
                 sol = solve_fixed_order(inst, inst.order_hint, opts)
             elif assignment[0] == "uniform":
@@ -167,7 +187,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run")
-    p.add_argument("sweep", choices=("hint", "modes", "branches", "segments", "edge"))
+    p.add_argument("sweep", choices=("hint", "modes", "branches", "segments", "edge",
+                                     "curved"))
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     p = sub.add_parser("compare")
