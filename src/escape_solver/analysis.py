@@ -120,8 +120,6 @@ def mirrored_solution(inst: Instance, sol: Solution,
     circle_interior_nonunique 90 open ties it, but from 30 open's multistart-2
     solution it ends 8.2e-4 higher.
     """
-    if inst.start_anchor is not None and any(c != 0.0 for c in inst.start_anchor):
-        raise ValueError("mirror twin needs an origin-anchored family")
     flipped = sol.points().copy()
     flipped[:, 1] *= -1.0
     # reflected point j lands on the mirrored family member N-1-h

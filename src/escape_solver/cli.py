@@ -101,7 +101,7 @@ def _check_self_referential(spec, strategy) -> None:
 
 def _solve_with_strategy(spec, strategy, opts):
     if spec.params.get("self_referential"):
-        return solve_self_referential(None, None, opts, n=spec.n_orientations), None
+        return solve_self_referential(spec.n_orientations, opts), None
     inst = build(spec)
     if strategy is None:
         strategy = "hint" if inst.order_hint is not None else "alternating"

@@ -8,6 +8,7 @@ distinct value once and gives the same text as `_fmt` on every entry.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import re
@@ -91,41 +92,8 @@ def to_csv(obj) -> str:
 
 
 def parse_csv(text: str) -> list:
-    """Minimal RFC-4180 reader returning rows of strings."""
-    rows, fieldbuf, row, quoted = [], [], [], False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(text) and text[i + 1] == '"':
-                    fieldbuf.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                fieldbuf.append(ch)
-        elif ch == '"':
-            quoted = True
-        elif ch == ",":
-            row.append("".join(fieldbuf))
-            fieldbuf = []
-        elif ch == "\r" and i + 1 < len(text) and text[i + 1] == "\n":
-            row.append("".join(fieldbuf))
-            rows.append(row)
-            fieldbuf, row = [], []
-            i += 1
-        elif ch == "\n":
-            row.append("".join(fieldbuf))
-            rows.append(row)
-            fieldbuf, row = [], []
-        else:
-            fieldbuf.append(ch)
-        i += 1
-    if fieldbuf or row:
-        row.append("".join(fieldbuf))
-        rows.append(row)
-    return rows
+    """Rows of strings from RFC-4180 text (the standard library's reader)."""
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 # --------------------------------------------------------------------------

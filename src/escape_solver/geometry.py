@@ -595,18 +595,6 @@ def apply_motion(b: BoundaryExpr, m: RigidMotion) -> BoundaryExpr:
     return b.moved(m)
 
 
-def translate(b: BoundaryExpr, offset) -> BoundaryExpr:
-    """Pure translation (convenience wrapper around apply_motion)."""
-    off = np.asarray(offset, dtype=float)
-    return apply_motion(b, RigidMotion(translation=(off[0], off[1])))
-
-
-def rotate_about(b: BoundaryExpr, angle: float, center=(0.0, 0.0)) -> BoundaryExpr:
-    """Pure rotation about a pivot (convenience wrapper around apply_motion)."""
-    c = np.asarray(center, dtype=float)
-    return apply_motion(b, RigidMotion(center=(c[0], c[1]), angle=angle))
-
-
 def scale_boundary(b: BoundaryExpr, s: float) -> BoundaryExpr:
     """Dilation about the origin by a positive factor."""
     if s <= 0:

@@ -474,18 +474,14 @@ def _build_seeds(inst: Instance, ordered, program: _ResidualProgram, opts: Solve
 
 
 class _Ordered:
-    """Boundaries of an instance rearranged into visiting order, anchor-recentred."""
+    """Boundaries of an instance rearranged into visiting order."""
 
     def __init__(self, inst: Instance, order):
         perm = tuple(getattr(order, "perm", order))
         if sorted(perm) != list(range(inst.size)):
             raise ValueError("order is not a permutation of the boundary indices")
         self.indices = perm
-        shift = None
-        if inst.start_anchor is not None and any(abs(c) > 0 for c in inst.start_anchor):
-            shift = tuple(-c for c in inst.start_anchor)
-        self.boundaries = tuple(inst.boundaries[h] if shift is None else
-                                geo.translate(inst.boundaries[h], shift) for h in perm)
+        self.boundaries = tuple(inst.boundaries[h] for h in perm)
 
 
 def _polish(program: _ResidualProgram, P0, anchored, closed, eps0: float = SMOOTH_FLOOR):
@@ -1079,76 +1075,54 @@ def solve_branch_strategies(inst: Instance, opts: SolveOptions | None = None,
     return out
 
 
-def solve_self_referential(instance_builder, order, opts: SolveOptions | None = None,
-                           gamma0: float = 0.0, n: int | None = None) -> Solution:
-    """Solve a family whose sweep depends on the angle gamma of its first leg.
+def solve_self_referential(n: int, opts: SolveOptions | None = None) -> Solution:
+    """The shortest member of the zalgaller_class2 family at n orientations.
 
-    instance_builder(gamma) must return the family for that angle estimate; the
-    estimate is refreshed from the solved first point's angle until it moves
-    less than 1e-10 (or 100 iterations, which raises).
-
-    Without a builder, gamma is the first-leg angle of the zalgaller_class2
-    family build_zalgaller(n, gamma), chosen for the shortest member by
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973; `scipy.optimize.minimize_scalar`) to a relative xtol of 1e-8; more
-    than 100 iterations raise.  Every family with gamma > 0 pins its first
-    point on the first leg, so each gamma yields a member of the class and
-    the first point's angle is gamma itself.  (With that point free instead,
-    the first-point update settles on the equilateral-triangle path, length
+    The family build_zalgaller(n, gamma) depends on the angle gamma of its
+    first leg; gamma is chosen for the shortest member by Brent's method
+    (Brent, Algorithms for Minimization without Derivatives, 1973;
+    `scipy.optimize.minimize_scalar`) to a relative xtol of 1e-8; more than
+    100 iterations raise.  Every family with gamma > 0 pins its first point
+    on the first leg, so each gamma yields a member of the class and the
+    first point's angle is gamma itself.  (With that point free instead, the
+    first-point update settles on the equilateral-triangle path, length
     4/sqrt(3), while the length still falls as gamma grows past pi/3.)  The
-    search brackets from `gamma0`, or else from the first point's angle on
-    the unguarded half-turn family at gamma = 0, and returns the shortest
-    member it solved.
+    search brackets from the first point's angle on the unguarded half-turn
+    family at gamma = 0, and returns the shortest member it solved.
 
     Each solve after the first starts from the last one's points at
     multistart 1; `iterations` is the number of solves.
     """
     opts = opts or SolveOptions()
-    if instance_builder is None and n is None:
-        raise ValueError("need either a builder or an orientation count")
     warm = None
-    solves = 0
+    members = []
 
-    def solve(inst: Instance) -> Solution:
-        nonlocal warm, solves
+    def solve(gamma: float) -> Solution:
+        nonlocal warm
+        inst = build_zalgaller(n, gamma)
         if warm is not None and len(warm) < inst.size:
             # zalgaller_class2 at gamma > 0 appends the y = 0 guard wall
             warm = np.vstack([warm, warm[-1:]])
-        sol = solve_fixed_order(inst, order if order is not None else range(inst.size),
+        sol = solve_fixed_order(inst, range(inst.size),
                                 opts if warm is None else replace(opts, multistart=1),
                                 initial_points=warm)
         warm = sol.points()
-        solves += 1
         return sol
 
-    if instance_builder is None:
-        if not gamma0:
-            gamma0 = _first_leg_angle(solve(build_zalgaller(n, 0.0)))
-        members = []
+    def member_length(gamma: float) -> float:
+        members.append(solve(gamma))
+        return members[-1].length
 
-        def member_length(gamma: float) -> float:
-            members.append(solve(build_zalgaller(n, gamma)))
-            return members[-1].length
-
-        # from N = 4 to 720 the search takes 12-16 solves from (gamma0, gamma0 + 0.05)
-        res = minimize_scalar(member_length, bracket=(gamma0, gamma0 + 0.05), method="brent",
-                              options={"xtol": 1e-8, "maxiter": 100})
-        sol = replace(min(members, key=lambda m: m.length), iterations=solves)
-        if not res.success:
-            raise NonConvergenceError("first-leg angle search still moving after 100 iterations",
-                                      best=sol)
-        return sol
-    gamma = float(gamma0)
-    for it in range(1, 101):
-        sol = solve(instance_builder(gamma))
-        g_new = _first_leg_angle(sol)
-        delta = abs(g_new - gamma)
-        gamma = g_new
-        if delta < 1e-10:
-            return replace(sol, iterations=it)
-    raise NonConvergenceError(
-        f"angle estimate still moving after 100 iterations (last delta {delta:.2e})",
-        best=replace(sol, iterations=100))
+    gamma0 = _first_leg_angle(solve(0.0))
+    # from N = 4 to 720 the search takes 12-16 solves from (gamma0, gamma0 + 0.05)
+    res = minimize_scalar(member_length, bracket=(gamma0, gamma0 + 0.05), method="brent",
+                          options={"xtol": 1e-8, "maxiter": 100})
+    # the unguarded family at gamma = 0 is one more solve, but no member
+    sol = replace(min(members, key=lambda m: m.length), iterations=len(members) + 1)
+    if not res.success:
+        raise NonConvergenceError("first-leg angle search still moving after 100 iterations",
+                                  best=sol)
+    return sol
 
 
 def _first_leg_angle(sol: Solution) -> float:

@@ -1,11 +1,12 @@
 """Problem-instance construction: a catalog of named boundary-family scenarios.
 
-A scenario fixes a base boundary, start points, an orientation count N and a
-rotation range; building it yields the family of rotated (and recentered)
-boundary copies that one escape path must meet.  Orientation angles are spaced
-inclusively over the range (i * range / (N-1)), so the sweep closes: for a full
-turn the family ends on the starting boundary again.  This keeps discretized
-lengths within O(1/N^2) of the continuum values the catalog checks against.
+A scenario fixes a base boundary B, start points s, an orientation count N and
+a rotation range; building it yields the family R(a)(B - s), the boundary seen
+from each start and turned through each sweep angle a, that one escape path
+from the origin must meet.  Orientation angles are spaced inclusively over the
+range (i * range / (N-1)), so the sweep closes: for a full turn the family ends
+on the starting boundary again.  This keeps discretized lengths within
+O(1/N^2) of the continuum values the catalog checks against.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .geometry import (
     Segment,
     apply_motion,
     eval_boundary,
-    rotate_about,
-    translate,
 )
 
 TAU = 2.0 * math.pi
@@ -92,6 +91,8 @@ class Instance:
     def __post_init__(self):
         if len(self.boundaries) == 0:
             raise ValueError("instance has no boundaries")
+        if self.start_anchor is not None and any(c != 0.0 for c in self.start_anchor):
+            raise ValueError("an anchored instance starts at the origin")
 
     @property
     def size(self) -> int:
@@ -129,23 +130,9 @@ def _instance(spec: ScenarioSpec, rows, dimension: int = 2,
     )
 
 
-def build_weak_form_I(spec: ScenarioSpec) -> Instance:
-    """Single known start: the base boundary rotated through the sweep about it."""
-    if spec.n_starts != 1:
-        raise ValueError("this form takes exactly one start (use the multi-start builder)")
-    if spec.mode not in ("escape_open", "escape_closed"):
-        raise ValueError(f"mode {spec.mode!r} is not an escape form")
-    if spec.base_boundary is None:
-        raise ValueError("scenario has no base boundary")
-    start = spec.starts[0]
-    angles = sweep_angles(spec.n_orientations, spec.angle_range)
-    return _instance(spec, [(rotate_about(spec.base_boundary, float(a), start), a, 0, i)
-                            for i, a in enumerate(angles)], start_anchor=tuple(start))
-
-
 def build_weak_form_II(spec: ScenarioSpec) -> Instance:
-    """Several known starts: rotate about each start, then shift each copy so all
-    paths share the origin anchor."""
+    """The escape family: one row R(a)(B - s) per start s and sweep angle a, the
+    base boundary B translated so s is the origin, then rotated about it."""
     if spec.mode not in ("escape_open", "escape_closed"):
         raise ValueError(f"mode {spec.mode!r} is not an escape form")
     if not spec.starts:
@@ -154,7 +141,8 @@ def build_weak_form_II(spec: ScenarioSpec) -> Instance:
         raise ValueError("scenario has no base boundary")
     angles = sweep_angles(spec.n_orientations, spec.angle_range)
     return _instance(spec, [
-        (translate(rotate_about(spec.base_boundary, float(a), s), (-s[0], -s[1])), a, k, i)
+        (apply_motion(spec.base_boundary,
+                      RigidMotion(center=s, angle=float(a), translation=(-s[0], -s[1]))), a, k, i)
         for k, s in enumerate(spec.starts) for i, a in enumerate(angles)])
 
 
@@ -191,40 +179,12 @@ def build_plane3d(spec: ScenarioSpec) -> Instance:
     return _instance(spec, rows, dimension=3, start_anchor=(0.0, 0.0, 0.0))
 
 
-def _build_relative_line_products(spec: ScenarioSpec, line_params, circle_radius=None) -> Instance:
-    """Product families written relative to each grid point (triangle, sector)."""
-    angles = sweep_angles(spec.n_orientations, spec.angle_range)
-    rows = []
-    for k, s in enumerate(spec.starts):
-        s = np.asarray(s, dtype=float)
-        for i, a in enumerate(angles):
-            factors = []
-            for (phi, delta) in line_params:
-                ang = phi + float(a)
-                n = np.array([math.cos(ang), math.sin(ang)])
-                factors.append(Line(ang, float(delta + s @ n)))
-            if circle_radius is not None:
-                rho = float(np.linalg.norm(s))
-                c = (rho * math.cos(a), rho * math.sin(a))
-                factors.append(Circle(c, circle_radius))
-            rows.append((Product(tuple(factors)), a, k, i))
-    return _instance(spec, rows)
-
-
 def build(spec: ScenarioSpec) -> Instance:
-    """Dispatch to the right builder for the scenario's mode and start count."""
-    kind = spec.params.get("family")
-    if kind == "triangle":
-        return _build_relative_line_products(spec, spec.params["edge_lines"])
-    if kind == "sector":
-        return _build_relative_line_products(
-            spec, spec.params["edge_lines"], circle_radius=spec.params["radius"])
+    """Dispatch to the right builder for the scenario's mode."""
     if spec.mode == "opaque":
         return build_opaque(spec)
     if spec.mode == "plane3d":
         return build_plane3d(spec)
-    if spec.n_starts == 1 and tuple(spec.starts[0]) == (0.0, 0.0):
-        return build_weak_form_I(spec)
     return build_weak_form_II(spec)
 
 
@@ -541,14 +501,17 @@ def _sc_circle_wf2(n, m, p):
         mode=p.get("mode", "escape_open"))
 
 
+def _edge_product(edges) -> Product:
+    """The triangle whose edges are the lines (normal angle, offset) of `edges`."""
+    return Product(tuple(Line(phi, delta) for phi, delta in edges))
+
+
 def _sc_triangle_equilateral(n, m, p):
-    incircle = math.sqrt(3.0) / 6.0
     starts = _region_grid(_inside_equilateral_third, ((0.0, 0.6), (-0.35, 0.35)), m)
     return ScenarioSpec(
-        name="triangle_equilateral", n_orientations=n, starts=starts,
+        name="triangle_equilateral", n_orientations=n,
+        base_boundary=_edge_product(_triangle_edges_equilateral()), starts=starts,
         symmetry="triangle", region_area=math.sqrt(3.0) / 4.0,
-        params={"family": "triangle", "edge_lines": _triangle_edges_equilateral(),
-                "incircle": incircle},
         mode=p.get("mode", "escape_open"))
 
 
@@ -579,9 +542,9 @@ def _sc_triangle_general(n, m, p):
             ((-1.0, 1.0), (-1.0, 1.0)), m)
     area = p.get("area")
     return ScenarioSpec(
-        name="triangle_general", n_orientations=n, starts=tuple(map(tuple, starts)),
-        region_area=area, params={"family": "triangle", "edge_lines": edges,
-                                  **{k: v for k, v in p.items() if k.startswith(("phi", "delta"))}},
+        name="triangle_general", n_orientations=n, base_boundary=_edge_product(edges),
+        starts=tuple(map(tuple, starts)), region_area=area,
+        params={k: v for k, v in p.items() if k.startswith(("phi", "delta"))},
         mode=p.get("mode", "escape_open"))
 
 
@@ -596,11 +559,13 @@ def _sc_sector(n, m, p):
             lambda x, y: (lo <= math.atan2(y, x) <= hi) and (x * x + y * y <= r * r),
             ((-r, r), (-r, r)), m)
     area = abs(phi2 - phi1) / 2.0 * r * r
+    # the edges run from the apex along phi1 and phi2: lines whose normals
+    # are a quarter-turn on, and the arc's circle about the apex
+    base = Product((Line(phi1 + math.pi / 2.0, 0.0), Line(phi2 + math.pi / 2.0, 0.0),
+                    Circle((0.0, 0.0), r)))
     return ScenarioSpec(
-        name="sector", n_orientations=n, starts=tuple(map(tuple, starts)),
-        region_area=area,
-        params={"family": "sector", "edge_lines": ((phi1, 0.0), (phi2, 0.0)),
-                "radius": r, "phi1": phi1, "phi2": phi2},
+        name="sector", n_orientations=n, base_boundary=base, starts=tuple(map(tuple, starts)),
+        region_area=area, params={"phi1": phi1, "phi2": phi2},
         mode=p.get("mode", "escape_open"))
 
 

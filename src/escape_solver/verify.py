@@ -76,7 +76,7 @@ def check_point_exact():
 
 def check_zalgaller_class2():
     try:
-        sol = solve_self_referential(None, None, _opts(), n=180)
+        sol = solve_self_referential(180, _opts())
     except NonConvergenceError as e:
         return False, f"fixed point did not settle: {e}"
     err = abs(sol.length - STRIP_EDGE_REFERENCE)

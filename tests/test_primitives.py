@@ -147,7 +147,7 @@ def _mirror(f):
     """f's image through the origin."""
     if isinstance(f, geo.Plane3):
         return geo.Plane3(tuple(-np.asarray(f.normal)), f.offset)
-    return geo.rotate_about(f, math.pi)
+    return geo.apply_motion(f, geo.RigidMotion(angle=math.pi))
 
 
 def _products(factor):

@@ -11,7 +11,8 @@ _spec.loader.exec_module(product_sweep)
 
 
 @pytest.mark.parametrize("sweep, count", [("hint", 72), ("modes", 52), ("branches", 390),
-                                         ("segments", 40), ("edge", 18), ("curved", 42)])
+                                         ("segments", 40), ("edge", 18), ("curved", 42),
+                                         ("families", 20)])
 def test_each_sweep_holds_its_solves_once(sweep, count):
     keys = [case[0] for case in product_sweep.cases(sweep)]
     assert len(keys) == len(set(keys)) == count

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from escape_solver import geometry as geo
-from escape_solver.scenario import (ScenarioSpec, build, build_weak_form_I,
-                                    build_weak_form_II, build_zalgaller,
-                                    load_config, make_scenario, symmetry_reduce)
+from escape_solver.scenario import (Instance, ScenarioSpec, build, build_weak_form_II,
+                                    build_zalgaller, load_config, make_scenario,
+                                    symmetry_reduce, transform_spec)
 
 TAU = 2 * math.pi
 
@@ -39,14 +39,74 @@ def test_circle_exterior_quarter_turn_member():
     assert b.radius == pytest.approx(0.5)
 
 
-def test_multi_start_degenerates_to_single_start():
+def test_an_origin_start_turns_the_base_about_the_origin():
     base = geo.Circle((1.0, 0.0), 0.5)
-    one = build_weak_form_I(ScenarioSpec(name="t", n_orientations=6, base_boundary=base))
-    two = build_weak_form_II(ScenarioSpec(name="t", n_orientations=6, base_boundary=base,
-                                          starts=((0.0, 0.0),)))
-    for a, b in zip(one.boundaries, two.boundaries):
-        assert np.allclose(a.center, b.center, atol=1e-12)
-        assert a.radius == pytest.approx(b.radius)
+    inst = build(ScenarioSpec(name="t", n_orientations=6, base_boundary=base))
+    for a, b in zip(inst.angles, inst.boundaries):
+        assert b == geo.apply_motion(base, geo.RigidMotion(angle=a))
+
+
+def _fields(b) -> np.ndarray:
+    return np.array([v for f in b.factors for v in f.fields()])
+
+
+def _rows_match(rows, expected, tol=1e-12):
+    return all(np.allclose(_fields(b), _fields(e), rtol=0.0, atol=tol)
+               for b, e in zip(rows, expected, strict=True))
+
+
+_ESCAPE_FAMILIES = [("strip_wf2", 6, 4, {}), ("circle_wf2", 6, 3, {}),
+                    ("triangle_equilateral", 6, 4, {}),
+                    ("triangle_general", 6, 36, {"phi1": -math.pi / 2, "delta1": 0.3,
+                                                 "phi2": math.pi / 6, "delta2": 0.3,
+                                                 "phi3": 5 * math.pi / 6, "delta3": 0.3}),
+                    ("sector", 8, 6, {}), ("sector", 8, 6, {"phi2": math.pi / 3})]
+
+
+@pytest.mark.parametrize("name, n, m, params", _ESCAPE_FAMILIES,
+                         ids=["strip_wf2", "circle_wf2", "triangle_equilateral",
+                              "triangle_general", "sector", "sector60"])
+def test_each_row_is_its_start_row_turned_about_the_origin(name, n, m, params):
+    """R(a)(B - s): the start stays put relative to the region as a changes."""
+    inst = build(make_scenario(name, n, m, **params))
+    first = {k: b for b, k, i in zip(inst.boundaries, inst.start_index, inst.orient_index)
+             if i == 0}
+    assert len(first) > 1
+    turned = [geo.apply_motion(first[k], geo.RigidMotion(angle=a))
+              for k, a in zip(inst.start_index, inst.angles)]
+    assert _rows_match(inst.boundaries, turned)
+
+
+def _meet(l1, l2) -> np.ndarray:
+    return np.linalg.solve(np.array([l1.normal(), l2.normal()]), [l1.offset, l2.offset])
+
+
+@pytest.mark.parametrize("phi2", [math.pi / 2, math.pi / 3], ids=["sector", "sector60"])
+def test_sector_arc_is_centred_on_its_apex(phi2):
+    inst = build(make_scenario("sector", 8, 4, phi2=phi2))
+    for b in inst.boundaries:
+        l1, l2, arc = b.factors
+        assert np.allclose(arc.center, _meet(l1, l2), rtol=0.0, atol=1e-12)
+
+
+def test_sector_edges_run_along_their_directions():
+    inst = build(make_scenario("sector", 8, 4, phi2=math.pi / 3))
+    for b, i in zip(inst.boundaries, inst.orient_index):
+        if i == 0:
+            l1, l2, _ = b.factors
+            for line, phi in ((l1, 0.0), (l2, math.pi / 3)):
+                tx, ty = line.tangent()
+                assert tx * math.sin(phi) - ty * math.cos(phi) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["triangle_equilateral", "sector"])
+def test_a_moved_scenario_builds_its_rows_turned(name):
+    spec = make_scenario(name, 6, 4)
+    motion = geo.RigidMotion(center=(0.3, -0.2), angle=0.7, translation=(1.1, 0.4))
+    moved = build(transform_spec(spec, motion)).boundaries
+    turned = [geo.apply_motion(b, geo.RigidMotion(angle=motion.angle))
+              for b in build(spec).boundaries]
+    assert _rows_match(moved, turned)
 
 
 def test_strip_wf2_offsets():
@@ -189,9 +249,14 @@ def test_config_order_search_clears_hint():
 
 def test_weak_form_preconditions():
     base = geo.Line(0.0, 1.0)
-    with pytest.raises(ValueError):
-        build_weak_form_I(ScenarioSpec(name="x", n_orientations=3, base_boundary=base,
-                                       starts=((0.0, 0.0), (1.0, 0.0))))
+    with pytest.raises(ValueError, match="not an escape form"):
+        build_weak_form_II(ScenarioSpec(name="x", n_orientations=3, base_boundary=base,
+                                        mode="opaque"))
+    with pytest.raises(ValueError, match="no base boundary"):
+        build_weak_form_II(ScenarioSpec(name="x", n_orientations=3))
+    with pytest.raises(ValueError, match="starts at the origin"):
+        Instance(name="x", boundaries=(base,), mode="escape_open", dimension=2,
+                 start_anchor=(0.5, -0.25), angles=(0.0,), start_index=(0,), orient_index=(0,))
     with pytest.raises(ValueError):
         ScenarioSpec(name="x", n_orientations=0, base_boundary=base)
     with pytest.raises(ValueError):
@@ -211,8 +276,8 @@ def test_triangle_general_names_its_missing_edge_parameters():
     edges = {"phi1": -math.pi / 2, "delta1": 0.3, "phi2": math.pi / 6, "delta2": 0.3,
              "phi3": 5 * math.pi / 6, "delta3": 0.3}
     spec = load_config({"name": "triangle_general", "N": 3, "params": edges})
-    assert spec.params["edge_lines"] == tuple((edges[f"phi{j}"], edges[f"delta{j}"])
-                                              for j in (1, 2, 3))
+    assert spec.base_boundary == geo.Product(tuple(geo.Line(edges[f"phi{j}"], edges[f"delta{j}"])
+                                                   for j in (1, 2, 3)))
 
 
 def test_interleaved_hints_are_permutations():

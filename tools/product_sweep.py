@@ -2,7 +2,7 @@
 families: solve a fixed set of instances, write each answer to JSON, and
 compare two such files.
 
-    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge,curved} OUT.json [--src DIR]
+    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge,curved,families} OUT.json [--src DIR]
     python3 tools/product_sweep.py compare BEFORE.json AFTER.json
 
 Sweeps (every solve on the instance's hint order):
@@ -27,6 +27,10 @@ Sweeps (every solve on the instance's hint order):
             solves), and circle_wf2 7x2, 8x2 and 12x4 at multistart 1/2,
             seed 0, each through solve_alternating (6 solves of the
             alternating order loop, from the natural order): 42 solves.
+  families  triangle_equilateral 6x3 and 12x6, triangle_general with the
+            equilateral edges at 6x16 and 12x36, and sector at 90 and 60
+            degrees (sector, sector60) at 6x3, 8x4 and 12x6, multistart 1/2,
+            seed 0, each through solve_alternating: 20 solves.
 
 `run` imports the solver from DIR (default: this checkout's src) with BLAS
 pinned to one thread, and records per solve the length, the branches, the
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -62,6 +67,16 @@ EDGE = (4, 8, 12, 20, 45, 90, 180, 360, 720)
 CIRCLES = [(name, n) for name in ("circle_interior_nonunique", "circle_interior_02",
                                   "circle_exterior") for n in (30, 90, 360)]
 LOOPS = ((7, 2), (8, 2), (12, 4))   # circle_wf2 (N, M)
+_INRADIUS = math.sqrt(3.0) / 6.0   # triangle_equilateral's edges, in normal form
+_EQUILATERAL = {"phi1": -math.pi / 2.0, "delta1": _INRADIUS, "phi2": -math.pi / 6.0,
+                "delta2": -_INRADIUS, "phi3": math.pi / 6.0, "delta3": _INRADIUS}
+# label -> (catalog name, params, (N, M) sizes)
+FAMILIES = {
+    "triangle_equilateral": ("triangle_equilateral", {}, ((6, 3), (12, 6))),
+    "triangle_general": ("triangle_general", _EQUILATERAL, ((6, 16), (12, 36))),
+    "sector": ("sector", {}, ((6, 3), (8, 4), (12, 6))),
+    "sector60": ("sector", {"phi2": math.pi / 3.0}, ((6, 3), (8, 4), (12, 6))),
+}
 OPEN, CLOSED = "escape_open", "escape_closed"
 ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1))
 
@@ -98,6 +113,10 @@ def cases(sweep: str):
             yield f"{name} {n} {mode[7:]} ms{ms}", name, n, 1, mode, ms, 0, None
         for (n, m), ms in ((c, ms) for c in LOOPS for ms in (1, 2)):
             yield f"circle_wf2 {n}x{m} ms{ms} loop", "circle_wf2", n, m, OPEN, ms, 0, "loop"
+    elif sweep == "families":
+        for label, (_, _, sizes) in FAMILIES.items():
+            for (n, m), ms in ((c, ms) for c in sizes for ms in (1, 2)):
+                yield f"{label} {n}x{m} ms{ms} loop", label, n, m, OPEN, ms, 0, "loop"
     else:
         raise SystemExit(f"unknown sweep {sweep!r}")
 
@@ -113,12 +132,14 @@ def run(sweep: str, out: Path, src: Path):
     records = {}
     for key, name, n, m, mode, ms, seed, assignment in cases(sweep):
         # the angle search builds its own instances, one per angle
-        inst = None if assignment == "angle" else build(make_scenario(name, n, m, mode=mode))
+        catalog, params, _ = FAMILIES.get(name, (name, {}, ()))
+        inst = None if assignment == "angle" else build(make_scenario(catalog, n, m, mode=mode,
+                                                                      **params))
         opts = SolveOptions(multistart=ms, seed=seed)
         t0 = time.perf_counter()
         try:
             if assignment == "angle":
-                sol = solve_self_referential(None, None, opts, n=n)
+                sol = solve_self_referential(n, opts)
             elif assignment == "loop":
                 sol = solve_alternating(inst, opts)
             elif assignment is None:
@@ -188,7 +209,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run")
     p.add_argument("sweep", choices=("hint", "modes", "branches", "segments", "edge",
-                                     "curved"))
+                                     "curved", "families"))
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     p = sub.add_parser("compare")
