@@ -9,19 +9,20 @@ are Held-Karp subset DP (exact, closing leg included), depth-first branch and
 bound with a spanning-tree bound, one first-improvement 2-opt move and a 2-opt
 descent.  The exact oracles keep one tie rule, a later candidate replacing an
 earlier one only if it is shorter by more than 1e-15, and are vectorized
-around it: Held-Karp takes the minimum over predecessors of a whole block of
-subsets at once and replays the rule only where a candidate lies within 1e-15
-of the minimum, and branch and bound computes one spanning-tree bound per
-expanded node.  `_improve` is the one re-solve loop, with two gates: it
-re-solves an order only if that is shorter at the frozen points by more than
-1e-12, and it keeps the re-solve only if that is shorter by more than
-max(STEP_TOL * L, 1e-14).  `exhaustive` solves every order; it is the
+around it: Held-Karp fills one cost table by minima over blocks of subsets
+and end nodes, replaying the rule only where a candidate lies within 1e-15
+of the minimum and once per position of the final order; branch and bound
+computes one spanning-tree bound per unvisited set.  `_improve` is the one
+re-solve loop, with two gates: it re-solves an order only if that is shorter
+at the frozen points by more than 1e-12, and it keeps the re-solve only if
+that is shorter by more than max(STEP_TOL * L, 1e-14).  `exhaustive` solves every order; it is the
 reference for the oracles.  On a family of points the re-solve is only the
 order's cost, since `solve_fixed_order` builds such a solution from the points.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -50,7 +51,7 @@ class SizeGuardError(ValueError):
     """Problem too large for the requested exact search."""
 
 
-# largest K for the subset DP, whose tables take K * 2^K * 9 bytes (189 MB at 20)
+# largest K for the subset DP, whose table takes K * 2^K * 8 bytes (168 MB at 20)
 HELD_KARP_MAX_K = 20
 MAX_ROUNDS = 200    # rounds of the 2-opt and alternating loops
 STEP_TOL = 1e-10    # relative gain a kept re-solve must exceed
@@ -127,6 +128,8 @@ def _frozen_geometry(inst: Instance, sol: Solution):
 
 
 def _order_cost(order, dmat, anchor, closed=False) -> float:
+    """The order's length at the frozen points as a left-to-right sum of its
+    legs; the oracles' tie rules and `_improve`'s gates read its bits."""
     total = anchor[order[0]]
     for a, b in zip(order, order[1:]):
         total += dmat[a, b]
@@ -156,74 +159,76 @@ def exhaustive(inst: Instance, opts: SolveOptions | None = None) -> Solution:
 def _held_karp_order(dmat, anchor, closed: bool):
     """Exact order and its cost for fixed positions via subset DP.
 
-    C[v, S] is the shortest path from the start through the node set S (a
-    bitmask) that ends at v, and P[v, S] its predecessor (-1 at the start).
-    The table is filled one popcount layer at a time, a block of every S of
-    the layer that holds v at once, with the candidates (j, S) in columns.
-    The tie rule is that of a sweep over predecessors j upward in which a
-    later one wins only if it is shorter by more than 1e-15, so near-ties
-    keep the lowest index.  That sweep ends at the column's minimum m and its
-    lowest index, unless some candidate c > m has c - 1e-15 <= m; only such
-    near-tie columns are swept, by `_sweep_near_ties`, in chunks no larger
-    than the largest block.  A layer is read only by the next, so the sweep
-    can wait until near ties fill a chunk or the layer ends.  A closed path
-    ends with its leg back to the start.  The tables take K * 2^K * 9 bytes
-    (see HELD_KARP_MAX_K).
+    C[v, S], the one table, is the shortest path from the start through the
+    node set S (a bitmask) that ends at v.  Each popcount layer is filled in
+    (j, v, S) blocks of candidates C[j, S - {v}] + dmat[j, v] over several end
+    nodes v and every S of the layer that holds them, about 2^16 candidates at
+    most (one v where its subsets alone are more), by a minimum over the
+    predecessors j.  The tie rule is that of a sweep over j upward in which a
+    later one wins only if it is shorter by more than 1e-15.  That sweep ends
+    at the column's minimum m unless some candidate c > m has c - 1e-15 <= m;
+    only such near-tie columns are swept, by `_sweep_near_ties`, in chunks no
+    larger than the largest single-node block, once near ties fill a chunk or
+    the layer ends (a layer is read only by the next).  A closed path ends
+    with its leg back to the start.  The order is rebuilt backwards by the
+    same rule on one column of C per position, which picks the predecessor
+    the fill took.  The table takes K * 2^K * 8 bytes (see HELD_KARP_MAX_K).
     """
     k = dmat.shape[0]
     full = (1 << k) - 1
     C = np.full((k, 1 << k), np.inf)
-    P = np.full((k, 1 << k), -1, dtype=np.int8)
     nodes = np.arange(k)
     C[nodes, 1 << nodes] = anchor
     popcount = np.zeros(1 << k, dtype=np.int8)
     for b in range(k):
         popcount[1 << b:2 << b] = popcount[:1 << b] + 1
-    chunk = math.comb(k - 1, (k - 1) // 2)    # columns of the largest (r, v) block
+    chunk = math.comb(k - 1, (k - 1) // 2)    # columns of the largest single-node block
     for r in range(2, k + 1):
         masks = np.flatnonzero(popcount == r)
+        m = math.comb(k - 1, r - 1)           # subsets of the layer that hold a given node
+        group = max(1, (1 << 16) // (k * m))  # end nodes per block
         near, pending = [], 0
-        for v in range(k):
-            S = masks[masks & (1 << v) != 0]
-            cand = C.take(S ^ (1 << v), axis=1)   # (j, S); inf unless j is in S - {v}
-            cand += dmat[:, v, None]
+        for lo in range(0, k, group):
+            V = nodes[lo:lo + group, None]
+            S = np.broadcast_to(masks, (V.size, masks.size))[masks & (1 << V) != 0].reshape(-1, m)
+            cand = C.take(S ^ (1 << V), axis=1)   # (j, v, S); inf unless j is in S - {v}
+            cand += dmat[:, V]
             best = cand.min(axis=0)
+            C[V, S] = best
             low = cand == best
-            C[v, S] = best
-            P[v, S] = low.argmax(axis=0)         # the lowest j at the minimum
             cand -= 1e-15                        # near ties: some c > m has c - 1e-15 <= m
-            S = S[((cand <= best) != low).any(axis=0)]
-            near.append((S, np.full(S.size, v)))
-            pending += S.size
-            if pending and (pending >= chunk or v == k - 1):
+            tie = ((cand <= best) != low).any(axis=0)
+            near.append((S[tie], np.broadcast_to(V, tie.shape)[tie]))
+            pending += np.count_nonzero(tie)
+            if pending and (pending >= chunk or lo + group >= k):
                 Sn, Vn = (np.concatenate(a) for a in zip(*near))
-                for lo in range(0, pending, chunk):
-                    _sweep_near_ties(C, P, dmat, Sn[lo:lo + chunk], Vn[lo:lo + chunk])
+                for i in range(0, pending, chunk):
+                    _sweep_near_ties(C, dmat, Sn[i:i + chunk], Vn[i:i + chunk])
                 near, pending = [], 0
     total = C[:, full] + anchor if closed else C[:, full]
     end = int(np.argmin(total))
-    order = [end]
-    mask = full
-    while (prev := int(P[order[-1], mask])) >= 0:
+    order, mask = [end], full
+    while mask != 1 << order[-1]:
         mask ^= 1 << order[-1]
-        order.append(prev)
+        best, pred = math.inf, -1
+        for j, c in enumerate((C[:, mask] + dmat[:, order[-1]]).tolist()):
+            if c < best - 1e-15:
+                best, pred = c, j
+        order.append(pred)
     return tuple(reversed(order)), float(total[end])
 
 
-def _sweep_near_ties(C, P, dmat, S, V):
-    """Fill C[V, S] and P[V, S] column by column by the sequential rule of
+def _sweep_near_ties(C, dmat, S, V):
+    """Fill C[V, S] column by column by the sequential rule of
     `_held_karp_order`: predecessors j upward, a later one winning only if it
     is shorter by more than 1e-15."""
     prev = C.take(S ^ (1 << V), axis=1)
     best = np.full(S.size, np.inf)
-    pred = np.full(S.size, -1, dtype=np.int8)
     for j in range(dmat.shape[0]):
         cand = prev[j] + dmat[j, V]
         take = cand < best - 1e-15
         best[take] = cand[take]
-        pred[take] = j
     C[V, S] = best
-    P[V, S] = pred
 
 
 def _dp_order(order, dmat, anchor, closed):
@@ -257,12 +262,13 @@ def _branch_and_bound_order(order, dmat, anchor, closed):
     A node is pruned once its cost plus the spanning-tree weight over its
     unvisited nodes and its last one reaches the incumbent's cost less 1e-12.
     That node set is its parent's unvisited set (all nodes at the root), so
-    each expanded node computes one bound and hands it to its children,
-    most of which it prunes.
+    each expanded node hands one bound to its children, most of which it
+    prunes; each set's bound is computed once per call.
     """
     k = len(order)
     best_order = tuple(order)
     best_cost = _order_cost(best_order, dmat, anchor, closed)
+    mst = functools.cache(lambda nodes: _mst_weight(dmat, nodes))
 
     def dfs(prefix, used, cost, bound):
         nonlocal best_order, best_cost
@@ -274,7 +280,7 @@ def _branch_and_bound_order(order, dmat, anchor, closed):
         if cost + bound >= best_cost - 1e-12:
             return
         remaining = [v for v in range(k) if v not in used]
-        bound = _mst_weight(dmat, remaining) if prefix else bound
+        bound = mst(tuple(remaining)) if prefix else bound
         for v in remaining:
             step = dmat[prefix[-1], v] if prefix else anchor[v]
             prefix.append(v)
@@ -283,13 +289,14 @@ def _branch_and_bound_order(order, dmat, anchor, closed):
             prefix.pop()
             used.remove(v)
 
-    dfs([], set(), 0.0, _mst_weight(dmat, range(k)))
+    dfs([], set(), 0.0, mst(tuple(range(k))))
     return best_order
 
 
-def _two_opt_move(order, dmat, anchor, closed):
-    """The first segment reversal of `order` that shortens it by more than
-    1e-12 at the frozen positions, or `order` itself.
+def _two_opt_step(order, cost, dmat, anchor, closed):
+    """The first segment reversal of the tuple `order` (of `_order_cost`
+    `cost`) that shortens it by more than 1e-12 at the frozen positions, and
+    its cost; or `order` and `cost`.
 
     Reversing order[i..j] changes two legs of a symmetric `dmat`: the one into
     position i (the anchor leg when i = 0) and the one out of position j (the
@@ -298,8 +305,6 @@ def _two_opt_move(order, dmat, anchor, closed):
     rounding of two K-term sums; the survivors are confirmed in lexicographic
     order with the exact full cost, so the move is the one a full scan finds.
     """
-    order = tuple(order)
-    cost = _order_cost(order, dmat, anchor, closed)
     o = np.asarray(order)
     D = dmat.take(o, 0).take(o, 1)
     A = np.asarray(anchor)[o]
@@ -313,16 +318,24 @@ def _two_opt_move(order, dmat, anchor, closed):
     screen = np.triu(delta < -1e-12 + 1e-9 * max(cost, 1.0), 1)
     for i, j in zip(*np.nonzero(screen)):
         cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-        if _order_cost(cand, dmat, anchor, closed) < cost - 1e-12:
-            return cand
-    return order
+        if (cand_cost := _order_cost(cand, dmat, anchor, closed)) < cost - 1e-12:
+            return cand, cand_cost
+    return order, cost
+
+
+def _two_opt_move(order, dmat, anchor, closed):
+    """One 2-opt move (`_two_opt_step`) as an order oracle."""
+    order = tuple(order)
+    return _two_opt_step(order, _order_cost(order, dmat, anchor, closed), dmat, anchor,
+                         closed)[0]
 
 
 def _two_opt_order(order, dmat, anchor, closed):
     """First-improvement 2-opt at frozen positions until no reversal helps."""
     order = tuple(order)
-    while (move := _two_opt_move(order, dmat, anchor, closed)) != order:
-        order = move
+    cost = _order_cost(order, dmat, anchor, closed)
+    while (step := _two_opt_step(order, cost, dmat, anchor, closed))[0] != order:
+        order, cost = step
     return order
 
 
@@ -350,8 +363,8 @@ def held_karp(inst: Instance, opts: SolveOptions | None = None) -> Solution:
     """Optimal order for positions frozen from the hint's solve, then re-solved."""
     if inst.size > HELD_KARP_MAX_K:
         raise SizeGuardError(
-            f"subset DP needs K <= {HELD_KARP_MAX_K} (its tables take K * 2^K * 9 bytes, "
-            f"{HELD_KARP_MAX_K * 9 * 2 ** HELD_KARP_MAX_K / 1e6:.0f} MB at the limit)")
+            f"subset DP needs K <= {HELD_KARP_MAX_K} (its table takes K * 2^K * 8 bytes, "
+            f"{HELD_KARP_MAX_K * 8 * 2 ** HELD_KARP_MAX_K / 1e6:.0f} MB at the limit)")
     return _improve(inst, inst.order_hint or range(inst.size), _dp_order, opts, 1)
 
 

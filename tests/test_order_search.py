@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from escape_solver import geometry as geo
+from escape_solver import geometry as geo, order_search
 from escape_solver.nlp_solver import SolveOptions, solve_fixed_order
 from escape_solver.order_search import (HELD_KARP_MAX_K, MtzModel, OrderPlan,
                                         PartitionPlan, SizeGuardError,
                                         _branch_and_bound_order, _frozen_geometry,
                                         _held_karp_order,
                                         _mst_weight, _order_cost, _two_opt_move,
+                                        _two_opt_order,
                                         build_mtz_model, exhaustive, held_karp,
                                         mtz_branch_and_bound, partition_search,
                                         solve_alternating, two_opt)
@@ -340,6 +341,55 @@ def _held_karp_reference(dmat, anchor, closed):
     return tuple(reversed(order)), float(total[end])
 
 
+def _held_karp_table_reference(dmat, anchor, closed):
+    """Held-Karp with a predecessor table P[v, S] next to C[v, S], one
+    (popcount layer, end node) block at a time, taking the lowest j at each
+    block column's minimum and sweeping near-tie columns in order."""
+    k = dmat.shape[0]
+    full = (1 << k) - 1
+    C = np.full((k, 1 << k), np.inf)
+    P = np.full((k, 1 << k), -1, dtype=np.int8)
+    nodes = np.arange(k)
+    C[nodes, 1 << nodes] = anchor
+    popcount = np.array([bin(s).count("1") for s in range(1 << k)])
+    for r in range(2, k + 1):
+        masks = np.flatnonzero(popcount == r)
+        for v in range(k):
+            S = masks[masks & (1 << v) != 0]
+            cand = C.take(S ^ (1 << v), axis=1) + dmat[:, v, None]
+            best = cand.min(axis=0)
+            low = cand == best
+            C[v, S] = best
+            P[v, S] = low.argmax(axis=0)
+            near = S[((cand - 1e-15 <= best) != low).any(axis=0)]
+            prev = C.take(near ^ (1 << v), axis=1)
+            best, pred = np.full(near.size, np.inf), np.full(near.size, -1)
+            for j in range(k):
+                c = prev[j] + dmat[j, v]
+                take = c < best - 1e-15
+                best[take], pred[take] = c[take], j
+            C[v, near], P[v, near] = best, pred
+    total = C[:, full] + anchor if closed else C[:, full]
+    end = int(np.argmin(total))
+    order, mask = [end], full
+    while (prev := int(P[order[-1], mask])) >= 0:
+        mask ^= 1 << order[-1]
+        order.append(prev)
+    return tuple(reversed(order)), float(total[end])
+
+
+def _nudged(dmat, anchor, seed):
+    """`dmat` and `anchor` with each distance moved up by 0, 1 or 2 ulps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        up = np.triu(rng.integers(0, 2, dmat.shape), 1).astype(bool)
+        dmat = np.where(up | up.T, np.nextafter(dmat, np.inf), dmat)
+        anchor = np.where(rng.integers(0, 2, anchor.shape) == 1, np.nextafter(anchor, np.inf),
+                          anchor)
+    np.fill_diagonal(dmat, 0.0)
+    return dmat, anchor
+
+
 def _two_opt_reference(order, dmat, anchor, closed):
     """The first reversal, in (i, j) order, that the full cost accepts."""
     order = tuple(order)
@@ -369,15 +419,40 @@ def test_held_karp_order_is_the_brute_force_minimum(pts, anchored, closed):
 def test_held_karp_order_matches_the_reference_on_ulp_ties(pts, seed, anchored, closed):
     # grid and repeated points give exact ties, and moving each distance up
     # by 0, 1 or 2 ulps turns many of them into near ties below the 1e-15 rule
-    dmat, anchor = _frozen(pts, anchored)
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        up = np.triu(rng.integers(0, 2, dmat.shape), 1).astype(bool)
-        dmat = np.where(up | up.T, np.nextafter(dmat, np.inf), dmat)
-        anchor = np.where(rng.integers(0, 2, anchor.shape) == 1, np.nextafter(anchor, np.inf),
-                          anchor)
-    np.fill_diagonal(dmat, 0.0)
+    dmat, anchor = _nudged(*_frozen(pts, anchored), seed)
     assert _held_karp_order(dmat, anchor, closed) == _held_karp_reference(dmat, anchor, closed)
+
+
+@settings(max_examples=24)
+@given(pts=st.one_of(_point_sets(12, 16), _duplicated_point_sets(12, 16)),
+       seed=st.integers(0, 2 ** 32 - 1), nudge=st.booleans(), anchored=st.booleans(),
+       closed=st.booleans())
+def test_held_karp_order_matches_the_table_reference_where_blocks_split(
+        pts, seed, nudge, anchored, closed):
+    # from K=12 on a popcount layer no longer fits one block, so these reach
+    # the multi-block layers and the near ties swept across their blocks
+    dmat, anchor = _frozen(pts, anchored)
+    if nudge:
+        dmat, anchor = _nudged(dmat, anchor, seed)
+    assert _held_karp_order(dmat, anchor, closed) == \
+        _held_karp_table_reference(dmat, anchor, closed)
+
+
+def test_held_karp_order_matches_the_table_reference_on_circle_wf2(monkeypatch):
+    # the K=14 matrices the alternating loop freezes on circle_wf2 7x2
+    frozen = []
+
+    def record(dmat, anchor, closed):
+        frozen.append((dmat, anchor))
+        return _held_karp_order(dmat, anchor, closed)
+
+    monkeypatch.setattr(order_search, "_held_karp_order", record)
+    solve_alternating(build(make_scenario("circle_wf2", 7, 2)), SolveOptions(multistart=2))
+    assert frozen
+    for dmat, anchor in frozen:
+        for a, closed in itertools.product((anchor, np.zeros_like(anchor)), (False, True)):
+            assert _held_karp_order(dmat, a, closed) == \
+                _held_karp_table_reference(dmat, a, closed)
 
 
 def test_held_karp_order_keeps_earlier_predecessor_on_a_near_tie():
@@ -438,6 +513,17 @@ def test_two_opt_move_matches_the_full_cost_scan(pts, data, anchored, closed):
         assert move == _two_opt_reference(order, dmat, anchor, closed)
 
 
+@settings(max_examples=12)
+@given(pts=_point_sets(2, 60), data=st.data(), anchored=st.booleans(), closed=st.booleans())
+def test_two_opt_order_is_the_reference_at_its_fixed_point(pts, data, anchored, closed):
+    dmat, anchor = _frozen(pts, anchored)
+    start = tuple(data.draw(st.permutations(range(len(pts)))))
+    order, move = None, start
+    while move != order:    # reference moves down to their fixed point
+        order, move = move, _two_opt_reference(move, dmat, anchor, closed)
+    assert _two_opt_order(start, dmat, anchor, closed) == order
+
+
 @given(pts=_point_sets(1, 12, coords=(_UNIFORM,)))
 def test_mst_weight_matches_set_based_prim(pts):
     dmat, _ = _frozen(pts)
@@ -456,5 +542,5 @@ def test_mst_weight_matches_set_based_prim(pts):
 
 def test_held_karp_guard_states_its_memory():
     inst = _points_instance([(i, 0) for i in range(HELD_KARP_MAX_K + 1)])
-    with pytest.raises(SizeGuardError, match="189 MB"):
+    with pytest.raises(SizeGuardError, match="168 MB"):
         held_karp(inst, OPTS)

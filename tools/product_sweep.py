@@ -1,8 +1,8 @@
-"""Answer sweeps over the product families, the edge strip and the circle
-families: solve a fixed set of instances, write each answer to JSON, and
-compare two such files.
+"""Answer sweeps over the product families, the edge strip, the circle
+families and the order strategies: solve a fixed set of instances, write each
+answer to JSON, and compare two such files.
 
-    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge,curved,families} OUT.json [--src DIR]
+    python3 tools/product_sweep.py run {hint,modes,branches,segments,edge,curved,families,orders} OUT.json [--src DIR]
     python3 tools/product_sweep.py compare BEFORE.json AFTER.json
 
 Sweeps (every solve on the instance's hint order):
@@ -31,6 +31,12 @@ Sweeps (every solve on the instance's hint order):
             equilateral edges at 6x16 and 12x36, and sector at 90 and 60
             degrees (sector, sector60) at 6x3, 8x4 and 12x6, multistart 1/2,
             seed 0, each through solve_alternating: 20 solves.
+  orders    the order strategies on seeded point families (K points drawn
+            uniformly from [-1, 1]^2): held_karp at K 8/12/14/16/18,
+            mtz_branch_and_bound at K 8/10/12, two_opt (from the natural
+            order) and solve_alternating at K 30/60/120; and circle_wf2 4x3,
+            6x2, 7x2 and 8x2 through solve_alternating; open and closed,
+            multistart 1/2, seed 0: 72 solves.
 
 `run` imports the solver from DIR (default: this checkout's src) with BLAS
 pinned to one thread, and records per solve the length, the branches, the
@@ -77,6 +83,10 @@ FAMILIES = {
     "sector": ("sector", {}, ((6, 3), (8, 4), (12, 6))),
     "sector60": ("sector", {"phi2": math.pi / 3.0}, ((6, 3), (8, 4), (12, 6))),
 }
+# order strategy -> point-family sizes K
+ORDER_POINTS = {"heldkarp": (8, 12, 14, 16, 18), "mtz": (8, 10, 12), "twoopt": (30, 60, 120),
+                "loop": (30, 60, 120)}
+ORDER_LOOPS = ((4, 3), (6, 2), (7, 2), (8, 2))   # circle_wf2 (N, M)
 OPEN, CLOSED = "escape_open", "escape_closed"
 ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 1))
 
@@ -84,8 +94,9 @@ ASSIGNED = (("uniform", 0), ("uniform", 1), ("alternating", 0), ("alternating", 
 def cases(sweep: str):
     """(key, family, n, m, mode, multistart, seed, assignment) per solve;
     assignment is None (free), ("uniform", j), ("alternating", j),
-    "angle" (the first-leg angle search of zalgaller_class2) or "loop"
-    (solve_alternating)."""
+    "angle" (the first-leg angle search of zalgaller_class2), "loop"
+    (solve_alternating) or an order strategy of ORDER_POINTS; the family
+    "points.<strategy>" is n seeded points."""
     if sweep == "hint":
         for (name, n), ms, seed in ((c, ms, s) for c in HINT for ms in (1, 2, 4) for s in (0, 1)):
             yield f"{name} {n} open ms{ms} seed{seed}", name, n, 1, OPEN, ms, seed, None
@@ -117,8 +128,30 @@ def cases(sweep: str):
         for label, (_, _, sizes) in FAMILIES.items():
             for (n, m), ms in ((c, ms) for c in sizes for ms in (1, 2)):
                 yield f"{label} {n}x{m} ms{ms} loop", label, n, m, OPEN, ms, 0, "loop"
+    elif sweep == "orders":
+        for strategy, sizes in ORDER_POINTS.items():
+            for k, mode, ms in ((k, md, ms) for k in sizes for md in (OPEN, CLOSED)
+                                for ms in (1, 2)):
+                yield (f"points.{strategy} {k} {mode[7:]} ms{ms}", f"points.{strategy}", k, 1,
+                       mode, ms, 0, strategy)
+        for (n, m), mode, ms in ((c, md, ms) for c in ORDER_LOOPS for md in (OPEN, CLOSED)
+                                 for ms in (1, 2)):
+            yield (f"circle_wf2 {n}x{m} {mode[7:]} ms{ms} loop", "circle_wf2", n, m, mode, ms, 0,
+                   "loop")
     else:
         raise SystemExit(f"unknown sweep {sweep!r}")
+
+
+def _point_family(k: int, mode: str):
+    """K points drawn uniformly from [-1, 1]^2 (seeded by K), anchored at the origin."""
+    import numpy as np
+    from escape_solver.geometry import PointTarget
+    from escape_solver.scenario import Instance
+
+    pts = np.random.default_rng([20240901, k]).uniform(-1.0, 1.0, (k, 2)).tolist()
+    return Instance(name=f"points{k}", boundaries=tuple(PointTarget(tuple(p)) for p in pts),
+                    mode=mode, dimension=2, start_anchor=(0.0, 0.0), angles=(0.0,) * k,
+                    start_index=(0,) * k, orient_index=tuple(range(k)))
 
 
 def run(sweep: str, out: Path, src: Path):
@@ -126,15 +159,20 @@ def run(sweep: str, out: Path, src: Path):
     from escape_solver.nlp_solver import (NonConvergenceError, SolveOptions,
                                           solve_branch_strategies, solve_fixed_order,
                                           solve_self_referential)
-    from escape_solver.order_search import solve_alternating
+    from escape_solver.order_search import (held_karp, mtz_branch_and_bound,
+                                            solve_alternating, two_opt)
     from escape_solver.scenario import build, make_scenario
 
     records = {}
     for key, name, n, m, mode, ms, seed, assignment in cases(sweep):
         # the angle search builds its own instances, one per angle
         catalog, params, _ = FAMILIES.get(name, (name, {}, ()))
-        inst = None if assignment == "angle" else build(make_scenario(catalog, n, m, mode=mode,
-                                                                      **params))
+        if assignment == "angle":
+            inst = None
+        elif name.startswith("points."):
+            inst = _point_family(n, mode)
+        else:
+            inst = build(make_scenario(catalog, n, m, mode=mode, **params))
         opts = SolveOptions(multistart=ms, seed=seed)
         t0 = time.perf_counter()
         try:
@@ -142,6 +180,12 @@ def run(sweep: str, out: Path, src: Path):
                 sol = solve_self_referential(n, opts)
             elif assignment == "loop":
                 sol = solve_alternating(inst, opts)
+            elif assignment == "heldkarp":
+                sol = held_karp(inst, opts)
+            elif assignment == "mtz":
+                sol = mtz_branch_and_bound(inst, opts)[0]
+            elif assignment == "twoopt":
+                sol = two_opt(inst, range(n), opts)
             elif assignment is None:
                 sol = solve_fixed_order(inst, inst.order_hint, opts)
             elif assignment[0] == "uniform":
@@ -209,7 +253,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("run")
     p.add_argument("sweep", choices=("hint", "modes", "branches", "segments", "edge",
-                                     "curved", "families"))
+                                     "curved", "families", "orders"))
     p.add_argument("out", type=Path)
     p.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     p = sub.add_parser("compare")
